@@ -1,4 +1,4 @@
-// Design ablations called out in DESIGN.md:
+// Design ablations of the SmrConfig knobs (README scheme table):
 //  (a) retire_threshold (the paper's reclaimFreq; 24K in the main
 //      experiments, 2K in Figure 4): lower = more signals per op for the
 //      POP family, higher = more garbage held.

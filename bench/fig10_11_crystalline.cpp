@@ -1,11 +1,11 @@
 // Appendix Figures 10-11: HML (2K) and HMHT, update-heavy and read-heavy,
 // comparing the POP algorithms against the Crystalline family.
 //
-// Substitution (DESIGN.md §5): Crystalline itself is replaced by BRC, a
-// batched reference-counting scheme with the same reader profile (no
-// per-read work, one announcement per op, batch frees after grace
-// periods). The comparison of interest — POP vs a fast low-memory
-// non-reservation scheme — is preserved.
+// Substitution (README, under the scheme table): Crystalline itself is
+// replaced by BRC, a batched reference-counting scheme with the same
+// reader profile (no per-read work, one announcement per op, batch frees
+// after grace periods). The comparison of interest — POP vs a fast
+// low-memory non-reservation scheme — is preserved.
 #include "cli.hpp"
 #include "driver.hpp"
 

@@ -23,52 +23,28 @@
 
 #include "core/pop_engine.hpp"
 #include "smr/domain_base.hpp"
+#include "smr/epoch.hpp"
 #include "smr/tagged.hpp"
 
 namespace pop::core {
 
-class EpochPopDomain {
+class EpochPopDomain : public smr::DomainBase<EpochPopDomain> {
  public:
   static constexpr const char* kName = "EpochPOP";
-  static constexpr bool kNeutralizes = false;
-  using Guard = smr::OpGuard<EpochPopDomain>;
-  static constexpr uint64_t kQuiescent = UINT64_MAX;
-
-  explicit EpochPopDomain(const smr::SmrConfig& cfg = {})
-      : core_(cfg, kName), engine_(cfg.num_slots) {}
-
-  void attach() {
-    const int tid = runtime::my_tid();
-    if (core_.attach_if_new(tid)) {
-      reserved_epoch_[tid]->v.store(kQuiescent, std::memory_order_release);
-      engine_.attach(tid);
-    }
-  }
-  void detach() {
-    const int tid = runtime::my_tid();
-    reserved_epoch_[tid]->v.store(kQuiescent, std::memory_order_release);
-    engine_.detach(tid);
-    core_.mark_detached(tid);
-  }
+  using DomainBase::DomainBase;
 
   // Algorithm 3 startOp().
   void begin_op() {
     attach();
     const int tid = runtime::my_tid();
-    if (++op_counter_[tid]->v % core_.config().epoch_freq == 0) {
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    // The reservation must be globally visible before the op's reads;
-    // this store is the fence the reclaimer's ping lets a quiescent
-    // reader skip re-paying on the fast path — hence seq_cst.
-    reserved_epoch_[tid]->v.store(epoch_.load(std::memory_order_acquire),
-                                  std::memory_order_seq_cst);
+    epochs_.tick(tid, config().epoch_freq);
+    epochs_.announce(tid, epochs_.now());
   }
 
   // Algorithm 3 endOp(): announce quiescence and drop local reservations.
   void end_op() {
     const int tid = runtime::my_tid();
-    reserved_epoch_[tid]->v.store(kQuiescent, std::memory_order_release);
+    epochs_.quiesce(tid);
     engine_.clear_local(tid);
   }
 
@@ -88,119 +64,65 @@ class EpochPopDomain {
   }
 
   void copy_slot(int dst, int src) {
-    const int tid = runtime::my_tid();
-    engine_.reserve_local(tid, dst, engine_.local_value(tid, src));
+    engine_.copy_local(runtime::my_tid(), dst, src);
   }
 
   void clear() { engine_.clear_local(runtime::my_tid()); }
 
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    return core_.create_node<T>(epoch_.load(std::memory_order_acquire),
-                                std::forward<Args>(args)...);
-  }
-
-  // Algorithm 3 retire().
+  // Algorithm 3 retire(): the epoch sweep on every retire_threshold-th
+  // list length, the POP pass once the list outgrows C * retire_threshold
+  // anyway (a delayed thread is suspected) or under memory pressure.
   void retire(smr::Reclaimable* n) {
     const int tid = runtime::my_tid();
-    const uint64_t e = epoch_.load(std::memory_order_acquire);
-    const uint64_t len = core_.retire_push(tid, n, e);
-    const auto& cfg = core_.config();
-    if (len % cfg.retire_threshold == 0) {
-      reclaim_epoch_freeable(tid);
-    }
-    if (core_.retire_list(tid).length() >=
-        cfg.pop_multiplier * cfg.retire_threshold) {
-      reclaim_pop(tid);  // a delayed thread is suspected
-    } else if (core_.pressure_check(tid)) {
-      reclaim_pop(tid);  // backstop goes straight to the robust path
-      core_.pressure_relieved_or_warn(tid);
-    }
+    const auto& cfg = config();
+    core_.retire(
+        tid, n, epochs_.now(),
+        [&](uint64_t len) {
+          if (len % cfg.retire_threshold == 0) reclaim_epoch_freeable(tid);
+          return core_.retire_list(tid).length() >=
+                 cfg.pop_multiplier * cfg.retire_threshold;
+        },
+        [&](bool) { reclaim_pop(tid); });
   }
 
-  void enter_write_phase(std::initializer_list<const smr::Reclaimable*> = {}) {
-  }
-  void exit_write_phase() {}
-
-  smr::StatsSnapshot stats() const { return core_.stats_snapshot(); }
-  const smr::SmrConfig& config() const { return core_.config(); }
-  uint64_t current_epoch() const {
-    return epoch_.load(std::memory_order_acquire);
-  }
-  PopEngine& engine() { return engine_; }
+  uint64_t current_epoch() const { return epochs_.now(); }
 
  private:
-  // Neutralizes a certified-dead tid: zero its engine slots and park its
-  // announced epoch at quiescent so a corpse cannot pin the epoch sweep.
-  void reap_tid(int t) {
-    engine_.reap(t);
-    reserved_epoch_[t]->v.store(kQuiescent, std::memory_order_release);
+  friend DomainBase;
+
+  // Zeroes the engine slots and parks the announced epoch at quiescent, so
+  // neither a departed thread nor a corpse pins anything.
+  void neutralize(int tid) {
+    engine_.reap(tid);
+    epochs_.quiesce(tid);
   }
+  void on_attach(int tid) { engine_.attach(tid); }
+  void on_detach(int /*tid*/) { engine_.unhook(); }
+  uint64_t birth_era() const { return epochs_.now(); }
 
   // Algorithm 3 reclaimEpochFreeable(): classic EBR sweep.
   void reclaim_epoch_freeable(int tid) {
-    core_.reap_dead(tid, [this](int t) { reap_tid(t); });
-    uint64_t min_reserved = kQuiescent;
-    const int hi = runtime::ThreadRegistry::instance().max_tid();
-    for (int t = 0; t <= hi; ++t) {
-      const uint64_t r =
-          reserved_epoch_[t]->v.load(std::memory_order_acquire);
-      if (r < min_reserved) min_reserved = r;
-    }
-    auto& st = core_.stats(tid);
-    st.scans += 1;
-    const uint64_t freed =
+    reap(tid);
+    const uint64_t min_announced = epochs_.min_announced();
+    core_.stats(tid).ebr_frees +=
         core_.sweep_retired(tid, [&](smr::Reclaimable* node) {
-          return node->retire_era < min_reserved;
+          return node->retire_era < min_announced;
         });
-    st.freed += freed;
-    st.ebr_frees += freed;
   }
 
   // Algorithm 3 lines 27-30: the POP fallback. Frees everything not in
   // the published hazard reservations, ignoring epochs entirely — safe
   // because every access is preceded by a validated (private) reservation.
   void reclaim_pop(int tid) {
-    auto& st = core_.stats(tid);
-    core_.reap_dead(tid, [this](int t) { reap_tid(t); });
-    const auto hs = engine_.ping_all_and_wait(tid);
-    st.signals_sent += static_cast<uint64_t>(hs.sent);
-    if (!hs.complete()) {
-      // A live laggard never published; its private reservations could
-      // name anything in the retire list. Defer the POP sweep.
-      st.waves_timed_out += 1;
-      st.pings_received = engine_.pings_received(tid);
-      return;
-    }
-    uintptr_t* reserved = core_.scan_scratch(tid);
-    const int n = engine_.collect_shared(reserved);
-    st.scans += 1;
-    const uint64_t freed =
-        core_.sweep_retired(tid, [&](smr::Reclaimable* node) {
-          return !smr::SlotTable::contains(reserved, n,
-                                           reinterpret_cast<uintptr_t>(node));
+    core_.stats(tid).pop_frees += engine_.reclaim(
+        core_, tid, [this](int t) { neutralize(t); },
+        [](const smr::Reservations& published, smr::Reclaimable* node) {
+          return !published.names(node);
         });
-    st.freed += freed;
-    st.pop_frees += freed;
-    st.pings_received = engine_.pings_received(tid);
   }
 
-  struct Counter {
-    uint64_t v = 0;
-  };
-
-  // Starts quiescent: a zero-initialized slot would read as "reserved at
-  // epoch 0" in reclaim_epoch_freeable() for registry tids that never
-  // attached to this domain and pin every retired node forever.
-  struct ReservedEpoch {
-    std::atomic<uint64_t> v{kQuiescent};
-  };
-
-  smr::DomainCore core_;
-  PopEngine engine_;
-  std::atomic<uint64_t> epoch_{1};
-  runtime::Padded<ReservedEpoch> reserved_epoch_[runtime::kMaxThreads];
-  runtime::Padded<Counter> op_counter_[runtime::kMaxThreads];
+  smr::EpochAnnouncements epochs_;
+  PopEngine engine_{config().num_slots};
 };
 
 }  // namespace pop::core

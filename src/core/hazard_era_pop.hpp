@@ -15,28 +15,14 @@
 
 #include "core/pop_engine.hpp"
 #include "smr/domain_base.hpp"
-#include "smr/tagged.hpp"
+#include "smr/epoch.hpp"
 
 namespace pop::core {
 
-class HazardEraPopDomain {
+class HazardEraPopDomain : public smr::DomainBase<HazardEraPopDomain> {
  public:
   static constexpr const char* kName = "HazardEraPOP";
-  static constexpr bool kNeutralizes = false;
-  using Guard = smr::OpGuard<HazardEraPopDomain>;
-
-  explicit HazardEraPopDomain(const smr::SmrConfig& cfg = {})
-      : core_(cfg, kName), engine_(cfg.num_slots) {}
-
-  void attach() {
-    const int tid = runtime::my_tid();
-    if (core_.attach_if_new(tid)) engine_.attach(tid);
-  }
-  void detach() {
-    const int tid = runtime::my_tid();
-    engine_.detach(tid);
-    core_.mark_detached(tid);
-  }
+  using DomainBase::DomainBase;
 
   void begin_op() { attach(); }
   void end_op() { clear(); }
@@ -48,7 +34,7 @@ class HazardEraPopDomain {
     uintptr_t prev = engine_.local_value(tid, slot);
     for (;;) {
       T* p = src.load(std::memory_order_acquire);
-      const uint64_t e = era_.load(std::memory_order_acquire);
+      const uint64_t e = era_.now();
       if (e == prev) return p;
       engine_.reserve_local(tid, slot, e);  // no store-load fence needed
       prev = e;
@@ -56,70 +42,44 @@ class HazardEraPopDomain {
   }
 
   void copy_slot(int dst, int src) {
-    const int tid = runtime::my_tid();
-    engine_.reserve_local(tid, dst, engine_.local_value(tid, src));
+    engine_.copy_local(runtime::my_tid(), dst, src);
   }
 
   void clear() { engine_.clear_local(runtime::my_tid()); }
 
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    return core_.create_node<T>(era_.load(std::memory_order_acquire),
-                                std::forward<Args>(args)...);
-  }
-
+  // A reserved era pins *every* node whose lifespan intersects it — e.g.
+  // all prefill-born nodes — so the list length legitimately sits above
+  // the threshold: the shared retire tick, never a length trigger, keeps
+  // this from pinging on every retire.
   void retire(smr::Reclaimable* n) {
     const int tid = runtime::my_tid();
-    const uint64_t e = era_.load(std::memory_order_acquire);
-    core_.retire_push(tid, n, e);
-    // Tick-based trigger (see HazardPtrPOP::retire). Essential here: a
-    // reserved era pins *every* node whose lifespan intersects it — e.g.
-    // all prefill-born nodes — so the list length legitimately sits above
-    // the threshold and a length trigger would ping on every retire.
-    if (core_.retire_tick(tid) % core_.config().retire_threshold == 0) {
-      era_.fetch_add(1, std::memory_order_acq_rel);
+    core_.retire(tid, n, era_.now(), [&](bool) {
+      era_.advance();
       reclaim(tid);
-    } else if (core_.pressure_check(tid)) {
-      era_.fetch_add(1, std::memory_order_acq_rel);
-      reclaim(tid);
-      core_.pressure_relieved_or_warn(tid);
-    }
+    });
   }
 
-  void enter_write_phase(std::initializer_list<const smr::Reclaimable*> = {}) {
-  }
-  void exit_write_phase() {}
-
-  smr::StatsSnapshot stats() const { return core_.stats_snapshot(); }
-  const smr::SmrConfig& config() const { return core_.config(); }
-  uint64_t current_era() const { return era_.load(std::memory_order_acquire); }
+  uint64_t current_era() const { return era_.now(); }
 
  private:
+  friend DomainBase;
+
+  void neutralize(int tid) { engine_.reap(tid); }
+  void on_attach(int tid) { engine_.attach(tid); }
+  void on_detach(int /*tid*/) { engine_.unhook(); }
+  uint64_t birth_era() const { return era_.now(); }
+
+  // Free every retired node whose lifespan no published era intersects.
   void reclaim(int tid) {
-    auto& st = core_.stats(tid);
-    core_.reap_dead(tid, [&](int t) { engine_.reap(t); });
-    const auto hs = engine_.ping_all_and_wait(tid);
-    st.signals_sent += static_cast<uint64_t>(hs.sent);
-    if (!hs.complete()) {
-      // Defer: a non-publishing live thread's reserved eras are unknown,
-      // so no lifespan-disjointness test is sound this wave.
-      st.waves_timed_out += 1;
-      st.pings_received = engine_.pings_received(tid);
-      return;
-    }
-    uintptr_t* eras = core_.scan_scratch(tid);
-    const int n = engine_.collect_shared(eras);  // sorted
-    st.scans += 1;
-    st.freed += core_.sweep_retired(tid, [&](smr::Reclaimable* node) {
-      const uintptr_t* lo = std::lower_bound(eras, eras + n, node->birth_era);
-      return lo == eras + n || *lo > node->retire_era;
-    });
-    st.pings_received = engine_.pings_received(tid);
+    engine_.reclaim(
+        core_, tid, [this](int t) { neutralize(t); },
+        [](const smr::Reservations& published, smr::Reclaimable* node) {
+          return !published.intersects(node);
+        });
   }
 
-  smr::DomainCore core_;
-  PopEngine engine_;                 // slot values are eras
-  std::atomic<uint64_t> era_{1};
+  smr::EpochClock era_;
+  PopEngine engine_{config().num_slots};  // slot values are eras
 };
 
 }  // namespace pop::core

@@ -23,24 +23,10 @@
 
 namespace pop::core {
 
-class HazardPtrPopDomain {
+class HazardPtrPopDomain : public smr::DomainBase<HazardPtrPopDomain> {
  public:
   static constexpr const char* kName = "HazardPtrPOP";
-  static constexpr bool kNeutralizes = false;
-  using Guard = smr::OpGuard<HazardPtrPopDomain>;
-
-  explicit HazardPtrPopDomain(const smr::SmrConfig& cfg = {})
-      : core_(cfg, kName), engine_(cfg.num_slots) {}
-
-  void attach() {
-    const int tid = runtime::my_tid();
-    if (core_.attach_if_new(tid)) engine_.attach(tid);
-  }
-  void detach() {
-    const int tid = runtime::my_tid();
-    engine_.detach(tid);
-    core_.mark_detached(tid);
-  }
+  using DomainBase::DomainBase;
 
   void begin_op() { attach(); }
   void end_op() { clear(); }
@@ -61,69 +47,33 @@ class HazardPtrPopDomain {
   }
 
   void copy_slot(int dst, int src) {
-    const int tid = runtime::my_tid();
-    engine_.reserve_local(tid, dst, engine_.local_value(tid, src));
+    engine_.copy_local(runtime::my_tid(), dst, src);
   }
 
   void clear() { engine_.clear_local(runtime::my_tid()); }
 
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    return core_.create_node<T>(0, std::forward<Args>(args)...);
-  }
-
   void retire(smr::Reclaimable* n) {
     const int tid = runtime::my_tid();
-    core_.retire_push(tid, n, 0);
-    // Tick-based trigger: one handshake per `retire_threshold` retires.
-    // A length-based trigger would re-ping on every retire while the list
-    // holds reserved (unfreeable) nodes — a signal storm.
-    if (core_.retire_tick(tid) % core_.config().retire_threshold == 0) {
-      reclaim(tid);
-    } else if (core_.pressure_check(tid)) {
-      reclaim(tid);
-      core_.pressure_relieved_or_warn(tid);
-    }
+    core_.retire(tid, n, 0, [&](bool) { reclaim(tid); });
   }
-
-  void enter_write_phase(std::initializer_list<const smr::Reclaimable*> = {}) {
-  }
-  void exit_write_phase() {}
-
-  smr::StatsSnapshot stats() const { return core_.stats_snapshot(); }
-  const smr::SmrConfig& config() const { return core_.config(); }
-  PopEngine& engine() { return engine_; }
 
  private:
+  friend DomainBase;
+
+  void neutralize(int tid) { engine_.reap(tid); }
+  void on_attach(int tid) { engine_.attach(tid); }
+  void on_detach(int /*tid*/) { engine_.unhook(); }
+
+  // Free every retired node no published reservation names.
   void reclaim(int tid) {
-    auto& st = core_.stats(tid);
-    core_.reap_dead(tid, [&](int t) { engine_.reap(t); });
-    const auto hs = engine_.ping_all_and_wait(tid);
-    st.signals_sent += static_cast<uint64_t>(hs.sent);
-    if (!hs.complete()) {
-      // A live thread never published: its private reservations are
-      // invisible, so no subset of the retire list is provably safe.
-      // Defer the sweep (bounded-memory degrades, safety does not).
-      st.waves_timed_out += 1;
-      sync_ping_stats(st, tid);
-      return;
-    }
-    uintptr_t* reserved = core_.scan_scratch(tid);
-    const int n = engine_.collect_shared(reserved);
-    st.scans += 1;
-    st.freed += core_.sweep_retired(tid, [&](smr::Reclaimable* node) {
-      return !smr::SlotTable::contains(reserved, n,
-                                       reinterpret_cast<uintptr_t>(node));
-    });
-    sync_ping_stats(st, tid);
+    engine_.reclaim(
+        core_, tid, [this](int t) { neutralize(t); },
+        [](const smr::Reservations& published, smr::Reclaimable* node) {
+          return !published.names(node);
+        });
   }
 
-  void sync_ping_stats(smr::ThreadStats& st, int tid) {
-    st.pings_received = engine_.pings_received(tid);
-  }
-
-  smr::DomainCore core_;
-  PopEngine engine_;
+  PopEngine engine_{config().num_slots};
 };
 
 }  // namespace pop::core

@@ -39,8 +39,8 @@
 #include "runtime/padded.hpp"
 #include "runtime/signal_bus.hpp"
 #include "runtime/thread_registry.hpp"
+#include "smr/domain_base.hpp"
 #include "smr/hp_slots.hpp"
-#include "smr/smr_config.hpp"
 
 namespace pop::core {
 
@@ -51,7 +51,6 @@ namespace pop::core {
 // laggards are certified and skipped without compromising the wave.
 struct HandshakeResult {
   int sent = 0;            // signals this caller issued
-  int certified_dead = 0;  // laggards certified kernel-dead and skipped
   bool timed_out = false;  // a live laggard outlasted the deadline
   bool complete() const { return !timed_out; }
 };
@@ -60,19 +59,14 @@ class PopEngine final : public runtime::SignalClient {
  public:
   explicit PopEngine(int num_slots) : num_slots_(num_slots) {}
 
-  ~PopEngine() {
-    // Threads must have detached; defensively unhook the signal bus for
-    // the calling thread (worker threads detach via domain detach()).
-    runtime::SignalBus::instance().detach(this);
-  }
+  // Threads must have detached; defensively unhook the signal bus for
+  // the calling thread (worker threads detach via domain detach()).
+  ~PopEngine() { unhook(); }
 
   // ---- thread lifecycle --------------------------------------------------
 
   void attach(int tid) {
-    for (int s = 0; s < num_slots_; ++s) {
-      local(tid, s).store(0, std::memory_order_relaxed);
-      shared_.at(tid, s).store(0, std::memory_order_release);
-    }
+    clear_slots(tid);
     // Relaxed atomic: a reclaimer that raced an attach on a recycled tid
     // may read either epoch — it only uses the value for staleness
     // detection against the registry, where both answers are safe.
@@ -86,14 +80,23 @@ class PopEngine final : public runtime::SignalClient {
   }
 
   void detach(int tid) {
-    for (int s = 0; s < num_slots_; ++s) {
-      local(tid, s).store(0, std::memory_order_relaxed);
-      shared_.at(tid, s).store(0, std::memory_order_release);
-    }
-    // Unblock any reclaimer currently waiting on this thread.
+    reap(tid);  // also unblocks any reclaimer currently waiting on tid
+    unhook();
+  }
+
+  // Stops pings to the calling thread reaching this engine.
+  void unhook() { runtime::SignalBus::instance().detach(this); }
+
+  // Neutralizes tid's engine state: clears its reservations, bumps its
+  // publish counter so any waiter snapshotting it unblocks, and drops the
+  // attach flag so future waves skip it. For a certified-dead thread (the
+  // DomainCore reaper's neutralize hook) this is safe because a dead
+  // thread never dereferences: dropping its reservations frees nothing it
+  // can still touch.
+  void reap(int tid) {
+    clear_slots(tid);
     pt_[tid]->publish_counter.fetch_add(1, std::memory_order_release);
     pt_[tid]->attached.store(false, std::memory_order_release);
-    runtime::SignalBus::instance().detach(this);
   }
 
   bool attached(int tid) const {
@@ -110,6 +113,10 @@ class PopEngine final : public runtime::SignalClient {
 
   uintptr_t local_value(int tid, int slot) const {
     return local(tid, slot).load(std::memory_order_relaxed);
+  }
+
+  void copy_local(int tid, int dst, int src) {
+    reserve_local(tid, dst, local_value(tid, src));
   }
 
   void clear_local(int tid) {
@@ -309,27 +316,42 @@ class PopEngine final : public runtime::SignalClient {
     return result;
   }
 
-  // Neutralizes a certified-dead thread's engine state: clears its
-  // (stale) reservations, bumps its publish counter so any waiter
-  // snapshotting it unblocks, and drops the attach flag so future waves
-  // skip it. Only callable once the owner is certified gone (the
-  // DomainCore reaper's neutralize hook) — a dead thread never
-  // dereferences, so dropping its reservations frees nothing it can
-  // still touch.
-  void reap(int tid) {
-    for (int s = 0; s < num_slots_; ++s) {
-      local(tid, s).store(0, std::memory_order_relaxed);
-      shared_.at(tid, s).store(0, std::memory_order_release);
+  // ---- reclamation pass ------------------------------------------------------
+
+  // One publish-on-ping pass over the caller's retire list (HazardPtrPOP,
+  // HazardEraPOP, EpochPOP's fallback): reap dead owners, run the
+  // handshake, then free every retired node `freeable(published, node)`
+  // accepts, `published` being the shared table. Returns the number freed.
+  // A timed-out handshake frees nothing: a live laggard never published,
+  // so its private reservations could name anything in the retire list —
+  // the sweep is deferred to a later pass (bounded memory degrades, safety
+  // does not).
+  template <class Neutralize, class Freeable>
+  uint64_t reclaim(smr::DomainCore& core, int tid, Neutralize&& neutralize,
+                   Freeable&& freeable) {
+    auto& st = core.stats(tid);
+    core.reap_dead(tid, neutralize);
+    const auto hs = ping_all_and_wait(tid);
+    st.signals_sent += static_cast<uint64_t>(hs.sent);
+    uint64_t freed = 0;
+    if (hs.complete()) {
+      const smr::Reservations published =
+          shared_.collect(num_slots_, core.scan_scratch(tid));
+      freed = core.sweep_retired(tid, [&](smr::Reclaimable* node) {
+        return freeable(published, node);
+      });
+    } else {
+      st.waves_timed_out += 1;
     }
-    pt_[tid]->publish_counter.fetch_add(1, std::memory_order_release);
-    pt_[tid]->attached.store(false, std::memory_order_release);
+    st.pings_received = pings_received(tid);
+    return freed;
   }
 
   // ---- shared-table queries (reclaimer side) ---------------------------------
 
   // Appends every non-zero published value into `out` (sorted); returns n.
   int collect_shared(uintptr_t* out) const {
-    return shared_.collect(num_slots_, out);
+    return shared_.collect(num_slots_, out).n;
   }
 
   uint64_t pings_received(int tid) const {
@@ -338,8 +360,6 @@ class PopEngine final : public runtime::SignalClient {
   uint64_t publish_count(int tid) const {
     return pt_[tid]->publish_counter.load(std::memory_order_acquire);
   }
-
-  int num_slots() const { return num_slots_; }
 
   // Completed ping waves (the round parity protocol above) — PROCESS-WIDE
   // across every PopEngine, since the round is shared; exposed for tests
@@ -404,7 +424,6 @@ class PopEngine final : public runtime::SignalClient {
       --remaining;
       if (reg.slot_epoch(w.tid) != w.registry_epoch ||
           reg.certify_zombie(w.tid, w.registry_epoch)) {
-        ++result.certified_dead;
         continue;
       }
       result.timed_out = true;
@@ -414,6 +433,13 @@ class PopEngine final : public runtime::SignalClient {
                    "this sweep\n",
                    static_cast<unsigned long long>(timeout_ms), w.tid,
                    static_cast<unsigned long long>(reg.heartbeat(w.tid)));
+    }
+  }
+
+  void clear_slots(int tid) {
+    for (int s = 0; s < num_slots_; ++s) {
+      local(tid, s).store(0, std::memory_order_relaxed);
+      shared_.at(tid, s).store(0, std::memory_order_release);
     }
   }
 

@@ -7,12 +7,10 @@
 // traversal) so it does not perturb the per-read costs the paper
 // measures.
 //
-// IKV is the value-carrying surface (get / put / remove). The original
-// key-only set API survives as thin shims on the same interface: `ISet`
-// is an alias, `contains` is a get() that discards the value, `erase` is
-// remove(), and `insert` stays a genuine insert-if-absent virtual (it
-// must NOT be a put shim: put replaces, and a replace retires a node —
-// set-only benchmarks would silently change reclamation profile).
+// IKV is the value-carrying surface (get / put / remove) plus a genuine
+// insert-if-absent `insert` (it must NOT be a put shim: put replaces, and
+// a replace retires a node — set-only benchmarks would silently change
+// reclamation profile).
 #pragma once
 
 #include <atomic>
@@ -52,12 +50,9 @@ class IKV {
 
   virtual bool remove(uint64_t key) = 0;
 
-  // ---- set-compat surface --------------------------------------------------
   // Insert-if-absent with value == key; returns false (and retires
   // nothing) when the key is already present.
   virtual bool insert(uint64_t key) = 0;
-  bool contains(uint64_t key) { return get(key, nullptr); }
-  bool erase(uint64_t key) { return remove(key); }
 
   // ---- batch bracket -------------------------------------------------------
   // Brackets a pipelined run of point ops on the calling thread so the
@@ -104,10 +99,6 @@ class IKV {
   virtual std::string smr_name() const = 0;
 };
 
-// The key-only set view is the same interface; existing callers keep
-// calling insert/erase/contains through it unchanged.
-using ISet = IKV;
-
 // Known names (factory keys, also the benchmark row labels).
 const std::vector<std::string>& all_smr_names();
 const std::vector<std::string>& all_ds_names();
@@ -119,12 +110,5 @@ const std::vector<std::string>& all_ds_names();
 // and the known catalogue.
 std::unique_ptr<IKV> make_kv(const std::string& ds, const std::string& smr,
                              const SetConfig& cfg);
-
-// Legacy name for the same factory (the set view is the same object).
-inline std::unique_ptr<ISet> make_set(const std::string& ds,
-                                      const std::string& smr,
-                                      const SetConfig& cfg) {
-  return make_kv(ds, smr, cfg);
-}
 
 }  // namespace pop::ds

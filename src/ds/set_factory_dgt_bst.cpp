@@ -7,13 +7,13 @@ namespace {
 struct Maker {
   const SetConfig& cfg;
   template <class S>
-  std::unique_ptr<ISet> make() const {
+  std::unique_ptr<IKV> make() const {
     return std::make_unique<detail::SetAdapter<DgtBst<S>>>("DGT", cfg.smr);
   }
 };
 }  // namespace
 
-std::unique_ptr<ISet> make_dgt_bst(const std::string& smr,
+std::unique_ptr<IKV> make_dgt_bst(const std::string& smr,
                                    const SetConfig& cfg) {
   return detail::dispatch_smr(smr, Maker{cfg});
 }

@@ -7,14 +7,14 @@ namespace {
 struct Maker {
   const SetConfig& cfg;
   template <class S>
-  std::unique_ptr<ISet> make() const {
+  std::unique_ptr<IKV> make() const {
     return std::make_unique<detail::SetAdapter<ResizableHashTable<S>>>(
         "RHHT", cfg.capacity, cfg.load_factor, cfg.smr);
   }
 };
 }  // namespace
 
-std::unique_ptr<ISet> make_resizable_hash_table(const std::string& smr,
+std::unique_ptr<IKV> make_resizable_hash_table(const std::string& smr,
                                                 const SetConfig& cfg) {
   return detail::dispatch_smr(smr, Maker{cfg});
 }

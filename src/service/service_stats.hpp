@@ -1,5 +1,5 @@
 // ServiceStats: the per-shard statistics snapshot the sharded service
-// layer exposes. Each shard is an independent ISet with its own SMR
+// layer exposes. Each shard is an independent IKV with its own SMR
 // domain; the snapshot rolls their scheme counters up into one total and
 // keeps the per-shard breakdown (routed operations, unreclaimed nodes)
 // so load skew — a hot shard under Zipfian keys — is observable.

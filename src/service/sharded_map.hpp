@@ -1,6 +1,6 @@
-// ShardedMap: a sharded key-value service layer over the ISet matrix.
+// ShardedMap: a sharded key-value service layer over the IKV matrix.
 //
-// The key space is partitioned over N independent ISet instances, each
+// The key space is partitioned over N independent IKV instances, each
 // owning its *own* SMR domain — the composition publish-on-ping makes
 // cheap: reservations stay private per thread regardless of how many
 // domains it touches, and one ping publishes the reservations of every
@@ -11,7 +11,7 @@
 // Sharding splits domain-level contention — retire lists, wave
 // membership, epoch advances — N ways, which is what lets throughput
 // rise with shard count once a single domain saturates. ShardedMap is
-// itself an IKV (and therefore an ISet), so the scenario engine,
+// itself an IKV, so the scenario engine,
 // benchmarks, and tests can run it anywhere a monolithic map runs; the
 // routing layer additionally tracks get hit/miss and put insert/replace
 // outcomes per shard.
@@ -119,8 +119,8 @@ class ShardedMap final : public ds::IKV {
   // ---- service surface ---------------------------------------------------
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int shard_of(uint64_t key) const;
-  ds::ISet& shard(int i) { return *shards_[i]; }
-  const ds::ISet& shard(int i) const { return *shards_[i]; }
+  ds::IKV& shard(int i) { return *shards_[i]; }
+  const ds::IKV& shard(int i) const { return *shards_[i]; }
   ShardHash hash() const { return hash_; }
 
   // Per-shard breakdown + roll-up + pool occupancy; counter reads are

@@ -143,9 +143,4 @@ void DomainShadow::clear() {
   set_.clear();
 }
 
-uint64_t DomainShadow::in_flight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return set_.size();
-}
-
 }  // namespace pop::smr::audit

@@ -23,7 +23,7 @@
 // in-flight retired pointers, per *domain* — pointers move between
 // per-thread retire lists via the reaper's adopt, but never between
 // domains); OpGuard / the batch bracket / park maintain a thread-local
-// bracket depth. Hooks fire from the shared base (DomainCore::retire_push,
+// bracket depth. Hooks fire from the shared base (DomainCore::retire,
 // sweep_retired, mark_detached), so all eleven schemes are covered without
 // per-scheme code.
 //
@@ -133,11 +133,9 @@ class DomainShadow {
   // Domain teardown: everything still in flight is about to be drained
   // (legitimately — the owning structure is gone), so just forget it.
   void clear();
-  // In-flight count (tests).
-  uint64_t in_flight() const;
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::unordered_set<const void*> set_;
 };
 

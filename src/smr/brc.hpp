@@ -1,5 +1,6 @@
 // BRC — batched reference-counted reclamation, the repo's stand-in for
-// Crystalline (appendix Figures 10-11; see DESIGN.md §5).
+// Crystalline (appendix Figures 10-11; see "Substitutions" under the
+// scheme table in README.md).
 //
 // Crystalline/Hyaline free a retired batch when the last reader that
 // could reference it departs, using distributed reference counts instead
@@ -21,29 +22,13 @@
 
 #include "runtime/backoff.hpp"
 #include "smr/domain_base.hpp"
-#include "smr/tagged.hpp"
 
 namespace pop::smr {
 
-class BrcDomain {
+class BrcDomain : public DomainBase<BrcDomain> {
  public:
   static constexpr const char* kName = "BRC";
-  static constexpr bool kNeutralizes = false;
-  using Guard = OpGuard<BrcDomain>;
-
-  explicit BrcDomain(const SmrConfig& cfg = {}) : core_(cfg, kName) {}
-
-  void attach() {
-    const int tid = runtime::my_tid();
-    if (core_.attach_if_new(tid)) {
-      // Takeover of a recycled tid: the dead previous owner may have died
-      // inside a critical section, leaving enters > exits. Balance the
-      // shard before this thread's first announcement or every future
-      // drain of that phase spins forever.
-      balance_corpse(tid);
-    }
-  }
-  void detach() { core_.mark_detached(runtime::my_tid()); }
+  using DomainBase::DomainBase;
 
   void begin_op() {
     attach();
@@ -91,14 +76,7 @@ class BrcDomain {
     // Grace periods block, so they must run outside the critical section:
     // a reclaimer waiting for readers while itself counted as a reader
     // would deadlock against a second reclaimer doing the same.
-    if (pt.reclaim_pending) {
-      pt.reclaim_pending = false;
-      reclaim(tid);
-      if (pt.pressure_forced) {
-        pt.pressure_forced = false;
-        core_.pressure_relieved_or_warn(tid);
-      }
-    }
+    core_.run_deferred(tid, [&] { reclaim(tid); });
   }
 
   template <class T>
@@ -108,35 +86,19 @@ class BrcDomain {
   void copy_slot(int /*dst*/, int /*src*/) {}
   void clear() {}
 
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    return core_.create_node<T>(0, std::forward<Args>(args)...);
-  }
-
+  // Every pass, forced ones included, waits for end_op.
   void retire(Reclaimable* n) {
-    const int tid = runtime::my_tid();
-    if (core_.retire_push(tid, n, 0) >= core_.config().retire_threshold) {
-      pt_[tid]->reclaim_pending = true;  // executed at end_op
-    } else if (core_.pressure_check(tid)) {
-      // Grace periods block, so even the forced pass must wait for
-      // end_op; mark it so the backstop accounting runs after the pass.
-      pt_[tid]->reclaim_pending = true;
-      pt_[tid]->pressure_forced = true;
-    }
+    core_.retire(runtime::my_tid(), n, 0, [](bool) { return false; });
   }
-
-  void enter_write_phase(std::initializer_list<const Reclaimable*> = {}) {}
-  void exit_write_phase() {}
-
-  StatsSnapshot stats() const { return core_.stats_snapshot(); }
-  const SmrConfig& config() const { return core_.config(); }
 
  private:
+  friend DomainBase;
+
   // Two grace periods: after both, every reader that was in a critical
   // section when reclaim() began has exited, so every node unlinked and
   // retired before that point is unreferenced.
   void reclaim(int tid) {
-    core_.reap_dead(tid, [this](int t) { balance_corpse(t); });
+    reap(tid);
     for (int round = 0; round < 2; ++round) {
       // Orders against readers' announce-and-revalidate (begin_op): a
       // reader whose entry predates the flip is always visible to the
@@ -145,9 +107,7 @@ class BrcDomain {
           phase_.fetch_add(1, std::memory_order_seq_cst) & 1u);
       drain(old_phase, tid);
     }
-    auto& st = core_.stats(tid);
-    st.scans += 1;
-    st.freed += core_.sweep_retired(tid, [](Reclaimable*) { return true; });
+    core_.sweep_retired(tid, [](Reclaimable*) { return true; });
   }
 
   void drain(uint32_t p, int self) {
@@ -170,7 +130,7 @@ class BrcDomain {
         // serializes recycled-tid takeovers, so a just-attached new owner
         // cannot have its counters clobbered by a stale corpse snapshot.
         if ((++spins & 1023u) == 0 && core_.owner_departed(t)) {
-          core_.reap_dead(self, [this](int z) { balance_corpse(z); });
+          reap(self);
           continue;  // certification may need further passes; re-test
         }
         waiter.wait();
@@ -178,11 +138,14 @@ class BrcDomain {
     }
   }
 
-  // Balances both phase shards of a departed owner's slot: the corpse can
-  // never run its exits, and a frozen enters>exits blocks every future
-  // grace period. Called only under the domain reap lock (reap_dead /
-  // takeover attach), where the counters cannot move concurrently.
-  void balance_corpse(int t) {
+  // Balances both phase shards of the slot. A corpse can never run its
+  // exits, and a frozen enters > exits blocks every future grace period;
+  // a thread taking over a recycled tid must balance before its first
+  // announcement for the same reason. The counters cannot move
+  // concurrently: the reaper holds the domain reap lock, and a detaching
+  // thread is outside any critical section, so there its enters already
+  // equal its exits.
+  void neutralize(int t) {
     auto& pt = *pt_[t];
     for (int p = 0; p < 2; ++p) {
       pt.exits[p].store(pt.enters[p].load(std::memory_order_relaxed),
@@ -194,11 +157,8 @@ class BrcDomain {
     std::atomic<uint64_t> enters[2] = {};
     std::atomic<uint64_t> exits[2] = {};
     uint32_t my_phase = 0;
-    bool reclaim_pending = false;
-    bool pressure_forced = false;  // owner-thread only
   };
 
-  DomainCore core_;
   // u64: the entry revalidation compares full counter values, so wrap
   // (the parity-ABA at 2^32 flips) is out of reach in practice.
   std::atomic<uint64_t> phase_{0};

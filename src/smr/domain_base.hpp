@@ -1,6 +1,10 @@
-// DomainCore: bookkeeping shared by every reclamation scheme — per-thread
-// retire lists, statistics, attach/detach flags, node construction with
-// era stamping, and teardown draining.
+// What every reclamation scheme shares. DomainCore is the bookkeeping —
+// per-thread retire lists, statistics, attach/detach ownership, the
+// zombie reaper, the retire cadence with its memory-pressure backstop,
+// node construction with era stamping, and teardown draining.
+// DomainBase<Scheme> is the CRTP base that turns it into the surface the
+// data structures call (Guard, attach/detach, create, stats), so a scheme
+// file holds only its algorithm.
 //
 // A *domain* is one reclamation instance; a data structure owns exactly
 // one. Threads attach lazily on their first operation. All per-thread
@@ -8,8 +12,8 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -25,6 +29,9 @@
 #include "smr/smr_config.hpp"
 
 namespace pop::smr {
+
+template <class Scheme>
+class DomainBase;
 
 class DomainCore {
  public:
@@ -56,33 +63,6 @@ class DomainCore {
 
   const SmrConfig& config() const { return cfg_; }
 
-  // True exactly once per (thread, domain) *ownership*: the caller runs
-  // its scheme-specific attach work when this returns true. Ownership is
-  // epoch-aware: if the slot's recorded owner departed without detaching
-  // (a killed worker) and the registry recycled the tid to the calling
-  // thread, this returns true again — the new owner re-initializes the
-  // scheme state instead of silently inheriting a corpse's reservations.
-  // The fast path also feeds the reaper's heartbeat (one relaxed
-  // increment on the thread's own registry line per operation bracket).
-  bool attach_if_new(int tid) {
-    auto& reg = runtime::ThreadRegistry::instance();
-    reg.heartbeat_bump(tid);
-    auto& pt = *pt_[tid];
-    if (pt.attached.load(std::memory_order_relaxed) &&
-        pt.owner_epoch.load(std::memory_order_relaxed) == reg.slot_epoch(tid)) {
-      return false;
-    }
-    return attach_slow(tid);
-  }
-
-  void mark_detached(int tid) {
-    // Runs on the detaching thread itself, so the thread-local bracket
-    // depth it checks is the right one (the reaper clears `attached`
-    // directly, never through here — a corpse's depth is unreachable).
-    if (audit::on()) audit::check_detach(scheme_, tid);
-    pt_[tid]->attached.store(false, std::memory_order_release);
-  }
-
   bool attached(int tid) const {
     return pt_[tid]->attached.load(std::memory_order_acquire);
   }
@@ -97,10 +77,8 @@ class DomainCore {
   // loops: the common live-owner answer needs no syscall when the
   // heartbeat is advancing.
   bool owner_departed(int tid) {
-    auto& pt = *pt_[tid];
-    if (!pt.attached.load(std::memory_order_acquire)) return false;
-    return runtime::ThreadRegistry::instance().owner_departed(
-        tid, pt.owner_epoch.load(std::memory_order_relaxed));
+    auto& reg = runtime::ThreadRegistry::instance();
+    return attached(tid) && reg.owner_departed(tid, owner_epoch(tid));
   }
 
   // ---- zombie reaper -----------------------------------------------------
@@ -173,15 +151,272 @@ class DomainCore {
     }
   }
 
+  // ---- retire cadence ------------------------------------------------------
+  //
+  // Appends `n`, stamped with `retire_era`, to the caller's retire list and
+  // runs the scheme's reclamation pass once every retire_threshold
+  // retires, counted by a monotonic per-thread tick. Schemes whose pass is
+  // expensive (the POP handshake, NBR's ack round) or whose sweeps can
+  // legitimately keep nodes pinned (era schemes: any long-lived node's
+  // lifespan intersects every current reservation) must trigger on this
+  // tick rather than on list length: a length trigger re-runs the full
+  // pass on *every* retire once the pinned population alone reaches the
+  // threshold, a reclamation storm that degrades era-based
+  // publish-on-ping into a livelock.
+  //
+  // Off-cadence, the memory-pressure backstop may force the pass (see
+  // pressure_check). `pass(forced)` runs it; a pass that cannot run here
+  // (BRC inside its critical section, NBR in a read phase) returns false
+  // and the scheme later calls run_deferred from where it can.
+  template <class Pass>
+  void retire(int tid, Reclaimable* n, uint64_t retire_era, Pass&& pass) {
+    retire(
+        tid, n, retire_era,
+        [&](uint64_t) {
+          return ++pt_[tid]->retire_count % cfg_.retire_threshold == 0;
+        },
+        pass);
+  }
+
+  // The same with the scheme's own trigger in place of the tick: `due`
+  // gets the list length after the push (EpochPOP's Algorithm 3 keeps its
+  // list-length escalation).
+  template <class Due, class Pass>
+  void retire(int tid, Reclaimable* n, uint64_t retire_era, Due&& due,
+              Pass&& pass) {
+    if (due(push(tid, n, retire_era))) {
+      run_pass(tid, false, pass);
+    } else if (pressure_check(tid)) {
+      run_pass(tid, true, pass);
+    }
+  }
+
+  // Appends with no reclamation pass at all (NR, the leaky baseline).
+  void retire(int tid, Reclaimable* n) { push(tid, n, 0); }
+
+  // Runs the pass an earlier retire deferred, if any.
+  template <class Pass>
+  void run_deferred(int tid, Pass&& pass) {
+    auto& pt = *pt_[tid];
+    if (pt.deferred == 0) return;
+    const bool forced = (pt.deferred & kForcedPass) != 0;
+    pt.deferred = 0;
+    pass();
+    if (forced) pressure_relieved_or_warn(tid);
+  }
+
+  // Allocates and constructs a node, stamping its birth era.
+  template <class T, class... Args>
+  T* create_node(uint64_t birth_era, Args&&... args) {
+    static_assert(std::is_base_of_v<Reclaimable, T>,
+                  "SMR-managed nodes must derive from smr::Reclaimable");
+    T* n = runtime::PoolAllocator::instance().create<T>(
+        std::forward<Args>(args)...);
+    n->birth_era = birth_era;
+    n->deleter = [](Reclaimable* r) {
+      runtime::PoolAllocator::instance().destroy(static_cast<T*>(r));
+    };
+    // Batch hook: the sentinel lets sweeps free trivially destructible
+    // nodes with zero per-node dispatch (the base-at-offset-0 check folds
+    // to a constant); otherwise destroy in place and hand back the
+    // allocation address for the batched splice.
+    if (std::is_trivially_destructible_v<T> &&
+        static_cast<void*>(n) == static_cast<void*>(
+                                     static_cast<Reclaimable*>(n))) {
+      n->batch_prep = &batch_prep_identity;
+    } else {
+      n->batch_prep = [](Reclaimable* r) noexcept -> void* {
+        T* p = static_cast<T*>(r);
+        p->~T();
+        return p;
+      };
+    }
+    return n;
+  }
+
+  // One reclamation sweep over the caller's retire list, counted in the
+  // stats (scans, freed): freeable blocks are chained and returned to
+  // their heaps in grouped splices (see PoolAllocator::FreeBatch) instead
+  // of one free per node. Returns the number freed.
+  template <class Pred>
+  uint64_t sweep_retired(int tid, Pred&& can_free) {
+    const bool obs_timing = obs::latency_on() || obs::trace_on();
+    const uint64_t obs_t0 = obs_timing ? obs::now_ns() : 0;
+    runtime::PoolAllocator::FreeBatch batch;
+    uint64_t freed;
+    if (audit::on()) {
+      // Audit wrapper: every block the sweep decides to free leaves the
+      // shadow set here, so a recycled allocation retired again later is
+      // a fresh insert, not a false double-retire.
+      freed = pt_[tid]->retire.sweep_batch(
+          [&](Reclaimable* node) {
+            const bool f = can_free(node);
+            if (f) shadow_.on_free(scheme_, tid, node);
+            return f;
+          },
+          batch);
+    } else {
+      freed = pt_[tid]->retire.sweep_batch(std::forward<Pred>(can_free), batch);
+    }
+    if (obs_timing) {
+      const uint64_t dt = obs::now_ns() - obs_t0;
+      obs::record_latency(obs::LatOp::kSweep, dt);
+      obs::trace_event(obs::TraceKind::kSweep, obs_t0, dt,
+                       static_cast<uint32_t>(
+                           freed > UINT32_MAX ? UINT32_MAX : freed));
+    }
+    auto& st = pt_[tid]->stats;
+    st.scans += 1;
+    st.freed += freed;
+    return freed;
+  }
+
+  RetireList& retire_list(int tid) { return pt_[tid]->retire; }
+  ThreadStats& stats(int tid) { return pt_[tid]->stats; }
+
+  // Per-thread scratch for reservation scans (kMaxThreads * kMaxSlots
+  // words ≈ 9 KiB). Owner-thread only; lazily allocated on the first
+  // reclamation pass so idle (thread, domain) pairs cost nothing — and
+  // every scheme's reclaim stops re-declaring it on the stack.
+  uintptr_t* scan_scratch(int tid) {
+    auto& pt = *pt_[tid];
+    if (!pt.scan_scratch) {
+      pt.scan_scratch = std::make_unique<uintptr_t[]>(
+          static_cast<std::size_t>(runtime::kMaxThreads) * kMaxSlots);
+    }
+    return pt.scan_scratch.get();
+  }
+
+  StatsSnapshot stats_snapshot() const {
+    StatsSnapshot s;
+    // Same bound as teardown: slots past the attach high-water have never
+    // been written (the mem-timeline sampler calls this at cadence, and a
+    // sharded service multiplies it by the shard count).
+    const int hi = hi_tid_.load(std::memory_order_acquire);
+    for (int t = 0; t <= hi; ++t) s.absorb(pt_[t]->stats);
+    return s;
+  }
+
+  DomainCore(const DomainCore&) = delete;
+  DomainCore& operator=(const DomainCore&) = delete;
+
+ private:
+  template <class Scheme>
+  friend class DomainBase;
+
+  // Heartbeat-frozen reap passes before spending a tgkill probe on a
+  // same-epoch registered laggard.
+  static constexpr uint8_t kStaleScansBeforeProbe = 2;
+  // Retires between domain-wide unreclaimed snapshots for the pressure
+  // backstop (the snapshot walks hi_tid_ slots).
+  static constexpr uint64_t kPressureCheckEvery = 32;
+  // PerThread::deferred bits.
+  static constexpr uint8_t kPassDue = 1;
+  static constexpr uint8_t kForcedPass = 2;
+
+  struct PerThread {
+    RetireList retire;
+    ThreadStats stats;
+    uint64_t retire_count = 0;  // owner-thread only
+    uint64_t pressure_tick = 0;  // owner-thread only
+    bool pressure_warned = false;  // owner-thread only
+    uint8_t deferred = 0;  // owner-thread only: a pass awaits run_deferred
+    std::unique_ptr<uintptr_t[]> scan_scratch;  // owner-thread only
+    std::atomic<bool> attached{false};
+    // Registry epoch of the thread this slot's state belongs to; lets the
+    // reaper (and a recycled-tid attacher) tell a live owner from a
+    // corpse. Relaxed everywhere: change-detection only.
+    std::atomic<uint64_t> owner_epoch{0};
+  };
+
+  // True exactly once per (thread, domain) *ownership*: the caller runs
+  // its scheme-specific attach work when this returns true. Ownership is
+  // epoch-aware: if the slot's recorded owner departed without detaching
+  // (a killed worker) and the registry recycled the tid to the calling
+  // thread, this returns true again — the new owner re-initializes the
+  // scheme state instead of silently inheriting a corpse's reservations.
+  // The fast path also feeds the reaper's heartbeat (one relaxed
+  // increment on the thread's own registry line per operation bracket).
+  bool attach_if_new(int tid) {
+    auto& reg = runtime::ThreadRegistry::instance();
+    reg.heartbeat_bump(tid);
+    auto& pt = *pt_[tid];
+    if (pt.attached.load(std::memory_order_relaxed) &&
+        pt.owner_epoch.load(std::memory_order_relaxed) == reg.slot_epoch(tid)) {
+      return false;
+    }
+    return attach_slow(tid);
+  }
+
+  void mark_detached(int tid) {
+    // Runs on the detaching thread itself, so the thread-local bracket
+    // depth it checks is the right one (the reaper clears `attached`
+    // directly, never through here — a corpse's depth is unreachable).
+    if (audit::on()) audit::check_detach(scheme_, tid);
+    pt_[tid]->attached.store(false, std::memory_order_release);
+  }
+
+  // Slow path of attach_if_new: first attach, or takeover of a slot whose
+  // previous owner departed without detaching. Serialized against
+  // reap_dead by the reap lock so a reaper can never neutralize state the
+  // new owner just initialized (and vice versa).
+  bool attach_slow(int tid) {
+    auto& reg = runtime::ThreadRegistry::instance();
+    while (reap_mu_.exchange(true, std::memory_order_acquire)) {
+      while (reap_mu_.load(std::memory_order_relaxed)) {
+      }
+    }
+    auto& pt = *pt_[tid];
+    // High-water mark of attached tids, raised before the attach flag so
+    // teardown/snapshot sweeps bounded by it can never miss this slot.
+    int hw = hi_tid_.load(std::memory_order_relaxed);
+    while (hw < tid &&
+           !hi_tid_.compare_exchange_weak(hw, tid, std::memory_order_acq_rel)) {
+    }
+    pt.owner_epoch.store(reg.slot_epoch(tid), std::memory_order_relaxed);
+    pt.attached.store(true, std::memory_order_release);
+    reap_mu_.store(false, std::memory_order_release);
+    return true;
+  }
+
+  // Appends to the caller's retire list; returns the new length.
+  uint64_t push(int tid, Reclaimable* n, uint64_t retire_era) {
+    auto& pt = *pt_[tid];
+    if (audit::on()) shadow_.on_retire(scheme_, tid, n);
+    n->retire_era = retire_era;
+    pt.retire.push(n);
+    pt.stats.retired += 1;
+    if (obs::trace_on()) {  // guard keeps the clock read off the hot path
+      obs::trace_event(obs::TraceKind::kRetire, obs::now_ns(), 0, 0);
+    }
+    if (pt.retire.length() > pt.stats.max_retire_len) {
+      pt.stats.max_retire_len = pt.retire.length();
+    }
+    return pt.retire.length();
+  }
+
+  // A pass that returns void always runs; one that returns bool may
+  // decline (false), and is then remembered for run_deferred.
+  template <class Pass>
+  void run_pass(int tid, bool forced, Pass& pass) {
+    if constexpr (std::is_void_v<decltype(pass(forced))>) {
+      pass(forced);
+    } else if (!pass(forced)) {
+      pt_[tid]->deferred |= forced ? (kPassDue | kForcedPass) : kPassDue;
+      return;
+    }
+    if (forced) pressure_relieved_or_warn(tid);
+  }
+
   // ---- memory-pressure backstop ------------------------------------------
   //
-  // Returns true when the caller should run a forced reclamation pass:
-  // the domain-wide unreclaimed count exceeds the configured bound. The
-  // hot path pays one counter increment; the snapshot only runs every
-  // kPressureCheckEvery retires. Callers follow a forced pass with
-  // pressure_relieved_or_warn() — if the pass could not get back under
-  // the bound (a pinned reservation legitimately holds nodes), the
-  // backstop degrades to defer-and-warn rather than blocking or looping.
+  // True when the caller should run a forced reclamation pass: the
+  // domain-wide unreclaimed count exceeds the configured bound. The hot
+  // path pays one counter increment; the snapshot only runs every
+  // kPressureCheckEvery retires. A forced pass is followed by
+  // pressure_relieved_or_warn() — if the pass could not get back under the
+  // bound (a pinned reservation legitimately holds nodes), the backstop
+  // degrades to defer-and-warn rather than blocking or looping.
   bool pressure_check(int tid) {
     if (pressure_bound_ == 0) return false;
     auto& pt = *pt_[tid];
@@ -214,179 +449,6 @@ class DomainCore {
                    static_cast<unsigned long long>(now),
                    static_cast<unsigned long long>(pressure_bound_));
     }
-  }
-
-  uint64_t pressure_bound() const { return pressure_bound_; }
-
-  // Allocates and constructs a node, stamping its birth era.
-  template <class T, class... Args>
-  T* create_node(uint64_t birth_era, Args&&... args) {
-    static_assert(std::is_base_of_v<Reclaimable, T>,
-                  "SMR-managed nodes must derive from smr::Reclaimable");
-    T* n = runtime::PoolAllocator::instance().create<T>(
-        std::forward<Args>(args)...);
-    n->birth_era = birth_era;
-    n->deleter = [](Reclaimable* r) {
-      runtime::PoolAllocator::instance().destroy(static_cast<T*>(r));
-    };
-    // Batch hook: the sentinel lets sweeps free trivially destructible
-    // nodes with zero per-node dispatch (the base-at-offset-0 check folds
-    // to a constant); otherwise destroy in place and hand back the
-    // allocation address for the batched splice.
-    if (std::is_trivially_destructible_v<T> &&
-        static_cast<void*>(n) == static_cast<void*>(
-                                     static_cast<Reclaimable*>(n))) {
-      n->batch_prep = &batch_prep_identity;
-    } else {
-      n->batch_prep = [](Reclaimable* r) noexcept -> void* {
-        T* p = static_cast<T*>(r);
-        p->~T();
-        return p;
-      };
-    }
-    return n;
-  }
-
-  // Batched reclamation pass over the caller's retire list: freeable
-  // blocks are chained and returned to their heaps in grouped splices
-  // (see PoolAllocator::FreeBatch) instead of one free per node.
-  template <class Pred>
-  uint64_t sweep_retired(int tid, Pred&& can_free) {
-    const bool obs_timing = obs::latency_on() || obs::trace_on();
-    const uint64_t obs_t0 = obs_timing ? obs::now_ns() : 0;
-    runtime::PoolAllocator::FreeBatch batch;
-    uint64_t freed;
-    if (audit::on()) {
-      // Audit wrapper: every block the sweep decides to free leaves the
-      // shadow set here, so a recycled allocation retired again later is
-      // a fresh insert, not a false double-retire.
-      freed = pt_[tid]->retire.sweep_batch(
-          [&](Reclaimable* node) {
-            const bool f = can_free(node);
-            if (f) shadow_.on_free(scheme_, tid, node);
-            return f;
-          },
-          batch);
-    } else {
-      freed = pt_[tid]->retire.sweep_batch(std::forward<Pred>(can_free), batch);
-    }
-    if (obs_timing) {
-      const uint64_t dt = obs::now_ns() - obs_t0;
-      obs::record_latency(obs::LatOp::kSweep, dt);
-      obs::trace_event(obs::TraceKind::kSweep, obs_t0, dt,
-                       static_cast<uint32_t>(
-                           freed > UINT32_MAX ? UINT32_MAX : freed));
-    }
-    return freed;
-  }
-
-  // Appends to the caller's retire list; returns the new length.
-  uint64_t retire_push(int tid, Reclaimable* n, uint64_t retire_era) {
-    auto& pt = *pt_[tid];
-    if (audit::on()) shadow_.on_retire(scheme_, tid, n);
-    n->retire_era = retire_era;
-    pt.retire.push(n);
-    pt.stats.retired += 1;
-    if (obs::trace_on()) {  // guard keeps the clock read off the hot path
-      obs::trace_event(obs::TraceKind::kRetire, obs::now_ns(), 0, 0);
-    }
-    if (pt.retire.length() > pt.stats.max_retire_len) {
-      pt.stats.max_retire_len = pt.retire.length();
-    }
-    return pt.retire.length();
-  }
-
-  // Monotonic per-thread retire counter. Schemes whose reclamation pass
-  // is expensive (the POP handshake, NBR's ack round) or whose sweeps can
-  // legitimately keep nodes pinned (era schemes: any long-lived node's
-  // lifespan intersects every current reservation) must trigger on this
-  // — "one pass every threshold retires" — rather than on list length:
-  // a length trigger re-runs the full pass on *every* retire once the
-  // pinned population alone reaches the threshold, a reclamation storm
-  // that degrades era-based publish-on-ping into a livelock.
-  uint64_t retire_tick(int tid) { return ++pt_[tid]->retire_count; }
-
-  RetireList& retire_list(int tid) { return pt_[tid]->retire; }
-  ThreadStats& stats(int tid) { return pt_[tid]->stats; }
-
-  // Contract-audit shadow state (tests inspect in_flight counts).
-  audit::DomainShadow& audit_shadow() { return shadow_; }
-
-  // Per-thread scratch for reservation scans (kMaxThreads * kMaxSlots
-  // words ≈ 9 KiB). Owner-thread only; lazily allocated on the first
-  // reclamation pass so idle (thread, domain) pairs cost nothing — and
-  // every scheme's reclaim stops re-declaring it on the stack.
-  uintptr_t* scan_scratch(int tid) {
-    auto& pt = *pt_[tid];
-    if (!pt.scan_scratch) {
-      pt.scan_scratch = std::make_unique<uintptr_t[]>(
-          static_cast<std::size_t>(runtime::kMaxThreads) * kMaxSlots);
-    }
-    return pt.scan_scratch.get();
-  }
-
-  StatsSnapshot stats_snapshot() const {
-    StatsSnapshot s;
-    // Same bound as teardown: slots past the attach high-water have never
-    // been written (the mem-timeline sampler calls this at cadence, and a
-    // sharded service multiplies it by the shard count).
-    const int hi = hi_tid_.load(std::memory_order_acquire);
-    for (int t = 0; t <= hi; ++t) s.absorb(pt_[t]->stats);
-    return s;
-  }
-
-  // Largest tid that ever attached to this domain (-1: none); bounds
-  // per-domain sweeps the way ThreadRegistry::max_tid bounds global ones.
-  int max_attached_tid() const {
-    return hi_tid_.load(std::memory_order_acquire);
-  }
-
-  DomainCore(const DomainCore&) = delete;
-  DomainCore& operator=(const DomainCore&) = delete;
-
- private:
-  // Heartbeat-frozen reap passes before spending a tgkill probe on a
-  // same-epoch registered laggard.
-  static constexpr uint8_t kStaleScansBeforeProbe = 2;
-  // Retires between domain-wide unreclaimed snapshots for the pressure
-  // backstop (the snapshot walks hi_tid_ slots).
-  static constexpr uint64_t kPressureCheckEvery = 32;
-
-  struct PerThread {
-    RetireList retire;
-    ThreadStats stats;
-    uint64_t retire_count = 0;  // owner-thread only
-    uint64_t pressure_tick = 0;  // owner-thread only
-    bool pressure_warned = false;  // owner-thread only
-    std::unique_ptr<uintptr_t[]> scan_scratch;  // owner-thread only
-    std::atomic<bool> attached{false};
-    // Registry epoch of the thread this slot's state belongs to; lets the
-    // reaper (and a recycled-tid attacher) tell a live owner from a
-    // corpse. Relaxed everywhere: change-detection only.
-    std::atomic<uint64_t> owner_epoch{0};
-  };
-
-  // Slow path of attach_if_new: first attach, or takeover of a slot whose
-  // previous owner departed without detaching. Serialized against
-  // reap_dead by the reap lock so a reaper can never neutralize state the
-  // new owner just initialized (and vice versa).
-  bool attach_slow(int tid) {
-    auto& reg = runtime::ThreadRegistry::instance();
-    while (reap_mu_.exchange(true, std::memory_order_acquire)) {
-      while (reap_mu_.load(std::memory_order_relaxed)) {
-      }
-    }
-    auto& pt = *pt_[tid];
-    // High-water mark of attached tids, raised before the attach flag so
-    // teardown/snapshot sweeps bounded by it can never miss this slot.
-    int hw = hi_tid_.load(std::memory_order_relaxed);
-    while (hw < tid &&
-           !hi_tid_.compare_exchange_weak(hw, tid, std::memory_order_acq_rel)) {
-    }
-    pt.owner_epoch.store(reg.slot_epoch(tid), std::memory_order_relaxed);
-    pt.attached.store(true, std::memory_order_release);
-    reap_mu_.store(false, std::memory_order_release);
-    return true;
   }
 
   SmrConfig cfg_;
@@ -471,6 +533,67 @@ class OpGuard {
  private:
   Domain& d_;
   const bool skip_;
+};
+
+// ---- scheme base -----------------------------------------------------------
+//
+// CRTP base of every scheme (`class X : public DomainBase<X>`; README
+// "Adding a scheme" lists what X writes). X's neutralize(tid) drops tid's
+// reservations; detach, the takeover of a tid whose owner died without
+// detaching, and the zombie reaper all call it. The protected defaults
+// below are optional hooks X may redeclare (privately, with `friend
+// DomainBase;`).
+template <class Scheme>
+class DomainBase {
+ public:
+  static constexpr bool kNeutralizes = false;  // NBR overrides
+  using Guard = OpGuard<Scheme>;
+
+  explicit DomainBase(const SmrConfig& cfg = {}) : core_(cfg, Scheme::kName) {}
+
+  // A fresh ownership of this thread's slot starts from neutralized state.
+  void attach() {
+    const int tid = runtime::my_tid();
+    if (core_.attach_if_new(tid)) {
+      self().neutralize(tid);
+      self().on_attach(tid);
+    }
+  }
+  void detach() {
+    const int tid = runtime::my_tid();
+    self().neutralize(tid);
+    self().on_detach(tid);
+    core_.mark_detached(tid);
+  }
+
+  template <class T, class... Args>
+  T* create(Args&&... args) {
+    return core_.create_node<T>(self().birth_era(),
+                                std::forward<Args>(args)...);
+  }
+
+  // NBR's write phase; nothing to do for a scheme that never neutralizes.
+  void enter_write_phase(std::initializer_list<const Reclaimable*> = {}) {}
+  void exit_write_phase() {}
+
+  StatsSnapshot stats() const { return core_.stats_snapshot(); }
+  const SmrConfig& config() const { return core_.config(); }
+
+ protected:
+  void on_attach(int /*tid*/) {}
+  void on_detach(int /*tid*/) {}
+  uint64_t birth_era() { return 0; }
+
+  // Certifies dead owners and neutralizes them (DomainCore::reap_dead);
+  // reclamation passes call it before reading the reservations.
+  void reap(int tid) {
+    core_.reap_dead(tid, [this](int t) { self().neutralize(t); });
+  }
+
+  DomainCore core_;
+
+ private:
+  Scheme& self() { return static_cast<Scheme&>(*this); }
 };
 
 }  // namespace pop::smr

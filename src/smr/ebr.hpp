@@ -6,53 +6,29 @@
 // instead of per read. A reclaimer frees nodes retired before the minimum
 // announced epoch. Not robust: a thread parked inside an operation pins
 // the minimum epoch and stops all reclamation — the failure mode EpochPOP
-// exists to fix (and which tests/smr_robustness demonstrates).
+// exists to fix (and which tests/smr/test_robustness.cpp demonstrates).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
 #include "smr/domain_base.hpp"
-#include "smr/tagged.hpp"
+#include "smr/epoch.hpp"
 
 namespace pop::smr {
 
-class EbrDomain {
+class EbrDomain : public DomainBase<EbrDomain> {
  public:
   static constexpr const char* kName = "EBR";
-  static constexpr bool kNeutralizes = false;
-  using Guard = OpGuard<EbrDomain>;
-  static constexpr uint64_t kQuiescent = UINT64_MAX;
-
-  explicit EbrDomain(const SmrConfig& cfg = {}) : core_(cfg, kName) {}
-
-  void attach() {
-    const int tid = runtime::my_tid();
-    if (core_.attach_if_new(tid)) {
-      reserved_[tid]->v.store(kQuiescent, std::memory_order_release);
-    }
-  }
-  void detach() {
-    const int tid = runtime::my_tid();
-    reserved_[tid]->v.store(kQuiescent, std::memory_order_release);
-    core_.mark_detached(tid);
-  }
+  using DomainBase::DomainBase;
 
   void begin_op() {
     attach();
     const int tid = runtime::my_tid();
-    if (++op_counter_[tid]->v % core_.config().epoch_freq == 0) {
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    // seq_cst store: announcement ordered before the operation's reads.
-    reserved_[tid]->v.store(epoch_.load(std::memory_order_acquire),
-                            std::memory_order_seq_cst);
+    epochs_.tick(tid, config().epoch_freq);
+    epochs_.announce(tid, epochs_.now());
   }
-
-  void end_op() {
-    reserved_[runtime::my_tid()]->v.store(kQuiescent,
-                                          std::memory_order_release);
-  }
+  void end_op() { epochs_.quiesce(runtime::my_tid()); }
 
   template <class T>
   T* protect(int /*slot*/, const std::atomic<T*>& src) {
@@ -61,68 +37,31 @@ class EbrDomain {
   void copy_slot(int /*dst*/, int /*src*/) {}
   void clear() {}
 
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    return core_.create_node<T>(epoch_.load(std::memory_order_acquire),
-                                std::forward<Args>(args)...);
-  }
-
   void retire(Reclaimable* n) {
     const int tid = runtime::my_tid();
-    const uint64_t e = epoch_.load(std::memory_order_acquire);
-    if (core_.retire_push(tid, n, e) % core_.config().retire_threshold == 0) {
+    core_.retire(tid, n, epochs_.now(), [&](bool forced) {
+      if (forced) epochs_.advance();
       scan(tid);
-    } else if (core_.pressure_check(tid)) {
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-      scan(tid);
-      core_.pressure_relieved_or_warn(tid);
-    }
-  }
-
-  void enter_write_phase(std::initializer_list<const Reclaimable*> = {}) {}
-  void exit_write_phase() {}
-
-  StatsSnapshot stats() const { return core_.stats_snapshot(); }
-  const SmrConfig& config() const { return core_.config(); }
-  uint64_t current_epoch() const {
-    return epoch_.load(std::memory_order_acquire);
+    });
   }
 
  private:
+  friend DomainBase;
+
+  // A corpse that died inside an operation pins the minimum epoch forever;
+  // the reaper parks it at quiescent.
+  void neutralize(int tid) { epochs_.quiesce(tid); }
+  uint64_t birth_era() const { return epochs_.now(); }
+
   void scan(int tid) {
-    // A corpse that died inside an operation pins the minimum epoch
-    // forever; certify and park it at quiescent before computing the min.
-    core_.reap_dead(tid, [this](int t) {
-      reserved_[t]->v.store(kQuiescent, std::memory_order_release);
-    });
-    uint64_t min_reserved = kQuiescent;
-    const int hi = runtime::ThreadRegistry::instance().max_tid();
-    for (int t = 0; t <= hi; ++t) {
-      const uint64_t r = reserved_[t]->v.load(std::memory_order_acquire);
-      if (r < min_reserved) min_reserved = r;
-    }
-    auto& st = core_.stats(tid);
-    st.scans += 1;
-    st.freed += core_.sweep_retired(tid, [&](Reclaimable* node) {
-      return node->retire_era < min_reserved;
+    reap(tid);
+    const uint64_t min_announced = epochs_.min_announced();
+    core_.sweep_retired(tid, [&](Reclaimable* node) {
+      return node->retire_era < min_announced;
     });
   }
 
-  struct Counter {
-    uint64_t v = 0;
-  };
-
-  // Starts quiescent: a zero-initialized slot would read as "reserved at
-  // epoch 0" in scan() for registry tids that never attached to this
-  // domain and pin every retired node forever.
-  struct ReservedEpoch {
-    std::atomic<uint64_t> v{kQuiescent};
-  };
-
-  DomainCore core_;
-  std::atomic<uint64_t> epoch_{1};
-  runtime::Padded<ReservedEpoch> reserved_[runtime::kMaxThreads];
-  runtime::Padded<Counter> op_counter_[runtime::kMaxThreads];
+  EpochAnnouncements epochs_;
 };
 
 }  // namespace pop::smr

@@ -12,32 +12,15 @@
 #include <atomic>
 
 #include "smr/domain_base.hpp"
+#include "smr/epoch.hpp"
 #include "smr/hp_slots.hpp"
-#include "smr/tagged.hpp"
 
 namespace pop::smr {
 
-class HeDomain {
+class HeDomain : public DomainBase<HeDomain> {
  public:
   static constexpr const char* kName = "HE";
-  static constexpr bool kNeutralizes = false;
-  using Guard = OpGuard<HeDomain>;
-  static constexpr uintptr_t kNoEra = 0;
-
-  explicit HeDomain(const SmrConfig& cfg = {}) : core_(cfg, kName) {}
-
-  void attach() {
-    const int tid = runtime::my_tid();
-    if (core_.attach_if_new(tid)) {
-      // Drop era reservations a dead previous owner of this tid left.
-      slots_.clear_row(tid, core_.config().num_slots);
-    }
-  }
-  void detach() {
-    const int tid = runtime::my_tid();
-    slots_.clear_row(tid, core_.config().num_slots);
-    core_.mark_detached(tid);
-  }
+  using DomainBase::DomainBase;
 
   void begin_op() { attach(); }
   void end_op() { clear(); }
@@ -48,7 +31,7 @@ class HeDomain {
     uintptr_t prev = slots_.at(tid, slot).load(std::memory_order_relaxed);
     for (;;) {
       T* p = src.load(std::memory_order_acquire);
-      const uint64_t e = era_.load(std::memory_order_acquire);
+      const uint64_t e = era_.now();
       if (e == prev) return p;  // era unchanged: reservation already covers p
       slots_.at(tid, slot).store(e, std::memory_order_seq_cst);  // seq_cst fence
       prev = e;
@@ -56,62 +39,35 @@ class HeDomain {
   }
 
   void copy_slot(int dst, int src) {
-    const int tid = runtime::my_tid();
-    slots_.at(tid, dst).store(
-        slots_.at(tid, src).load(std::memory_order_relaxed),
-        std::memory_order_release);
+    slots_.copy(runtime::my_tid(), dst, src);
   }
 
-  void clear() {
-    slots_.clear_row(runtime::my_tid(), core_.config().num_slots);
-  }
-
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    return core_.create_node<T>(era_.load(std::memory_order_acquire),
-                                std::forward<Args>(args)...);
-  }
+  void clear() { neutralize(runtime::my_tid()); }
 
   void retire(Reclaimable* n) {
     const int tid = runtime::my_tid();
-    const uint64_t e = era_.load(std::memory_order_acquire);
-    core_.retire_push(tid, n, e);
-    if (core_.retire_tick(tid) % core_.config().retire_threshold == 0) {
-      era_.fetch_add(1, std::memory_order_acq_rel);  // Alg. 4 line 21
+    core_.retire(tid, n, era_.now(), [&](bool) {
+      era_.advance();  // Alg. 4 line 21
       scan(tid);
-    } else if (core_.pressure_check(tid)) {
-      era_.fetch_add(1, std::memory_order_acq_rel);
-      scan(tid);
-      core_.pressure_relieved_or_warn(tid);
-    }
+    });
   }
-
-  void enter_write_phase(std::initializer_list<const Reclaimable*> = {}) {}
-  void exit_write_phase() {}
-
-  StatsSnapshot stats() const { return core_.stats_snapshot(); }
-  const SmrConfig& config() const { return core_.config(); }
-  uint64_t current_era() const { return era_.load(std::memory_order_acquire); }
 
  private:
+  friend DomainBase;
+
+  void neutralize(int tid) { slots_.clear_row(tid, config().num_slots); }
+  uint64_t birth_era() const { return era_.now(); }
+
   void scan(int tid) {
-    core_.reap_dead(tid, [this](int t) {
-      slots_.clear_row(t, core_.config().num_slots);
-    });
-    uintptr_t* eras = core_.scan_scratch(tid);
-    const int n = slots_.collect(core_.config().num_slots, eras);  // sorted
-    auto& st = core_.stats(tid);
-    st.scans += 1;
-    st.freed += core_.sweep_retired(tid, [&](Reclaimable* node) {
-      // Freeable iff no reserved era e with birth <= e <= retire.
-      const uintptr_t* lo = std::lower_bound(eras, eras + n, node->birth_era);
-      return lo == eras + n || *lo > node->retire_era;
-    });
+    reap(tid);
+    const Reservations eras =
+        slots_.collect(config().num_slots, core_.scan_scratch(tid));
+    core_.sweep_retired(
+        tid, [&](Reclaimable* node) { return !eras.intersects(node); });
   }
 
-  DomainCore core_;
-  SlotTable slots_;                    // slot values are eras
-  std::atomic<uint64_t> era_{1};       // 0 is reserved for "no era"
+  SlotTable slots_;  // slot values are eras
+  EpochClock era_;
 };
 
 }  // namespace pop::smr

@@ -16,27 +16,10 @@
 
 namespace pop::smr {
 
-class HpDomain {
+class HpDomain : public DomainBase<HpDomain> {
  public:
   static constexpr const char* kName = "HP";
-  static constexpr bool kNeutralizes = false;
-  using Guard = OpGuard<HpDomain>;
-
-  explicit HpDomain(const SmrConfig& cfg = {}) : core_(cfg, kName) {}
-
-  void attach() {
-    const int tid = runtime::my_tid();
-    if (core_.attach_if_new(tid)) {
-      // Fresh attach or recycled-tid takeover: drop any slot values left
-      // by a dead previous owner (they only pin memory, never protect us).
-      slots_.clear_row(tid, core_.config().num_slots);
-    }
-  }
-  void detach() {
-    const int tid = runtime::my_tid();
-    slots_.clear_row(tid, core_.config().num_slots);
-    core_.mark_detached(tid);
-  }
+  using DomainBase::DomainBase;
 
   void begin_op() { attach(); }
   void end_op() { clear(); }
@@ -57,54 +40,29 @@ class HpDomain {
   }
 
   void copy_slot(int dst, int src) {
-    const int tid = runtime::my_tid();
-    slots_.at(tid, dst).store(
-        slots_.at(tid, src).load(std::memory_order_relaxed),
-        std::memory_order_release);
+    slots_.copy(runtime::my_tid(), dst, src);
   }
 
-  void clear() {
-    slots_.clear_row(runtime::my_tid(), core_.config().num_slots);
-  }
-
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    return core_.create_node<T>(0, std::forward<Args>(args)...);
-  }
+  void clear() { neutralize(runtime::my_tid()); }
 
   void retire(Reclaimable* n) {
     const int tid = runtime::my_tid();
-    core_.retire_push(tid, n, 0);
-    if (core_.retire_tick(tid) % core_.config().retire_threshold == 0) {
-      scan(tid);
-    } else if (core_.pressure_check(tid)) {
-      scan(tid);
-      core_.pressure_relieved_or_warn(tid);
-    }
+    core_.retire(tid, n, 0, [&](bool) { scan(tid); });
   }
-
-  void enter_write_phase(std::initializer_list<const Reclaimable*> = {}) {}
-  void exit_write_phase() {}
-
-  StatsSnapshot stats() const { return core_.stats_snapshot(); }
-  const SmrConfig& config() const { return core_.config(); }
 
  private:
+  friend DomainBase;
+
+  void neutralize(int tid) { slots_.clear_row(tid, config().num_slots); }
+
   void scan(int tid) {
-    core_.reap_dead(tid, [this](int t) {
-      slots_.clear_row(t, core_.config().num_slots);
-    });
-    uintptr_t* reserved = core_.scan_scratch(tid);
-    const int n = slots_.collect(core_.config().num_slots, reserved);
-    auto& st = core_.stats(tid);
-    st.scans += 1;
-    st.freed += core_.sweep_retired(tid, [&](Reclaimable* node) {
-      return !SlotTable::contains(reserved, n,
-                                  reinterpret_cast<uintptr_t>(node));
-    });
+    reap(tid);
+    const Reservations reserved =
+        slots_.collect(config().num_slots, core_.scan_scratch(tid));
+    core_.sweep_retired(
+        tid, [&](Reclaimable* node) { return !reserved.names(node); });
   }
 
-  DomainCore core_;
   SlotTable slots_;
 };
 

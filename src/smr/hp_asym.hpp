@@ -19,28 +19,10 @@
 
 namespace pop::smr {
 
-class HpAsymDomain {
+class HpAsymDomain : public DomainBase<HpAsymDomain> {
  public:
   static constexpr const char* kName = "HPAsym";
-  static constexpr bool kNeutralizes = false;
-  using Guard = OpGuard<HpAsymDomain>;
-
-  explicit HpAsymDomain(const SmrConfig& cfg = {}) : core_(cfg, kName) {}
-
-  void attach() {
-    const int tid = runtime::my_tid();
-    if (core_.attach_if_new(tid)) {
-      // Drop slot values a dead previous owner of this tid may have left.
-      slots_.clear_row(tid, core_.config().num_slots);
-      // The signal-broadcast fallback must be able to reach this thread.
-      runtime::detail::attach_barrier_client_for_current_thread();
-    }
-  }
-  void detach() {
-    const int tid = runtime::my_tid();
-    slots_.clear_row(tid, core_.config().num_slots);
-    core_.mark_detached(tid);
-  }
+  using DomainBase::DomainBase;
 
   void begin_op() { attach(); }
   void end_op() { clear(); }
@@ -61,56 +43,35 @@ class HpAsymDomain {
   }
 
   void copy_slot(int dst, int src) {
-    const int tid = runtime::my_tid();
-    slots_.at(tid, dst).store(
-        slots_.at(tid, src).load(std::memory_order_relaxed),
-        std::memory_order_release);
+    slots_.copy(runtime::my_tid(), dst, src);
   }
 
-  void clear() {
-    slots_.clear_row(runtime::my_tid(), core_.config().num_slots);
-  }
-
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    return core_.create_node<T>(0, std::forward<Args>(args)...);
-  }
+  void clear() { neutralize(runtime::my_tid()); }
 
   void retire(Reclaimable* n) {
     const int tid = runtime::my_tid();
-    core_.retire_push(tid, n, 0);
-    if (core_.retire_tick(tid) % core_.config().retire_threshold == 0) {
-      scan(tid);
-    } else if (core_.pressure_check(tid)) {
-      scan(tid);
-      core_.pressure_relieved_or_warn(tid);
-    }
+    core_.retire(tid, n, 0, [&](bool) { scan(tid); });
   }
-
-  void enter_write_phase(std::initializer_list<const Reclaimable*> = {}) {}
-  void exit_write_phase() {}
-
-  StatsSnapshot stats() const { return core_.stats_snapshot(); }
-  const SmrConfig& config() const { return core_.config(); }
 
  private:
-  void scan(int tid) {
-    core_.reap_dead(tid, [this](int t) {
-      slots_.clear_row(t, core_.config().num_slots);
-    });
-    // Make every reader's published-but-unfenced reservation visible.
-    runtime::AsymFence::instance().heavy_fence();
-    uintptr_t* reserved = core_.scan_scratch(tid);
-    const int n = slots_.collect(core_.config().num_slots, reserved);
-    auto& st = core_.stats(tid);
-    st.scans += 1;
-    st.freed += core_.sweep_retired(tid, [&](Reclaimable* node) {
-      return !SlotTable::contains(reserved, n,
-                                  reinterpret_cast<uintptr_t>(node));
-    });
+  friend DomainBase;
+
+  void neutralize(int tid) { slots_.clear_row(tid, config().num_slots); }
+  // The signal-broadcast fallback must be able to reach this thread.
+  void on_attach(int /*tid*/) {
+    runtime::detail::attach_barrier_client_for_current_thread();
   }
 
-  DomainCore core_;
+  void scan(int tid) {
+    reap(tid);
+    // Make every reader's published-but-unfenced reservation visible.
+    runtime::AsymFence::instance().heavy_fence();
+    const Reservations reserved =
+        slots_.collect(config().num_slots, core_.scan_scratch(tid));
+    core_.sweep_retired(
+        tid, [&](Reclaimable* node) { return !reserved.names(node); });
+  }
+
   SlotTable slots_;
 };
 

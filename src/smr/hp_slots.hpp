@@ -10,10 +10,28 @@
 
 #include "runtime/padded.hpp"
 #include "runtime/thread_registry.hpp"
+#include "smr/reclaimable.hpp"
 
 namespace pop::smr {
 
 inline constexpr int kMaxSlots = 8;
+
+// A sorted snapshot of collected reservation values.
+struct Reservations {
+  const uintptr_t* v;
+  int n;
+
+  // Pointer schemes: the node's address is reserved.
+  bool names(const Reclaimable* node) const {
+    return std::binary_search(v, v + n, reinterpret_cast<uintptr_t>(node));
+  }
+  // Era schemes: a reserved era falls in the node's lifespan
+  // [birth_era, retire_era], which pins it.
+  bool intersects(const Reclaimable* node) const {
+    const uintptr_t* e = std::lower_bound(v, v + n, node->birth_era);
+    return e != v + n && *e <= node->retire_era;
+  }
+};
 
 class SlotTable {
  public:
@@ -24,15 +42,20 @@ class SlotTable {
     return rows_[tid]->s[slot];
   }
 
+  void copy(int tid, int dst, int src) {
+    at(tid, dst).store(at(tid, src).load(std::memory_order_relaxed),
+                       std::memory_order_release);
+  }
+
   void clear_row(int tid, int nslots) {
     for (int s = 0; s < nslots; ++s) {
       rows_[tid]->s[s].store(0, std::memory_order_release);
     }
   }
 
-  // Appends every non-zero value into `out` (caller-provided buffer of at
-  // least kMaxThreads*nslots entries); returns the count.
-  int collect(int nslots, uintptr_t* out) const {
+  // Gathers every non-zero value into `out` (caller-provided buffer of at
+  // least kMaxThreads*nslots entries), sorted.
+  Reservations collect(int nslots, uintptr_t* out) const {
     int n = 0;
     const int hi = runtime::ThreadRegistry::instance().max_tid();
     for (int t = 0; t <= hi; ++t) {
@@ -42,11 +65,7 @@ class SlotTable {
       }
     }
     std::sort(out, out + n);
-    return n;
-  }
-
-  static bool contains(const uintptr_t* sorted, int n, uintptr_t v) {
-    return std::binary_search(sorted, sorted + n, v);
+    return {out, n};
   }
 
  private:

@@ -13,95 +13,65 @@
 #include <cstdint>
 
 #include "smr/domain_base.hpp"
-#include "smr/tagged.hpp"
+#include "smr/epoch.hpp"
 
 namespace pop::smr {
 
-class IbrDomain {
+class IbrDomain : public DomainBase<IbrDomain> {
  public:
   static constexpr const char* kName = "IBR";
-  static constexpr bool kNeutralizes = false;
-  using Guard = OpGuard<IbrDomain>;
+  using DomainBase::DomainBase;
 
-  explicit IbrDomain(const SmrConfig& cfg = {}) : core_(cfg, kName) {}
-
-  void attach() {
-    const int tid = runtime::my_tid();
-    if (core_.attach_if_new(tid)) {
-      iv_[tid]->lo.store(kEmptyLo, std::memory_order_release);
-      iv_[tid]->hi.store(0, std::memory_order_release);
-    }
-  }
-  void detach() {
-    quiesce(runtime::my_tid());
-    core_.mark_detached(runtime::my_tid());
-  }
-
+  // lo is the announced epoch; a quiescent thread's interval is empty
+  // (lo = kQuiescent > hi).
   void begin_op() {
     attach();
     const int tid = runtime::my_tid();
-    const uint64_t e = epoch_.load(std::memory_order_acquire);
-    iv_[tid]->hi.store(e, std::memory_order_relaxed);
-    iv_[tid]->lo.store(e, std::memory_order_seq_cst);  // seq_cst: one fence/op
+    const uint64_t e = epochs_.now();
+    hi_[tid]->store(e, std::memory_order_relaxed);
+    epochs_.announce(tid, e);
   }
 
-  void end_op() { quiesce(runtime::my_tid()); }
+  void end_op() { neutralize(runtime::my_tid()); }
 
   template <class T>
   T* protect(int /*slot*/, const std::atomic<T*>& src) {
     const int tid = runtime::my_tid();
     for (;;) {
       T* p = src.load(std::memory_order_acquire);
-      const uint64_t e = epoch_.load(std::memory_order_acquire);
-      if (iv_[tid]->hi.load(std::memory_order_relaxed) == e) return p;
-      iv_[tid]->hi.store(e, std::memory_order_seq_cst);  // seq_cst refresh fence
+      const uint64_t e = epochs_.now();
+      if (hi_[tid]->load(std::memory_order_relaxed) == e) return p;
+      hi_[tid]->store(e, std::memory_order_seq_cst);  // seq_cst refresh fence
     }
   }
   void copy_slot(int /*dst*/, int /*src*/) {}
   void clear() {}
 
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    const int tid = runtime::my_tid();
-    if (++alloc_counter_[tid]->v % core_.config().epoch_freq == 0) {
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    return core_.create_node<T>(epoch_.load(std::memory_order_acquire),
-                                std::forward<Args>(args)...);
-  }
-
   void retire(Reclaimable* n) {
     const int tid = runtime::my_tid();
-    const uint64_t e = epoch_.load(std::memory_order_acquire);
-    core_.retire_push(tid, n, e);
-    if (core_.retire_tick(tid) % core_.config().retire_threshold == 0) {
+    core_.retire(tid, n, epochs_.now(), [&](bool forced) {
+      if (forced) epochs_.advance();
       scan(tid);
-    } else if (core_.pressure_check(tid)) {
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-      scan(tid);
-      core_.pressure_relieved_or_warn(tid);
-    }
+    });
   }
 
-  void enter_write_phase(std::initializer_list<const Reclaimable*> = {}) {}
-  void exit_write_phase() {}
-
-  StatsSnapshot stats() const { return core_.stats_snapshot(); }
-  const SmrConfig& config() const { return core_.config(); }
-
  private:
-  // Empty interval: lo > hi, intersects nothing.
-  static constexpr uint64_t kEmptyLo = UINT64_MAX;
+  friend DomainBase;
 
-  void quiesce(int tid) {
-    iv_[tid]->hi.store(0, std::memory_order_relaxed);
-    iv_[tid]->lo.store(kEmptyLo, std::memory_order_release);
+  // Empties the interval; the reaper uses it on a corpse that died
+  // mid-operation and would otherwise hold its interval open forever.
+  void neutralize(int tid) {
+    hi_[tid]->store(0, std::memory_order_relaxed);
+    epochs_.quiesce(tid);
+  }
+
+  uint64_t birth_era() {
+    epochs_.tick(runtime::my_tid(), config().epoch_freq);
+    return epochs_.now();
   }
 
   void scan(int tid) {
-    // A corpse that died mid-operation holds its interval open forever;
-    // certify it and empty the interval before collecting reservations.
-    core_.reap_dead(tid, [this](int t) { quiesce(t); });
+    reap(tid);
     struct Range {
       uint64_t lo, hi;
     };
@@ -109,13 +79,11 @@ class IbrDomain {
     const int hi_tid = runtime::ThreadRegistry::instance().max_tid();
     int n = 0;
     for (int t = 0; t <= hi_tid; ++t) {
-      const uint64_t lo = iv_[t]->lo.load(std::memory_order_acquire);
-      const uint64_t h = iv_[t]->hi.load(std::memory_order_acquire);
+      const uint64_t lo = epochs_.announced(t);
+      const uint64_t h = hi_[t]->load(std::memory_order_acquire);
       if (lo <= h) rs[n++] = {lo, h};
     }
-    auto& st = core_.stats(tid);
-    st.scans += 1;
-    st.freed += core_.sweep_retired(tid, [&](Reclaimable* node) {
+    core_.sweep_retired(tid, [&](Reclaimable* node) {
       for (int i = 0; i < n; ++i) {
         if (node->birth_era <= rs[i].hi && rs[i].lo <= node->retire_era) {
           return false;  // lifespan intersects a reserved interval
@@ -125,18 +93,8 @@ class IbrDomain {
     });
   }
 
-  struct Interval {
-    std::atomic<uint64_t> lo{kEmptyLo};
-    std::atomic<uint64_t> hi{0};
-  };
-  struct Counter {
-    uint64_t v = 0;
-  };
-
-  DomainCore core_;
-  std::atomic<uint64_t> epoch_{1};
-  runtime::Padded<Interval> iv_[runtime::kMaxThreads];
-  runtime::Padded<Counter> alloc_counter_[runtime::kMaxThreads];
+  EpochAnnouncements epochs_;
+  runtime::Padded<std::atomic<uint64_t>> hi_[runtime::kMaxThreads];
 };
 
 }  // namespace pop::smr

@@ -28,43 +28,17 @@
 #include "smr/checkpoint.hpp"
 #include "smr/domain_base.hpp"
 #include "smr/hp_slots.hpp"
-#include "smr/tagged.hpp"
 
 namespace pop::smr {
 
-class NbrDomain final : public runtime::SignalClient {
+class NbrDomain final : public DomainBase<NbrDomain>,
+                        public runtime::SignalClient {
  public:
   static constexpr const char* kName = "NBR";
   static constexpr bool kNeutralizes = true;
-  using Guard = OpGuard<NbrDomain>;
-
-  explicit NbrDomain(const SmrConfig& cfg = {}) : core_(cfg, kName) {}
+  using DomainBase::DomainBase;
 
   ~NbrDomain() { runtime::SignalBus::instance().detach(this); }
-
-  void attach() {
-    const int tid = runtime::my_tid();
-    if (core_.attach_if_new(tid)) {
-      auto& pt = *pt_[tid];
-      // Takeover of a recycled tid: drop the dead owner's published slots.
-      slots_.clear_row(tid, core_.config().num_slots);
-      pt.read_phase.store(false, std::memory_order_relaxed);
-      pt.write_phase.store(false, std::memory_order_relaxed);
-      // Relaxed atomic: a reclaimer snapshotting a recycled tid mid-attach
-      // may read either epoch; both are safe (change-detection only).
-      pt.registry_epoch.store(
-          runtime::ThreadRegistry::instance().slot_epoch(tid),
-          std::memory_order_relaxed);
-      runtime::SignalBus::instance().attach(this);
-    }
-  }
-  void detach() {
-    const int tid = runtime::my_tid();
-    slots_.clear_row(tid, core_.config().num_slots);
-    pt_[tid]->ack.fetch_add(1, std::memory_order_release);
-    core_.mark_detached(tid);
-    runtime::SignalBus::instance().detach(this);
-  }
 
   void begin_op() { attach(); }
 
@@ -74,14 +48,11 @@ class NbrDomain final : public runtime::SignalClient {
     pt.read_phase.store(false, std::memory_order_relaxed);
     if (pt.write_phase.load(std::memory_order_relaxed)) {
       pt.write_phase.store(false, std::memory_order_relaxed);
-      slots_.clear_row(tid, core_.config().num_slots);
+      slots_.clear_row(tid, config().num_slots);
     }
     // Run any reclamation that was deferred because the threshold was
     // crossed during a read phase.
-    if (pt.reclaim_deferred) {
-      pt.reclaim_deferred = false;
-      reclaim(tid);
-    }
+    core_.run_deferred(tid, [&] { reclaim(tid); });
   }
 
   // ---- checkpoint protocol (used via POPSMR_CHECKPOINT) -------------------
@@ -93,7 +64,7 @@ class NbrDomain final : public runtime::SignalClient {
     const int tid = runtime::my_tid();
     auto& pt = *pt_[tid];
     pt.write_phase.store(false, std::memory_order_relaxed);
-    slots_.clear_row(tid, core_.config().num_slots);
+    slots_.clear_row(tid, config().num_slots);
     core_.stats(tid).neutralized += 1;
   }
 
@@ -145,37 +116,21 @@ class NbrDomain final : public runtime::SignalClient {
     const int tid = runtime::my_tid();
     auto& pt = *pt_[tid];
     pt.write_phase.store(false, std::memory_order_relaxed);
-    slots_.clear_row(tid, core_.config().num_slots);
+    slots_.clear_row(tid, config().num_slots);
     pt.read_phase.store(true, std::memory_order_relaxed);
   }
 
   // ---- memory -----------------------------------------------------------------
 
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    return core_.create_node<T>(0, std::forward<Args>(args)...);
-  }
-
+  // Never reclaim while neutralizable: a longjmp out of the sweep would
+  // corrupt the retire list. A pass due in a read phase runs at end_op.
   void retire(Reclaimable* n) {
     const int tid = runtime::my_tid();
-    core_.retire_push(tid, n, 0);
-    if (core_.retire_tick(tid) % core_.config().retire_threshold == 0) {
-      // Never reclaim while neutralizable: a longjmp out of the sweep
-      // would corrupt the retire list. Deferred work runs at end_op.
-      if (!pt_[tid]->read_phase.load(std::memory_order_relaxed)) {
-        reclaim(tid);
-      } else {
-        pt_[tid]->reclaim_deferred = true;
-      }
-    } else if (core_.pressure_check(tid)) {
-      // Same neutralization rule as above: never sweep from a read phase.
-      if (!pt_[tid]->read_phase.load(std::memory_order_relaxed)) {
-        reclaim(tid);
-        core_.pressure_relieved_or_warn(tid);
-      } else {
-        pt_[tid]->reclaim_deferred = true;
-      }
-    }
+    core_.retire(tid, n, 0, [&](bool) {
+      if (pt_[tid]->read_phase.load(std::memory_order_relaxed)) return false;
+      reclaim(tid);
+      return true;
+    });
   }
 
   // ---- signal handler ------------------------------------------------------------
@@ -200,18 +155,26 @@ class NbrDomain final : public runtime::SignalClient {
     }
   }
 
-  StatsSnapshot stats() const { return core_.stats_snapshot(); }
-  const SmrConfig& config() const { return core_.config(); }
-
  private:
+  friend DomainBase;
+
+  // Drops tid's phases and published slots and bumps its ack, so a
+  // concurrent reclaimer's wait releases: a detaching thread holds
+  // nothing, a corpse can never acknowledge, and a thread taking over a
+  // recycled tid must not inherit a read phase its handler would act on.
+  void neutralize(int tid) {
+    auto& pt = *pt_[tid];
+    pt.read_phase.store(false, std::memory_order_relaxed);
+    pt.write_phase.store(false, std::memory_order_relaxed);
+    slots_.clear_row(tid, config().num_slots);
+    pt.ack.fetch_add(1, std::memory_order_release);
+  }
+  void on_attach(int /*tid*/) { runtime::SignalBus::instance().attach(this); }
+  void on_detach(int /*tid*/) { runtime::SignalBus::instance().detach(this); }
+
   void reclaim(int tid) {
     auto& st = core_.stats(tid);
-    // A corpse can never acknowledge: certify it, drop its published
-    // slots, and bump its ack so any concurrent reclaimer's wait releases.
-    core_.reap_dead(tid, [this](int t) {
-      slots_.clear_row(t, core_.config().num_slots);
-      pt_[t]->ack.fetch_add(1, std::memory_order_release);
-    });
+    reap(tid);
     // Snapshot acks, ping everyone, wait for all to acknowledge (either by
     // restarting out of a read phase or by fencing through the handler).
     struct Waited {
@@ -226,7 +189,7 @@ class NbrDomain final : public runtime::SignalClient {
     for (int t = 0; t <= hi; ++t) {
       if (t == tid || !core_.attached(t)) continue;
       waited[nwait++] = {t, pt_[t]->ack.load(std::memory_order_acquire),
-                         pt_[t]->registry_epoch.load(std::memory_order_relaxed)};
+                         core_.owner_epoch(t)};
     }
     st.signals_sent += static_cast<uint64_t>(reg.ping_others(
         runtime::kPingSignal, [this](int t) { return core_.attached(t); },
@@ -249,13 +212,10 @@ class NbrDomain final : public runtime::SignalClient {
         waiter.wait();
       }
     }
-    uintptr_t* reserved = core_.scan_scratch(tid);
-    const int n = slots_.collect(core_.config().num_slots, reserved);
-    st.scans += 1;
-    st.freed += core_.sweep_retired(tid, [&](Reclaimable* node) {
-      return !SlotTable::contains(reserved, n,
-                                  reinterpret_cast<uintptr_t>(node));
-    });
+    const Reservations reserved =
+        slots_.collect(config().num_slots, core_.scan_scratch(tid));
+    core_.sweep_retired(
+        tid, [&](Reclaimable* node) { return !reserved.names(node); });
     st.pings_received = pt_[tid]->pings;
   }
 
@@ -265,13 +225,8 @@ class NbrDomain final : public runtime::SignalClient {
     std::atomic<bool> write_phase{false};
     std::atomic<uint64_t> ack{0};
     uint64_t pings = 0;
-    // Atomic: written on attach of a recycled tid while reclaimers read
-    // it for their staleness snapshots.
-    std::atomic<uint64_t> registry_epoch{0};
-    bool reclaim_deferred = false;  // owner-thread only
   };
 
-  DomainCore core_;
   SlotTable slots_;
   runtime::Padded<PerThread> pt_[runtime::kMaxThreads];
 };

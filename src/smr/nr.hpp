@@ -8,20 +8,13 @@
 #include <atomic>
 
 #include "smr/domain_base.hpp"
-#include "smr/tagged.hpp"
 
 namespace pop::smr {
 
-class NrDomain {
+class NrDomain : public DomainBase<NrDomain> {
  public:
   static constexpr const char* kName = "NR";
-  static constexpr bool kNeutralizes = false;
-  using Guard = OpGuard<NrDomain>;
-
-  explicit NrDomain(const SmrConfig& cfg = {}) : core_(cfg, kName) {}
-
-  void attach() { core_.attach_if_new(runtime::my_tid()); }
-  void detach() { core_.mark_detached(runtime::my_tid()); }
+  using DomainBase::DomainBase;
 
   void begin_op() { attach(); }
   void end_op() {}
@@ -33,23 +26,12 @@ class NrDomain {
   void copy_slot(int /*dst*/, int /*src*/) {}
   void clear() {}
 
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    return core_.create_node<T>(0, std::forward<Args>(args)...);
-  }
-
-  void retire(Reclaimable* n) {
-    core_.retire_push(runtime::my_tid(), n, 0);
-  }
-
-  void enter_write_phase(std::initializer_list<const Reclaimable*> = {}) {}
-  void exit_write_phase() {}
-
-  StatsSnapshot stats() const { return core_.stats_snapshot(); }
-  const SmrConfig& config() const { return core_.config(); }
+  void retire(Reclaimable* n) { core_.retire(runtime::my_tid(), n); }
 
  private:
-  DomainCore core_;
+  friend DomainBase;
+
+  void neutralize(int /*tid*/) {}
 };
 
 }  // namespace pop::smr

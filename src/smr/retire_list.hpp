@@ -20,33 +20,6 @@ class RetireList {
   uint64_t length() const noexcept { return len_; }
   bool empty() const noexcept { return head_ == nullptr; }
 
-  // Walks the list; frees nodes where `can_free(node)` by invoking their
-  // deleter, keeps the rest. Returns the number freed. Per-node path kept
-  // for nodes outside the pool allocator; reclamation passes should use
-  // sweep_batch below.
-  template <class Pred>
-  uint64_t sweep(Pred&& can_free) noexcept {
-    Reclaimable* kept_head = nullptr;
-    uint64_t kept = 0;
-    uint64_t freed = 0;
-    Reclaimable* cur = head_;
-    while (cur != nullptr) {
-      Reclaimable* next = cur->rl_next;
-      if (can_free(cur)) {
-        cur->deleter(cur);
-        ++freed;
-      } else {
-        cur->rl_next = kept_head;
-        kept_head = cur;
-        ++kept;
-      }
-      cur = next;
-    }
-    head_ = kept_head;
-    len_ = kept;
-    return freed;
-  }
-
   // Batched sweep: destroys freeable nodes (running non-trivial
   // destructors via batch_prep) and chains their memory into `batch`
   // instead of freeing one block at a time — the batch splices whole

@@ -10,8 +10,9 @@ struct SmrConfig {
   // structures use at most 4.
   int num_slots = 8;
 
-  // Retire-list length that triggers a reclamation pass (the paper's
-  // reclaimFreq; 24K in the main experiments, 2K in Figure 4).
+  // Retires between reclamation passes (the paper's reclaimFreq; 24K in
+  // the main experiments, 2K in Figure 4). EpochPOP's epoch sweep counts
+  // it in retire-list length, as Algorithm 3 does.
   uint64_t retire_threshold = 512;
 
   // Operations between global-epoch advances for the epoch-based schemes
@@ -31,9 +32,10 @@ struct SmrConfig {
   uint64_t pressure_bound = 0;
 };
 
-// Per-thread counters; aggregated into a snapshot for reporting. Plain
-// u64s: each cell is written by its owning thread only (SWMR), torn reads
-// by reporting threads at quiescence are benign.
+// Per-thread counters, and (summed with absorb) the domain-wide snapshot
+// reported to callers. Plain u64s: each cell is written by its owning
+// thread only (SWMR), torn reads by reporting threads at quiescence are
+// benign.
 struct ThreadStats {
   uint64_t retired = 0;
   uint64_t freed = 0;
@@ -49,32 +51,14 @@ struct ThreadStats {
   uint64_t orphans_adopted = 0;  // retired nodes adopted from dead tids
   uint64_t pressure_events = 0;  // unreclaimed crossed the pressure bound
   uint64_t forced_handshakes = 0;  // reclamation passes forced by pressure
-};
 
-struct StatsSnapshot {
-  uint64_t retired = 0;
-  uint64_t freed = 0;
-  uint64_t scans = 0;
-  uint64_t signals_sent = 0;
-  uint64_t pings_received = 0;
-  uint64_t neutralized = 0;
-  uint64_t ebr_frees = 0;
-  uint64_t pop_frees = 0;
-  uint64_t max_retire_len = 0;   // max over threads
-  uint64_t waves_timed_out = 0;
-  uint64_t tids_reaped = 0;
-  uint64_t orphans_adopted = 0;
-  uint64_t pressure_events = 0;
-  uint64_t forced_handshakes = 0;
   uint64_t unreclaimed() const { return retired - freed; }
 
-  // Accumulates either a per-thread cell (ThreadStats) or another
-  // snapshot (the service layer rolls one snapshot per shard into a
-  // total) — the two share field names by construction; keeping this a
-  // template means a new counter cannot be summed in one roll-up and
-  // silently dropped from the other.
-  template <class Counters>
-  void absorb(const Counters& t) {
+  // Adds a per-thread cell or another snapshot (the service layer rolls
+  // one snapshot per shard into a total); max_retire_len takes the max.
+  void absorb(const ThreadStats& t) {
+    static_assert(sizeof(ThreadStats) == 14 * sizeof(uint64_t),
+                  "a new counter must be added to absorb()");
     retired += t.retired;
     freed += t.freed;
     scans += t.scans;
@@ -91,5 +75,7 @@ struct StatsSnapshot {
     forced_handshakes += t.forced_handshakes;
   }
 };
+
+using StatsSnapshot = ThreadStats;
 
 }  // namespace pop::smr

@@ -53,7 +53,7 @@ struct SlotCtrl {
 // insert instead of O(n)); BFS-midpoint for the external BST (produces
 // a balanced tree instead of a degenerate chain). The (a,b)-tree and
 // hash table are insensitive, and take the midpoint order too.
-void prefill_set(ds::ISet& set, const ScenarioSpec& spec) {
+void prefill_set(ds::IKV& set, const ScenarioSpec& spec) {
   const uint64_t prefill =
       spec.prefill == UINT64_MAX ? spec.key_range / 2 : spec.prefill;
   const uint64_t nkeys = spec.key_range / 2;  // even keys 0,2,4,...
@@ -108,7 +108,7 @@ smr::StatsSnapshot snapshot_delta(const smr::StatsSnapshot& a,
 // Mid-run probes read the SWMR counters racily; a torn read can catch a
 // batched sweep between retired and freed and see freed ahead — saturate
 // instead of wrapping.
-uint64_t unreclaimed_now(const ds::ISet& set) {
+uint64_t unreclaimed_now(const ds::IKV& set) {
   const auto s = set.smr_stats();
   return s.freed > s.retired ? 0 : s.retired - s.freed;
 }
@@ -146,7 +146,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec_in) {
   service::ShardHash hash = service::ShardHash::kSplitMix64;
   (void)service::parse_shard_hash(spec.shard_hash, &hash);
   service::ShardedMap* sharded = nullptr;
-  std::unique_ptr<ds::ISet> set;
+  std::unique_ptr<ds::IKV> set;
   if (spec.shards > 1) {
     service::ShardedMapConfig smc;
     smc.shards = spec.shards;
@@ -156,7 +156,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec_in) {
     sharded = sm.get();
     set = std::move(sm);
   } else {
-    set = ds::make_set(spec.ds, spec.smr, sc);
+    set = ds::make_kv(spec.ds, spec.smr, sc);
   }
   if (set == nullptr) {
     std::fprintf(stderr, "unknown ds/smr: %s/%s\n", spec.ds.c_str(),
@@ -304,7 +304,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec_in) {
           ++my.inserts;
           lat_kind = obs::LatOp::kInsert;
         } else {
-          (void)set->erase(k);
+          (void)set->remove(k);
           ++my.erases;
           lat_kind = obs::LatOp::kRemove;
         }

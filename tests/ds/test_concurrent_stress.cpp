@@ -22,7 +22,7 @@ TEST_P(ConcurrentStress, MixedOpsPreserveNetCount) {
   cfg.capacity = 512;
   cfg.smr.retire_threshold = 16;  // aggressive reclamation
   cfg.smr.epoch_freq = 4;
-  auto s = make_set(std::get<0>(GetParam()), std::get<1>(GetParam()), cfg);
+  auto s = make_kv(std::get<0>(GetParam()), std::get<1>(GetParam()), cfg);
   ASSERT_NE(s, nullptr);
 
   // Prefill half the range.
@@ -38,9 +38,9 @@ TEST_P(ConcurrentStress, MixedOpsPreserveNetCount) {
       if (dice < 40) {
         if (s->insert(k)) net.fetch_add(1);
       } else if (dice < 80) {
-        if (s->erase(k)) net.fetch_sub(1);
+        if (s->remove(k)) net.fetch_sub(1);
       } else {
-        (void)s->contains(k);
+        (void)s->get(k, nullptr);
       }
     }
     s->detach_thread();

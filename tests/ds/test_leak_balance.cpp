@@ -30,7 +30,7 @@ TEST_P(LeakBalance, PoolBalancesAfterTeardown) {
     cfg.capacity = 256;
     cfg.smr.retire_threshold = 8;
     cfg.smr.epoch_freq = 2;
-    auto s = make_set(std::get<0>(GetParam()), std::get<1>(GetParam()), cfg);
+    auto s = make_kv(std::get<0>(GetParam()), std::get<1>(GetParam()), cfg);
     ASSERT_NE(s, nullptr);
     std::atomic<int> arrived{0};
     test::run_threads(3, [&](int w) {
@@ -44,13 +44,13 @@ TEST_P(LeakBalance, PoolBalancesAfterTeardown) {
         if (dice < 30) {
           s->insert(k);
         } else if (dice < 60) {
-          s->erase(k);
+          s->remove(k);
         } else if (dice < 80) {
           // Replaced nodes must be retired exactly once: a double retire
           // or a skipped retire both break the balance below.
           (void)s->put(k, rng.next());
         } else {
-          (void)s->contains(k);
+          (void)s->get(k, nullptr);
         }
       }
       s->detach_thread();
@@ -81,7 +81,7 @@ TEST_P(LeakBalance, PutReplaceBalancesUnderChurnAndStall) {
     cfg.capacity = 256;
     cfg.smr.retire_threshold = 8;
     cfg.smr.epoch_freq = 2;
-    auto s = make_set(std::get<0>(GetParam()), std::get<1>(GetParam()), cfg);
+    auto s = make_kv(std::get<0>(GetParam()), std::get<1>(GetParam()), cfg);
     ASSERT_NE(s, nullptr);
 
     std::atomic<bool> release{false};
@@ -112,7 +112,7 @@ TEST_P(LeakBalance, PutReplaceBalancesUnderChurnAndStall) {
           if (dice < 55) {
             (void)s->put(k, rng.next());
           } else if (dice < 75) {
-            s->erase(k);
+            s->remove(k);
           } else {
             uint64_t v = 0;
             (void)s->get(k, &v);
@@ -148,7 +148,7 @@ TEST_P(LeakBalance, ZombieKilledMidOperationIsReapedAndBalanced) {
     cfg.capacity = 256;
     cfg.smr.retire_threshold = 8;
     cfg.smr.epoch_freq = 2;
-    auto s = make_set(ds, smr, cfg);
+    auto s = make_kv(ds, smr, cfg);
     ASSERT_NE(s, nullptr);
 
     // The corpse: accumulates a private retire backlog (puts displace
@@ -161,7 +161,7 @@ TEST_P(LeakBalance, ZombieKilledMidOperationIsReapedAndBalanced) {
         if (dice < 40) {
           (void)s->put(k, rng.next());
         } else if (dice < 70) {
-          s->erase(k);
+          s->remove(k);
         } else {
           s->insert(k);
         }
@@ -181,7 +181,7 @@ TEST_P(LeakBalance, ZombieKilledMidOperationIsReapedAndBalanced) {
         if (dice < 40) {
           (void)s->put(k, rng.next());
         } else if (dice < 70) {
-          s->erase(k);
+          s->remove(k);
         } else {
           s->insert(k);
         }
@@ -222,7 +222,7 @@ TEST_P(ResizeStormLeakBalance, BucketArraysBalanceUnderStormAndStall) {
     cfg.load_factor = 2.0;
     cfg.smr.retire_threshold = 8;
     cfg.smr.epoch_freq = 2;
-    auto s = make_set("RHHT", GetParam(), cfg);
+    auto s = make_kv("RHHT", GetParam(), cfg);
     ASSERT_NE(s, nullptr);
 
     std::atomic<bool> release{false};
@@ -248,7 +248,7 @@ TEST_P(ResizeStormLeakBalance, BucketArraysBalanceUnderStormAndStall) {
           (void)s->put(rng.next_below(1024), rng.next());
         }
         for (int i = 0; i < 1500; ++i) {
-          (void)s->erase(rng.next_below(1024));
+          (void)s->remove(rng.next_below(1024));
         }
       }
       s->detach_thread();

@@ -58,14 +58,14 @@ TEST(ResizableHashTable, ShrinksAfterSustainedDrain) {
   // The drain itself ticks the update counter, so the underflow check
   // runs repeatedly while the population falls; the shrink policy wants
   // a sustained streak, which 2000 erases comfortably provide.
-  for (uint64_t k = 0; k < 2000; ++k) EXPECT_TRUE(s->erase(k));
+  for (uint64_t k = 0; k < 2000; ++k) EXPECT_TRUE(s->remove(k));
   const ResizeStats rs = s->resize_stats();
   EXPECT_GT(rs.shrinks, 0u) << "a fully drained table must shrink back";
   EXPECT_LT(rs.buckets, grown_buckets);
   EXPECT_EQ(s->size_slow(), 0u);
   // The table must still be fully usable after shrinking.
   EXPECT_TRUE(s->insert(42));
-  EXPECT_TRUE(s->contains(42));
+  EXPECT_TRUE(s->get(42, nullptr));
   s->detach_thread();
 }
 
@@ -78,7 +78,7 @@ TEST(ResizableHashTable, GrowShrinkGrowOscillationKeepsMembershipExact) {
   for (int round = 0; round < 3; ++round) {
     for (uint64_t k = 0; k < 1024; ++k) ASSERT_TRUE(s->insert(k));
     EXPECT_EQ(s->size_slow(), 1024u);
-    for (uint64_t k = 0; k < 1024; ++k) ASSERT_TRUE(s->erase(k));
+    for (uint64_t k = 0; k < 1024; ++k) ASSERT_TRUE(s->remove(k));
     EXPECT_EQ(s->size_slow(), 0u);
   }
   const ResizeStats rs = s->resize_stats();
@@ -154,7 +154,7 @@ TEST(ResizableHashTable, ConcurrentGrowStormKeepsAllInserts) {
   });
   EXPECT_EQ(s->size_slow(), 4 * kPerThread);
   for (uint64_t k = 0; k < 4 * kPerThread; ++k) {
-    ASSERT_TRUE(s->contains(k)) << "key " << k << " lost in the grow storm";
+    ASSERT_TRUE(s->get(k, nullptr)) << "key " << k << " lost in the grow storm";
   }
   EXPECT_GT(s->resize_stats().grows, 0u);
   s->detach_thread();

@@ -18,12 +18,12 @@ namespace {
 class SetSemantics
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
  protected:
-  std::unique_ptr<ISet> make(uint64_t key_range) {
+  std::unique_ptr<IKV> make(uint64_t key_range) {
     SetConfig cfg;
     cfg.capacity = key_range;
     cfg.smr.retire_threshold = 8;  // reclaim constantly: stress frees
     cfg.smr.epoch_freq = 2;
-    auto s = make_set(std::get<0>(GetParam()), std::get<1>(GetParam()), cfg);
+    auto s = make_kv(std::get<0>(GetParam()), std::get<1>(GetParam()), cfg);
     EXPECT_NE(s, nullptr);
     return s;
   }
@@ -41,10 +41,10 @@ TEST_P(SetSemantics, MatchesStdSetUnderRandomOps) {
         EXPECT_EQ(s->insert(k), ref.insert(k).second) << "insert " << k;
         break;
       case 1:
-        EXPECT_EQ(s->erase(k), ref.erase(k) == 1) << "erase " << k;
+        EXPECT_EQ(s->remove(k), ref.erase(k) == 1) << "erase " << k;
         break;
       default:
-        EXPECT_EQ(s->contains(k), ref.count(k) == 1) << "contains " << k;
+        EXPECT_EQ(s->get(k, nullptr), ref.count(k) == 1) << "contains " << k;
     }
   }
   EXPECT_EQ(s->size_slow(), ref.size());
@@ -54,16 +54,16 @@ TEST_P(SetSemantics, MatchesStdSetUnderRandomOps) {
 TEST_P(SetSemantics, InsertEraseRoundTrip) {
   auto s = make(1024);
   for (uint64_t k = 0; k < 200; ++k) {
-    EXPECT_FALSE(s->contains(k));
+    EXPECT_FALSE(s->get(k, nullptr));
     EXPECT_TRUE(s->insert(k));
-    EXPECT_TRUE(s->contains(k));
+    EXPECT_TRUE(s->get(k, nullptr));
     EXPECT_FALSE(s->insert(k)) << "duplicate insert must fail";
   }
   EXPECT_EQ(s->size_slow(), 200u);
   for (uint64_t k = 0; k < 200; ++k) {
-    EXPECT_TRUE(s->erase(k));
-    EXPECT_FALSE(s->contains(k));
-    EXPECT_FALSE(s->erase(k)) << "double erase must fail";
+    EXPECT_TRUE(s->remove(k));
+    EXPECT_FALSE(s->get(k, nullptr));
+    EXPECT_FALSE(s->remove(k)) << "double erase must fail";
   }
   EXPECT_EQ(s->size_slow(), 0u);
   s->detach_thread();
@@ -73,7 +73,7 @@ TEST_P(SetSemantics, ReinsertAfterEraseWorks) {
   auto s = make(64);
   for (int round = 0; round < 50; ++round) {
     for (uint64_t k = 0; k < 16; ++k) EXPECT_TRUE(s->insert(k));
-    for (uint64_t k = 0; k < 16; ++k) EXPECT_TRUE(s->erase(k));
+    for (uint64_t k = 0; k < 16; ++k) EXPECT_TRUE(s->remove(k));
   }
   EXPECT_EQ(s->size_slow(), 0u);
   s->detach_thread();
@@ -83,7 +83,7 @@ TEST_P(SetSemantics, StatsAccountRetires) {
   auto s = make(64);
   for (int round = 0; round < 20; ++round) {
     for (uint64_t k = 0; k < 16; ++k) s->insert(k);
-    for (uint64_t k = 0; k < 16; ++k) s->erase(k);
+    for (uint64_t k = 0; k < 16; ++k) s->remove(k);
   }
   const auto st = s->smr_stats();
   EXPECT_GT(st.retired, 0u);

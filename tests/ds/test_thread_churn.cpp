@@ -36,7 +36,7 @@ TEST_P(ThreadChurn, RecycledTidsLeaveNoSlotPinned) {
     cfg.capacity = 256;
     cfg.smr.retire_threshold = 16;
     cfg.smr.epoch_freq = 2;
-    auto s = make_set("HML", smr, cfg);
+    auto s = make_kv("HML", smr, cfg);
     ASSERT_NE(s, nullptr);
 
     // Long-lived reclaimer: constant retires keep reclamation passes (and
@@ -48,7 +48,7 @@ TEST_P(ThreadChurn, RecycledTidsLeaveNoSlotPinned) {
       while (!stop.load(std::memory_order_acquire)) {
         const uint64_t k = rng.next_below(128);
         s->insert(k);
-        s->erase(k);
+        s->remove(k);
       }
       s->detach_thread();
     });
@@ -70,9 +70,9 @@ TEST_P(ThreadChurn, RecycledTidsLeaveNoSlotPinned) {
           if (dice < 40) {
             s->insert(k);
           } else if (dice < 80) {
-            s->erase(k);
+            s->remove(k);
           } else {
-            (void)s->contains(k);
+            (void)s->get(k, nullptr);
           }
         }
         s->detach_thread();

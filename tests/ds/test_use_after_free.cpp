@@ -36,7 +36,7 @@ TEST_P(PoisonedWorkload, HotReclamationNeverServesPoisonedNodes) {
   cfg.smr.retire_threshold = 4;  // reclaim as often as possible
   cfg.smr.epoch_freq = 1;
   cfg.smr.pop_multiplier = 2;
-  auto s = make_set(std::get<0>(GetParam()), std::get<1>(GetParam()), cfg);
+  auto s = make_kv(std::get<0>(GetParam()), std::get<1>(GetParam()), cfg);
   ASSERT_NE(s, nullptr);
 
   test::run_threads(4, [&](int w) {
@@ -47,7 +47,7 @@ TEST_P(PoisonedWorkload, HotReclamationNeverServesPoisonedNodes) {
       if (dice < 30) {
         (void)s->insert(k);
       } else if (dice < 60) {
-        (void)s->erase(k);
+        (void)s->remove(k);
       } else if (dice < 80) {
         // put-replace: displaced nodes are freed while other threads may
         // still hold them — the KV-specific premature-free hazard.
@@ -66,7 +66,7 @@ TEST_P(PoisonedWorkload, HotReclamationNeverServesPoisonedNodes) {
   // invariant here: HML's lock-free put linearizes as delete+insert
   // under same-key contention, so put outcomes can hide a deletion.
   uint64_t present = 0;
-  for (uint64_t k = 0; k < 128; ++k) present += s->contains(k);
+  for (uint64_t k = 0; k < 128; ++k) present += s->get(k, nullptr);
   EXPECT_EQ(s->size_slow(), present);
   s->detach_thread();
 }
@@ -82,7 +82,7 @@ TEST_P(PoisonedWorkload, PutReplaceSafeAroundParkedVictim) {
   cfg.smr.retire_threshold = 4;
   cfg.smr.epoch_freq = 1;
   cfg.smr.pop_multiplier = 2;
-  auto s = make_set(std::get<0>(GetParam()), std::get<1>(GetParam()), cfg);
+  auto s = make_kv(std::get<0>(GetParam()), std::get<1>(GetParam()), cfg);
   ASSERT_NE(s, nullptr);
 
   std::atomic<bool> release{false};
@@ -108,7 +108,7 @@ TEST_P(PoisonedWorkload, PutReplaceSafeAroundParkedVictim) {
       if (dice < 60) {
         (void)s->put(k, rng.next());
       } else if (dice < 75) {
-        (void)s->erase(k);
+        (void)s->remove(k);
       } else {
         uint64_t v = 0;
         (void)s->get(k, &v);
@@ -142,7 +142,7 @@ TEST_P(PoisonedResizeStorm, DisplacedBucketArraysNeverServePoison) {
   cfg.smr.retire_threshold = 4;
   cfg.smr.epoch_freq = 1;
   cfg.smr.pop_multiplier = 2;
-  auto s = make_set("RHHT", GetParam(), cfg);
+  auto s = make_kv("RHHT", GetParam(), cfg);
   ASSERT_NE(s, nullptr);
 
   std::atomic<bool> release{false};
@@ -174,9 +174,9 @@ TEST_P(PoisonedResizeStorm, DisplacedBucketArraysNeverServePoison) {
       for (int i = 0; i < 1500; ++i) {
         const uint64_t k = rng.next_below(768);
         if (rng.next_below(100) < 75) {
-          (void)s->erase(k);
+          (void)s->remove(k);
         } else {
-          (void)s->contains(k);
+          (void)s->get(k, nullptr);
         }
       }
     }
@@ -188,7 +188,7 @@ TEST_P(PoisonedResizeStorm, DisplacedBucketArraysNeverServePoison) {
   // recount cross-checks that no migration window duplicated or lost a
   // node.
   uint64_t present = 0;
-  for (uint64_t k = 0; k < 768; ++k) present += s->contains(k);
+  for (uint64_t k = 0; k < 768; ++k) present += s->get(k, nullptr);
   EXPECT_EQ(s->size_slow(), present);
   EXPECT_GT(s->resize_stats().resizes(), 0u)
       << "the storm never resized; the test lost its point";

@@ -13,14 +13,14 @@ TEST(FactoryMatrix, AllCombinationsConstructAndOperate) {
     for (const auto& smr : all_smr_names()) {
       SetConfig cfg;
       cfg.capacity = 128;
-      auto s = make_set(ds, smr, cfg);
+      auto s = make_kv(ds, smr, cfg);
       ASSERT_NE(s, nullptr) << ds << "/" << smr;
       EXPECT_EQ(s->ds_name(), ds);
       EXPECT_EQ(s->smr_name(), smr);
       EXPECT_TRUE(s->insert(1)) << ds << "/" << smr;
-      EXPECT_TRUE(s->contains(1)) << ds << "/" << smr;
-      EXPECT_TRUE(s->erase(1)) << ds << "/" << smr;
-      EXPECT_FALSE(s->contains(1)) << ds << "/" << smr;
+      EXPECT_TRUE(s->get(1, nullptr)) << ds << "/" << smr;
+      EXPECT_TRUE(s->remove(1)) << ds << "/" << smr;
+      EXPECT_FALSE(s->get(1, nullptr)) << ds << "/" << smr;
       EXPECT_EQ(s->size_slow(), 0u) << ds << "/" << smr;
       s->detach_thread();
     }
@@ -32,13 +32,13 @@ TEST(FactoryMatrix, UnknownNamesReturnNullAndSayWhichNameWasBad) {
   // A typo'd name must not fail as a bare nullptr: the factory prints one
   // stderr line naming the offender (and the known catalogue).
   ::testing::internal::CaptureStderr();
-  EXPECT_EQ(make_set("NOPE", "HP", cfg), nullptr);
+  EXPECT_EQ(make_kv("NOPE", "HP", cfg), nullptr);
   std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("unknown data structure 'NOPE'"), std::string::npos)
       << "stderr was: " << err;
 
   ::testing::internal::CaptureStderr();
-  EXPECT_EQ(make_set("HML", "NOPE2", cfg), nullptr);
+  EXPECT_EQ(make_kv("HML", "NOPE2", cfg), nullptr);
   err = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("unknown SMR scheme 'NOPE2'"), std::string::npos)
       << "stderr was: " << err;
@@ -61,7 +61,7 @@ TEST(FactoryMatrix, KvSurfaceRoundTripsThroughEveryCombination) {
       // The set shims ride on the same surface: insert-if-absent refuses
       // (without retiring anything), contains sees the key.
       EXPECT_FALSE(m->insert(7)) << ds << "/" << smr;
-      EXPECT_TRUE(m->contains(7)) << ds << "/" << smr;
+      EXPECT_TRUE(m->get(7, nullptr)) << ds << "/" << smr;
       EXPECT_TRUE(m->remove(7)) << ds << "/" << smr;
       EXPECT_FALSE(m->get(7, &v)) << ds << "/" << smr;
       m->detach_thread();
@@ -76,7 +76,7 @@ TEST(FactoryMatrix, ExpectedCatalogue) {
 
 TEST(FactoryMatrix, StatsStartClean) {
   SetConfig cfg;
-  auto s = make_set("HML", "HazardPtrPOP", cfg);
+  auto s = make_kv("HML", "HazardPtrPOP", cfg);
   const auto st = s->smr_stats();
   EXPECT_EQ(st.retired, 0u);
   EXPECT_EQ(st.freed, 0u);

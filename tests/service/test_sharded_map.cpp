@@ -1,5 +1,5 @@
 // The sharded service layer: routing is deterministic and total, a
-// 1-shard map is operation-for-operation equivalent to the plain ISet it
+// 1-shard map is operation-for-operation equivalent to the plain IKV it
 // wraps, cross-shard concurrent histories stay linearizable per key,
 // every scheme's per-shard domains balance the pool on teardown, and
 // churned threads migrating between shards (attach/detach on many
@@ -91,7 +91,7 @@ TEST(ShardedMap, OneShardMatchesPlainSetOperationForOperation) {
   ds::SetConfig cfg;
   cfg.capacity = 256;
   cfg.smr.retire_threshold = 16;
-  auto plain = ds::make_set("HML", "EBR", cfg);
+  auto plain = ds::make_kv("HML", "EBR", cfg);
   ShardedMapConfig scfg = small_cfg(1);
   scfg.set = cfg;
   auto sharded = ShardedMap::create("HML", "EBR", scfg);
@@ -105,14 +105,14 @@ TEST(ShardedMap, OneShardMatchesPlainSetOperationForOperation) {
     if (dice < 40) {
       EXPECT_EQ(plain->insert(k), sharded->insert(k)) << "op " << i;
     } else if (dice < 80) {
-      EXPECT_EQ(plain->erase(k), sharded->erase(k)) << "op " << i;
+      EXPECT_EQ(plain->remove(k), sharded->remove(k)) << "op " << i;
     } else {
-      EXPECT_EQ(plain->contains(k), sharded->contains(k)) << "op " << i;
+      EXPECT_EQ(plain->get(k, nullptr), sharded->get(k, nullptr)) << "op " << i;
     }
   }
   EXPECT_EQ(plain->size_slow(), sharded->size_slow());
   for (uint64_t k = 0; k < 128; ++k) {
-    EXPECT_EQ(plain->contains(k), sharded->contains(k)) << "key " << k;
+    EXPECT_EQ(plain->get(k, nullptr), sharded->get(k, nullptr)) << "key " << k;
   }
   plain->detach_thread();
   sharded->detach_thread();
@@ -134,9 +134,9 @@ TEST(ShardedMap, CrossShardConcurrentHistoryIsLinearizablePerKey) {
       if (rng.percent(50)) {
         if (m->insert(k)) net.fetch_add(1);
       } else if (rng.percent(50)) {
-        if (m->erase(k)) net.fetch_sub(1);
+        if (m->remove(k)) net.fetch_sub(1);
       } else {
-        (void)m->contains(k);
+        (void)m->get(k, nullptr);
       }
     }
     m->detach_thread();
@@ -179,9 +179,9 @@ TEST_P(ShardedLeakBalance, PoolBalancesAfterShardedTeardown) {
         if (dice < 40) {
           m->insert(k);
         } else if (dice < 80) {
-          m->erase(k);
+          m->remove(k);
         } else {
-          (void)m->contains(k);
+          (void)m->get(k, nullptr);
         }
       }
       m->detach_thread();
@@ -222,7 +222,7 @@ TEST(ShardedMap, ChurningThreadsMigrateBetweenShards) {
           if (rng.percent(50)) {
             if (m->insert(k)) net.fetch_add(1);
           } else {
-            if (m->erase(k)) net.fetch_sub(1);
+            if (m->remove(k)) net.fetch_sub(1);
           }
         }
         m->detach_thread();  // all four domains; exit recycles the tid
@@ -368,7 +368,7 @@ TEST(ShardedMap, CapacitySplitsAcrossShards) {
   ASSERT_NE(m, nullptr);
   for (uint64_t k = 0; k < 2048; ++k) EXPECT_TRUE(m->insert(k));
   EXPECT_EQ(m->size_slow(), 2048u);
-  for (uint64_t k = 0; k < 2048; ++k) EXPECT_TRUE(m->contains(k));
+  for (uint64_t k = 0; k < 2048; ++k) EXPECT_TRUE(m->get(k, nullptr));
   m->detach_thread();
 }
 

@@ -5,8 +5,8 @@
 //
 // Seeding notes:
 //  - double retire is seeded under ABORT mode via death tests: the audit
-//    fires inside retire_push BEFORE the node is pushed, so the child
-//    process dies before the intrusive retire list can self-link. Warn
+//    fires inside DomainCore::retire BEFORE the node is pushed, so the
+//    child process dies before the intrusive retire list can self-link. Warn
 //    mode would let the corrupting push proceed — deliberately not
 //    tested that way.
 //  - retire-outside-bracket and unbalanced-bracket are benign to the
@@ -191,7 +191,7 @@ uint64_t time_loop_ns(int ops, bool hooked, uint64_t& state) {
   for (int i = 0; i < ops; ++i) {
     x = synthetic_op(x);
     if (hooked) {
-      // The exact gate retire_push/OpGuard compile against: one relaxed
+      // The gate DomainCore::retire/OpGuard compile against: one relaxed
       // load plus a predictable branch when the auditor is off.
       if (audit::on()) x += 1;
     }

@@ -24,7 +24,7 @@ TEST_P(ConfigSweep, RetireListHighWatermarkTracksThreshold) {
   cfg.capacity = 256;
   cfg.smr.retire_threshold = threshold;
   cfg.smr.epoch_freq = epoch_freq;
-  auto s = make_set("HML", smr, cfg);
+  auto s = make_kv("HML", smr, cfg);
   ASSERT_NE(s, nullptr);
   runtime::Xoshiro256 rng(99);
   for (int i = 0; i < 4000; ++i) {
@@ -32,7 +32,7 @@ TEST_P(ConfigSweep, RetireListHighWatermarkTracksThreshold) {
     if (rng.percent(50)) {
       s->insert(k);
     } else {
-      s->erase(k);
+      s->remove(k);
     }
   }
   const auto st = s->smr_stats();
@@ -66,14 +66,14 @@ TEST_P(ConfigSweep, SingleThreadGarbageIsBoundedAfterQuiescence) {
   cfg.capacity = 256;
   cfg.smr.retire_threshold = threshold;
   cfg.smr.epoch_freq = epoch_freq;
-  auto s = make_set("HML", smr, cfg);
+  auto s = make_kv("HML", smr, cfg);
   runtime::Xoshiro256 rng(7);
   for (int i = 0; i < 4000; ++i) {
     const uint64_t k = rng.next_below(64);
     if (rng.percent(50)) {
       s->insert(k);
     } else {
-      s->erase(k);
+      s->remove(k);
     }
   }
   const auto st = s->smr_stats();
@@ -115,7 +115,7 @@ TEST_P(SlotCountSweep, TreesWorkWithMinimalSlotBudget) {
   cfg.smr.num_slots = slots;
   cfg.smr.retire_threshold = 16;
   for (const char* ds : {"DGT", "ABT"}) {
-    auto s = make_set(ds, smr, cfg);
+    auto s = make_kv(ds, smr, cfg);
     ASSERT_NE(s, nullptr);
     runtime::Xoshiro256 rng(5);
     for (int i = 0; i < 2000; ++i) {
@@ -123,7 +123,7 @@ TEST_P(SlotCountSweep, TreesWorkWithMinimalSlotBudget) {
       if (rng.percent(50)) {
         s->insert(k);
       } else {
-        s->erase(k);
+        s->remove(k);
       }
     }
     EXPECT_GE(s->smr_stats().retired, 1u) << ds << "/" << smr;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "runtime/pool_alloc.hpp"
@@ -18,6 +19,13 @@ int TestNode::live = 0;
 void test_deleter(Reclaimable* r) {
   --TestNode::live;
   delete static_cast<TestNode*>(r);
+}
+
+// One batched sweep; nodes without a batch hook free through their deleter.
+template <class Pred>
+uint64_t sweep(RetireList& rl, Pred&& can_free) {
+  runtime::PoolAllocator::FreeBatch batch;
+  return rl.sweep_batch(std::forward<Pred>(can_free), batch);
 }
 
 TestNode* make_node(uint64_t retire_era = 0) {
@@ -47,7 +55,7 @@ TEST(RetireList, SweepFreesOnlyMatching) {
   RetireList rl;
   for (uint64_t e = 0; e < 10; ++e) rl.push(make_node(e));
   const uint64_t freed =
-      rl.sweep([](Reclaimable* n) { return n->retire_era < 5; });
+      sweep(rl, [](Reclaimable* n) { return n->retire_era < 5; });
   EXPECT_EQ(freed, 5u);
   EXPECT_EQ(rl.length(), 5u);
   EXPECT_EQ(TestNode::live, 5);
@@ -58,9 +66,9 @@ TEST(RetireList, SweepFreesOnlyMatching) {
 TEST(RetireList, SweepKeepsSurvivorsForLaterSweep) {
   RetireList rl;
   for (uint64_t e = 0; e < 6; ++e) rl.push(make_node(e));
-  rl.sweep([](Reclaimable* n) { return n->retire_era % 2 == 0; });
+  sweep(rl, [](Reclaimable* n) { return n->retire_era % 2 == 0; });
   EXPECT_EQ(rl.length(), 3u);
-  const uint64_t freed = rl.sweep([](Reclaimable*) { return true; });
+  const uint64_t freed = sweep(rl, [](Reclaimable*) { return true; });
   EXPECT_EQ(freed, 3u);
   EXPECT_TRUE(rl.empty());
   EXPECT_EQ(TestNode::live, 0);
@@ -76,7 +84,7 @@ TEST(RetireList, DrainFreesEverything) {
 
 TEST(RetireList, SweepOnEmptyListIsNoop) {
   RetireList rl;
-  EXPECT_EQ(rl.sweep([](Reclaimable*) { return true; }), 0u);
+  EXPECT_EQ(sweep(rl, [](Reclaimable*) { return true; }), 0u);
 }
 
 // ---- batched sweep --------------------------------------------------------
