@@ -1,13 +1,16 @@
 // Free-path microbenchmark: per-node PoolAllocator::deallocate versus the
-// batched FreeBatch splice, under the cross-thread free pattern deferred
+// batched FreeBatch path, under the cross-thread free pattern deferred
 // reclamation produces (§5.0.1: a reclaimer frees large batches of blocks
-// owned by other threads' heaps). Every thread allocates a slab of blocks;
-// then every thread sweeps the owner heaps in the SAME order, freeing its
-// slice of each OTHER thread's blocks — the reclamation-storm shape where
-// all reclaimers hit threshold together and each retire list frees in
-// allocation order (owner-clustered runs). Per-node mode pays one CAS per
-// block on stacks all T-1 peers are hammering; batch mode pays one CAS
-// per (owner heap, size class) group per flush.
+// other threads allocated). Every thread allocates a slab of blocks; then
+// every thread sweeps the other threads' blocks in the SAME order, freeing
+// its slice of each — the reclamation-storm shape where all reclaimers hit
+// threshold together and each retire list frees in allocation order.
+// Both modes free onto the freeing thread's own lists with no
+// synchronization per block; each full chunk past a thread's two-chunk
+// private bound goes to the shared depot in one lock-free push, and the
+// next allocation phase takes chunks back from it. Per-node mode pays a
+// call, a header check and a global counter update per block; batch mode
+// threads per-class chains inline and hands whole chunks on at once.
 //
 // Methodology: the two modes alternate within each round so both sample
 // the same machine state, timing uses per-thread CPU time (robust to
@@ -82,8 +85,9 @@ PairResult run(int threads, uint64_t blocks, uint64_t rounds) {
   for (auto& v : nanos) {
     for (auto& n : v) n.store(0);
   }
-  // Remote-free counter snapshots, sampled by thread 0 in the quiescent
-  // window after each free phase (alloc phases never touch these).
+  // Depot counter snapshots (remote_frees / remote_splices: blocks and
+  // chunks pushed to the depot), sampled by thread 0 in the quiescent
+  // window after each free phase (alloc phases only pop, never count).
   uint64_t remote_frees[2] = {0, 0};
   uint64_t remote_splices[2] = {0, 0};
 
@@ -111,7 +115,7 @@ PairResult run(int threads, uint64_t blocks, uint64_t rounds) {
         // so a fixed order would bias whichever mode runs second.
         for (int k = 0; k < 2; ++k) {
           const int mode = static_cast<int>(r & 1) ^ k;  // 0 = per-node
-          // Remote counters are quiescent here (the previous free phase
+          // Depot counters are quiescent here (the previous free phase
           // fully landed; alloc phases never touch them).
           uint64_t before_frees = 0, before_splices = 0;
           if (t == 0) {
@@ -147,7 +151,7 @@ PairResult run(int threads, uint64_t blocks, uint64_t rounds) {
             }
           }
           nanos[mode][r].fetch_add(thread_cpu_nanos() - t0);
-          barrier(ph++);  // all frees landed; remote counters quiescent
+          barrier(ph++);  // all frees landed; depot counters quiescent
           if (t == 0 && r > 0) {
             const auto s = PoolAllocator::instance().stats();
             remote_frees[mode] += s.remote_frees - before_frees;

@@ -23,6 +23,7 @@
 #include <cstdint>
 
 #include "ds/kv.hpp"
+#include "runtime/pool_alloc.hpp"
 #include "runtime/spinlock.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/domain_base.hpp"
@@ -178,6 +179,10 @@ class DgtBst {
     runtime::Spinlock lock;
     std::atomic<bool> marked{false};
   };
+  // The pool's size classes are fitted to the node: it wastes under 16 B.
+  static_assert(runtime::detail::pool_class_bytes(
+                    runtime::detail::pool_class_of(sizeof(Node))) <
+                sizeof(Node) + 16);
 
   static constexpr int kSlotGp = 0;
   static constexpr int kSlotP = 1;

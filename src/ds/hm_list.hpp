@@ -32,6 +32,7 @@
 #include <cstdint>
 
 #include "ds/kv.hpp"
+#include "runtime/pool_alloc.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/domain_base.hpp"
 #include "smr/smr_config.hpp"
@@ -47,6 +48,10 @@ struct HmOps {
     uint64_t val;  // immutable after publication (replace swaps nodes)
     std::atomic<Node*> next{nullptr};
   };
+  // The pool's size classes are fitted to the node: it wastes under 16 B.
+  static_assert(runtime::detail::pool_class_bytes(
+                    runtime::detail::pool_class_of(sizeof(Node))) <
+                sizeof(Node) + 16);
 
   static constexpr int kSlotPrev = 0;
   static constexpr int kSlotCurr = 1;

@@ -371,16 +371,22 @@ void NetServer::update_interest(Conn* c) {
 
 void NetServer::destroy_conn(Conn* c) {
   Worker& wk = *workers_[c->worker];
-  (void)epoll_ctl(wk.epfd, EPOLL_CTL_DEL, c->fd, nullptr);
-  close(c->fd);
-  std::lock_guard<std::mutex> lk(wk.mu);
-  for (auto it = wk.conns.begin(); it != wk.conns.end(); ++it) {
-    if (it->get() == c) {
-      wk.closed_total.accumulate(c->stats);
-      wk.conns.erase(it);
-      break;
+  const int fd = c->fd;
+  (void)epoll_ctl(wk.epfd, EPOLL_CTL_DEL, fd, nullptr);
+  {
+    std::lock_guard<std::mutex> lk(wk.mu);
+    for (auto it = wk.conns.begin(); it != wk.conns.end(); ++it) {
+      if (it->get() == c) {
+        wk.closed_total.accumulate(c->stats);
+        wk.conns.erase(it);
+        break;
+      }
     }
   }
+  // Close only once the stats are folded in under the lock: a peer that
+  // sees EOF and then reads total_stats() is ordered after this worker's
+  // last write to them.
+  close(fd);
 }
 
 service::ConnectionStats NetServer::total_stats() const {

@@ -1,16 +1,16 @@
 #include "runtime/pool_alloc.hpp"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
-#include <vector>
 
-#include "runtime/cacheline.hpp"
+#include "runtime/padded.hpp"
 
-// Slabs and per-thread heaps are retained for the whole process on
-// purpose (see carve()/my_heap() below); teach LeakSanitizer that these
-// are not leaks so ASan CI runs stay meaningful for everything else.
+// Slabs are retained for the whole process on purpose (see carve()
+// below), and blocks parked in the depot are reachable only through
+// version-tagged pointers that LeakSanitizer cannot follow; teach it that
+// these are not leaks so ASan CI runs stay meaningful for everything else.
 #if !defined(POPSMR_ASAN) && defined(__SANITIZE_ADDRESS__)
 #define POPSMR_ASAN 1
 #endif
@@ -21,12 +21,12 @@
 #endif
 #ifdef POPSMR_ASAN
 extern "C" const char* __lsan_default_suppressions() {
-  // Match only the two retention sites by function name. A broader
+  // Match only the slab retention site by function name. A broader
   // pattern like "leak:pool_alloc" would also match the *module* name of
   // the runtime_test_pool_alloc test binary and silence every leak in it,
   // and a source-file match would hide leaked oversized blocks from
   // PoolAllocator::allocate.
-  return "leak:carve\nleak:my_heap\n";
+  return "leak:carve\n";
 }
 #endif
 
@@ -34,50 +34,22 @@ namespace pop::runtime {
 
 namespace {
 
-// ---- size classes -------------------------------------------------------
-// Powers of two from 32B to kMaxBlockSize. Concurrent set/tree nodes are
-// 32-512B, so fine-grained small classes matter more than large ones.
-constexpr std::size_t kMinShift = 5;   // 32 B
-constexpr std::size_t kMaxShift = 13;  // 8 KiB
-constexpr int kNumClasses = static_cast<int>(kMaxShift - kMinShift + 1);
+using namespace detail;
+using BlockHeader = PoolBlockHeader;
+constexpr uint32_t kChunk = kPoolChunkBlocks;
 constexpr std::size_t kSlabBytes = 256 * 1024;
 
-int class_of(std::size_t size) {
-  std::size_t need = size < 32 ? 32 : size;
-  int c = 0;
-  std::size_t cap = std::size_t{1} << kMinShift;
-  while (cap < need) {
-    cap <<= 1;
-    ++c;
-  }
-  return c;
+struct FreeNode { FreeNode* next; };
+
+BlockHeader* header_of(void* p) {
+  return reinterpret_cast<BlockHeader*>(static_cast<char*>(p) -
+                                        sizeof(BlockHeader));
 }
-
-constexpr std::size_t class_bytes(int c) {
-  return std::size_t{1} << (kMinShift + static_cast<std::size_t>(c));
-}
-
-constexpr uint32_t kMagicLive = detail::kPoolMagicLive;
-constexpr uint32_t kMagicFree = detail::kPoolMagicFree;
-
-struct ThreadHeap;
-
-// Block header layout lives in the public header (detail::PoolBlockHeader)
-// so FreeBatch::add can inline; this TU gives owner its real type.
-using BlockHeader = detail::PoolBlockHeader;
-
-ThreadHeap* owner_of(const BlockHeader* h) {
-  return static_cast<ThreadHeap*>(h->owner);
-}
-
-struct FreeNode {
-  FreeNode* next;
-};
 
 std::atomic<uint64_t> g_allocated{0};
 std::atomic<uint64_t> g_freed{0};
-std::atomic<uint64_t> g_remote{0};          // blocks freed cross-thread
-std::atomic<uint64_t> g_remote_splices{0};  // pushes that carried them
+std::atomic<uint64_t> g_remote{0};          // blocks pushed into the depot
+std::atomic<uint64_t> g_remote_splices{0};  // chunk pushes that carried them
 std::atomic<uint64_t> g_slabs{0};
 std::atomic<bool> g_poison{false};
 
@@ -86,95 +58,204 @@ std::atomic<bool> g_poison{false};
   std::abort();
 }
 
-struct alignas(kCacheLine) ThreadHeap {
-  // Local free lists: owner-thread only, no synchronization.
-  FreeNode* local[kNumClasses] = {};
-  // Remote-free stacks: lock-free MPSC Treiber stacks, drained by owner.
-  std::atomic<FreeNode*> remote[kNumClasses] = {};
-  // Slab bump state, per class.
-  char* bump_cur[kNumClasses] = {};
-  char* bump_end[kNumClasses] = {};
-
-  void* alloc(int c) {
-    if (FreeNode* n = local[c]) {
-      local[c] = n->next;
-      return reuse(n, c);
-    }
-    if (remote[c].load(std::memory_order_relaxed) != nullptr) {
-      FreeNode* chain = remote[c].exchange(nullptr, std::memory_order_acquire);
-      if (chain != nullptr) {
-        local[c] = chain->next;
-        return reuse(chain, c);
-      }
-    }
-    return carve(c);
+// A Treiber stack of nodes linked through their first word. The head packs
+// a 16-bit version into the pointer's unused top bits (user addresses fit
+// in 48), so a pop that read a stale head fails its CAS. Nodes are never
+// unmapped, so that stale pop's read of the link is safe; it is a relaxed
+// atomic access because the node's new owner may push it concurrently.
+class TaggedStack {
+ public:
+  bool empty() const {
+    return addr(head_.load(std::memory_order_relaxed)) == nullptr;
   }
 
-  void* reuse(FreeNode* n, int /*size_class*/) {
-    auto* h = reinterpret_cast<BlockHeader*>(reinterpret_cast<char*>(n) -
-                                             sizeof(BlockHeader));
-    if (g_poison.load(std::memory_order_relaxed)) {
-      if (h->magic != kMagicFree) die("reusing non-free block", n);
+  void push(void* node) noexcept {
+    uint64_t old = head_.load(std::memory_order_relaxed);
+    do {
+      link(node).store(addr(old), std::memory_order_relaxed);
+    } while (!head_.compare_exchange_weak(old, pack(node, old),
+                                          std::memory_order_release));
+  }
+
+  void* pop() noexcept {
+    uint64_t old = head_.load(std::memory_order_acquire);
+    while (void* node = addr(old)) {
+      void* next = link(node).load(std::memory_order_relaxed);
+      if (head_.compare_exchange_weak(old, pack(next, old),
+                                      std::memory_order_acquire)) {
+        return node;
+      }
     }
-    h->magic = kMagicLive;
+    return nullptr;
+  }
+
+ private:
+  static constexpr uint64_t kAddrMask = (uint64_t{1} << 48) - 1;
+
+  static std::atomic_ref<void*> link(void* n) {
+    return std::atomic_ref<void*>(*static_cast<void**>(n));
+  }
+  static void* addr(uint64_t v) {
+    return reinterpret_cast<void*>(v & kAddrMask);
+  }
+  static uint64_t pack(void* p, uint64_t old) {  // next version, new address
+    return reinterpret_cast<uint64_t>(p) | ((old | kAddrMask) + 1);
+  }
+
+  std::atomic<uint64_t> head_{0};
+};
+
+// The depot: per class, a stack of chunks, each a null-terminated chain of
+// blocks headed by a block whose header carries the stack link and the
+// chain length (kChunk except for an exiting thread's partial lists).
+Padded<TaggedStack> g_depot[kPoolNumClasses];
+
+void depot_push(int c, FreeNode* chain, uint32_t len) {
+  BlockHeader* h = header_of(chain);
+  h->chunk_len = static_cast<uint16_t>(len);
+  g_remote.fetch_add(len, std::memory_order_relaxed);
+  g_remote_splices.fetch_add(1, std::memory_order_relaxed);
+  g_depot[c]->push(h);
+}
+
+// Unused tails of the bump regions of exited threads, reused before a
+// new slab is carved. The record sits at the start of the tail itself.
+struct Remnant { void* link; char* end; };
+TaggedStack g_remnants;
+
+struct ClassCache {
+  FreeNode* cur = nullptr;    // private list, fewer than kChunk blocks
+  FreeNode* spare = nullptr;  // null or exactly kChunk blocks
+  uint32_t n = 0;             // blocks on `cur`
+};
+
+// One per thread. Its destructor hands everything to the depot; a free
+// that still arrives later (another thread_local's destructor) goes
+// straight there too.
+struct ThreadCache {
+  ClassCache cls[kPoolNumClasses];
+  char* bump_cur = nullptr;  // current bump region, shared by all classes
+  char* bump_end = nullptr;
+  bool exited = false;
+
+  ThreadCache() = default;
+  ThreadCache(const ThreadCache&) = delete;
+  ThreadCache& operator=(const ThreadCache&) = delete;
+  ~ThreadCache() { release(); exited = true; }
+
+  void* alloc(int c) {
+    ClassCache& k = cls[c];
+    FreeNode* n = k.cur;
+    if (n == nullptr) return alloc_slow(c);
+    k.cur = n->next;
+    --k.n;
+    BlockHeader* h = header_of(n);
+    if (g_poison.load(std::memory_order_relaxed) &&
+        h->magic != kPoolMagicFree) {
+      die("reusing non-free block", n);
+    }
+    h->magic = kPoolMagicLive;
     g_allocated.fetch_add(1, std::memory_order_relaxed);
     return n;
   }
 
-  void* carve(int c) {
-    const std::size_t block = sizeof(BlockHeader) + class_bytes(c);
-    if (bump_cur[c] == nullptr ||
-        bump_cur[c] + block > bump_end[c]) {
-      char* slab = static_cast<char*>(::operator new(kSlabBytes));
-      g_slabs.fetch_add(1, std::memory_order_relaxed);
-      bump_cur[c] = slab;
-      bump_end[c] = slab + kSlabBytes;
-      // Slabs are intentionally never returned to the OS: SMR benchmarks
-      // measure reclamation of *nodes*, and mimalloc likewise retains
-      // pages for reuse during a run.
+  // An empty private list refills from the spare, then from the depot
+  // (one relaxed load when it is empty), and only then carves.
+  void* alloc_slow(int c) {
+    ClassCache& k = cls[c];
+    if (k.spare != nullptr) {
+      k = {k.spare, nullptr, kChunk};
+    } else if (!g_depot[c]->empty()) {
+      if (auto* h = static_cast<BlockHeader*>(g_depot[c]->pop())) {
+        k = {reinterpret_cast<FreeNode*>(h + 1), nullptr, h->chunk_len};
+      }
     }
-    auto* h = reinterpret_cast<BlockHeader*>(bump_cur[c]);
-    bump_cur[c] += block;
-    h->owner = this;
-    h->size_class = static_cast<uint32_t>(c);
-    h->magic = kMagicLive;
+    void* p = k.cur != nullptr ? alloc(c) : carve(c);
+    if (exited) release();
+    return p;
+  }
+
+  // A full `cur` becomes the spare, and the old spare goes to the depot:
+  // O(1), no list is walked.
+  void push(int c, FreeNode* node) {
+    ClassCache& k = cls[c];
+    node->next = k.cur;
+    k.cur = node;
+    if (++k.n < kChunk && !exited) return;
+    if (exited) return release();
+    if (k.spare != nullptr) depot_push(c, k.spare, kChunk);
+    k = {nullptr, k.cur, 0};
+  }
+
+  void push_chunk(int c, FreeNode* chain) {  // exactly kChunk blocks
+    if (cls[c].spare != nullptr || exited) return depot_push(c, chain, kChunk);
+    cls[c].spare = chain;
+  }
+
+  void* carve(int c) {
+    const std::size_t block = sizeof(BlockHeader) + pool_class_bytes(c);
+    if (static_cast<std::size_t>(bump_end - bump_cur) < block) {
+      if (auto* r = static_cast<Remnant*>(g_remnants.pop())) {
+        bump_cur = reinterpret_cast<char*>(r);
+        bump_end = r->end;
+      } else {
+        // Slabs are intentionally never returned to the OS: SMR
+        // benchmarks measure reclamation of *nodes*, and mimalloc likewise
+        // retains pages for reuse during a run.
+        bump_cur = static_cast<char*>(::operator new(kSlabBytes));
+        bump_end = bump_cur + kSlabBytes;
+        g_slabs.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    // The header's link word is left alone: a stale depot or remnant pop
+    // may still read it (atomically) at this address.
+    auto* h = reinterpret_cast<BlockHeader*>(bump_cur);
+    bump_cur += block;
+    h->size_class = static_cast<uint16_t>(c);
+    h->magic = kPoolMagicLive;
     g_allocated.fetch_add(1, std::memory_order_relaxed);
     return h + 1;
   }
-};
 
-// Heaps are handed out per thread and parked (never destroyed) on thread
-// exit so in-flight remote frees always target a live heap. A later thread
-// adopts a parked heap, inheriting its free lists.
-std::mutex g_heaps_mu;
-std::vector<ThreadHeap*> g_parked;
-
-struct HeapHolder {
-  ThreadHeap* heap = nullptr;
-  ~HeapHolder() {
-    if (heap != nullptr) {
-      std::lock_guard<std::mutex> lk(g_heaps_mu);
-      g_parked.push_back(heap);
+  // Everything this thread holds goes to the depot; a bump tail that can
+  // still fit the largest block is kept as a remnant. Idempotent.
+  void release() {
+    for (int c = 0; c < kPoolNumClasses; ++c) {
+      ClassCache& k = cls[c];
+      if (k.spare != nullptr) depot_push(c, k.spare, kChunk);
+      if (k.cur != nullptr) depot_push(c, k.cur, k.n);
+      k = ClassCache{};
     }
+    if (static_cast<std::size_t>(bump_end - bump_cur) >=
+        sizeof(BlockHeader) + kPoolMaxBlock) {
+      auto* r = reinterpret_cast<Remnant*>(bump_cur);
+      r->end = bump_end;
+      g_remnants.push(r);
+    }
+    bump_cur = bump_end = nullptr;
   }
 };
-thread_local HeapHolder t_heap;
 
-ThreadHeap* my_heap() {
-  if (t_heap.heap != nullptr) return t_heap.heap;
-  std::lock_guard<std::mutex> lk(g_heaps_mu);
-  if (!g_parked.empty()) {
-    t_heap.heap = g_parked.back();
-    g_parked.pop_back();
-  } else {
-    t_heap.heap = new ThreadHeap();  // leaked on purpose (process lifetime)
+thread_local ThreadCache t_cache;
+
+// The per-block part of every free: poison check and canary fill, free
+// magic, and oversized blocks straight back to ::operator delete. Returns
+// the size class, or -1 for an oversized block (already counted freed).
+int mark_free(void* p, bool poison) {
+  BlockHeader* h = header_of(p);
+  if (poison && h->magic != kPoolMagicLive) {
+    die(h->magic == kPoolMagicFree ? "double free" : "freeing corrupt block",
+        p);
   }
-  return t_heap.heap;
-}
-
-BlockHeader* header_of(void* p) {
-  return reinterpret_cast<BlockHeader*>(static_cast<char*>(p) -
-                                        sizeof(BlockHeader));
+  h->magic = kPoolMagicFree;
+  if (h->size_class == kPoolOversized) {
+    g_freed.fetch_add(1, std::memory_order_relaxed);
+    ::operator delete(static_cast<void*>(h));
+    return -1;
+  }
+  const int c = h->size_class;
+  if (poison) std::memset(p, PoolAllocator::kPoisonByte, pool_class_bytes(c));
+  return c;
 }
 
 }  // namespace
@@ -185,53 +266,22 @@ PoolAllocator& PoolAllocator::instance() {
 }
 
 void* PoolAllocator::allocate(std::size_t size) {
-  if (size > kMaxBlockSize) {
-    // Oversized: plain heap block tagged with a null owner.
-    char* raw =
-        static_cast<char*>(::operator new(size + sizeof(BlockHeader)));
-    auto* h = reinterpret_cast<BlockHeader*>(raw);
-    h->owner = nullptr;
-    h->size_class = 0;
-    h->magic = kMagicLive;
-    g_allocated.fetch_add(1, std::memory_order_relaxed);
-    return raw + sizeof(BlockHeader);
-  }
-  return my_heap()->alloc(class_of(size));
+  if (size <= kMaxBlockSize) return t_cache.alloc(pool_class_of(size));
+  // Oversized: plain heap block tagged as such.
+  auto* h = static_cast<BlockHeader*>(
+      ::operator new(size + sizeof(BlockHeader)));
+  h->size_class = kPoolOversized;
+  h->magic = kPoolMagicLive;
+  g_allocated.fetch_add(1, std::memory_order_relaxed);
+  return h + 1;
 }
 
 void PoolAllocator::deallocate(void* p) noexcept {
   if (p == nullptr) return;
-  BlockHeader* h = header_of(p);
-  const bool poison = g_poison.load(std::memory_order_relaxed);
-  if (poison && h->magic != kMagicLive) {
-    die(h->magic == kMagicFree ? "double free" : "freeing corrupt block", p);
-  }
+  const int c = mark_free(p, g_poison.load(std::memory_order_relaxed));
+  if (c < 0) return;
   g_freed.fetch_add(1, std::memory_order_relaxed);
-  if (h->owner == nullptr) {
-    h->magic = kMagicFree;
-    ::operator delete(static_cast<void*>(h));
-    return;
-  }
-  const int c = static_cast<int>(h->size_class);
-  if (poison) {
-    std::memset(p, kPoisonByte, class_bytes(c));
-  }
-  h->magic = kMagicFree;
-  auto* node = static_cast<FreeNode*>(p);
-  ThreadHeap* owner = owner_of(h);
-  if (owner == t_heap.heap) {
-    node->next = owner->local[c];
-    owner->local[c] = node;
-    return;
-  }
-  // Remote free: push onto the owner's MPSC stack (a splice of one).
-  g_remote.fetch_add(1, std::memory_order_relaxed);
-  g_remote_splices.fetch_add(1, std::memory_order_relaxed);
-  FreeNode* head = owner->remote[c].load(std::memory_order_relaxed);
-  do {
-    node->next = head;
-  } while (!owner->remote[c].compare_exchange_weak(
-      head, node, std::memory_order_release, std::memory_order_relaxed));
+  t_cache.push(c, static_cast<FreeNode*>(p));
 }
 
 // ---- batched free ---------------------------------------------------------
@@ -240,94 +290,34 @@ PoolAllocator::FreeBatch::FreeBatch() noexcept
     : poison_(g_poison.load(std::memory_order_relaxed)) {}
 
 void PoolAllocator::FreeBatch::add_slow(void* p) noexcept {
-  BlockHeader* h = header_of(p);
-  const bool poison = poison_;
-  if (poison && h->magic != kMagicLive) {
-    die(h->magic == kMagicFree ? "double free" : "freeing corrupt block", p);
-  }
-  if (h->owner == nullptr) {
-    // Oversized blocks bypass the pools; nothing to batch.
-    g_freed.fetch_add(1, std::memory_order_relaxed);
-    h->magic = kMagicFree;
-    ::operator delete(static_cast<void*>(h));
-    ++added_;
-    return;
-  }
-  if (poison) {
-    std::memset(p, kPoisonByte, class_bytes(static_cast<int>(h->size_class)));
-  }
-  h->magic = kMagicFree;
   ++added_;
+  const int c = mark_free(p, poison_);
+  if (c < 0) return;
+  Chain& ch = chains_[c];
+  *static_cast<void**>(p) = ch.head;
+  ch.head = p;
+  if (++ch.count == kChunk) hand_off(c);
+}
 
-  // Retire lists free in long same-owner runs (allocation order), so the
-  // previous group almost always matches — check it before scanning.
-  {
-    Group& g = groups_[last_];
-    if (g.owner == h->owner && g.size_class == h->size_class) {
-      auto* node = static_cast<FreeNode*>(p);
-      node->next = static_cast<FreeNode*>(g.head);
-      g.head = node;
-      ++g.count;
-      return;
-    }
-  }
-  Group* empty = nullptr;
-  Group* fullest = &groups_[0];
-  for (int i = 0; i < kWays; ++i) {
-    Group& g = groups_[i];
-    if (g.owner == h->owner && g.size_class == h->size_class) {
-      auto* node = static_cast<FreeNode*>(p);
-      node->next = static_cast<FreeNode*>(g.head);
-      g.head = node;
-      ++g.count;
-      last_ = i;
-      return;
-    }
-    if (g.owner == nullptr) {
-      if (empty == nullptr) empty = &g;
-    } else if (g.count > fullest->count) {
-      fullest = &g;
-    }
-  }
-  Group& g = empty != nullptr ? *empty : *fullest;
-  if (empty == nullptr) flush_group(g);  // evict: all ways occupied
-  auto* node = static_cast<FreeNode*>(p);
-  node->next = nullptr;
-  g.owner = h->owner;
-  g.size_class = h->size_class;
-  g.head = node;
-  g.tail = node;
-  g.count = 1;
-  last_ = static_cast<int>(&g - groups_);
+void PoolAllocator::FreeBatch::hand_off(int c) noexcept {
+  g_freed.fetch_add(kChunk, std::memory_order_relaxed);
+  t_cache.push_chunk(c, static_cast<FreeNode*>(chains_[c].head));
+  chains_[c] = Chain{};
 }
 
 void PoolAllocator::FreeBatch::flush() noexcept {
-  for (int i = 0; i < kWays; ++i) {
-    if (groups_[i].owner != nullptr) flush_group(groups_[i]);
+  for (int c = 0; c < kPoolNumClasses; ++c) {
+    Chain& ch = chains_[c];
+    if (ch.head == nullptr) continue;
+    g_freed.fetch_add(ch.count, std::memory_order_relaxed);
+    // Under a chunk: push block by block so the lists keep their bounds.
+    for (auto* n = static_cast<FreeNode*>(ch.head); n != nullptr;) {
+      FreeNode* next = n->next;
+      t_cache.push(c, n);
+      n = next;
+    }
+    ch = Chain{};
   }
-}
-
-void PoolAllocator::FreeBatch::flush_group(Group& g) noexcept {
-  auto* owner = static_cast<ThreadHeap*>(g.owner);
-  auto* head = static_cast<FreeNode*>(g.head);
-  auto* tail = static_cast<FreeNode*>(g.tail);
-  const int c = static_cast<int>(g.size_class);
-  g_freed.fetch_add(g.count, std::memory_order_relaxed);
-  if (owner == t_heap.heap) {
-    // Local splice: prepend the whole chain, owner-thread only.
-    tail->next = owner->local[c];
-    owner->local[c] = head;
-  } else {
-    // Remote splice: the whole group lands with one successful CAS.
-    g_remote.fetch_add(g.count, std::memory_order_relaxed);
-    g_remote_splices.fetch_add(1, std::memory_order_relaxed);
-    FreeNode* old = owner->remote[c].load(std::memory_order_relaxed);
-    do {
-      tail->next = old;
-    } while (!owner->remote[c].compare_exchange_weak(
-        old, head, std::memory_order_release, std::memory_order_relaxed));
-  }
-  g = Group{};
 }
 
 void PoolAllocator::set_poison(bool on) noexcept {
@@ -339,10 +329,8 @@ bool PoolAllocator::poison_enabled() noexcept {
 }
 
 bool PoolAllocator::is_poisoned(const void* p) noexcept {
-  if (p == nullptr) return false;
-  const auto* h = reinterpret_cast<const BlockHeader*>(
-      static_cast<const char*>(p) - sizeof(BlockHeader));
-  return h->magic == kMagicFree;
+  return p != nullptr &&
+         header_of(const_cast<void*>(p))->magic == kPoolMagicFree;
 }
 
 PoolAllocator::Stats PoolAllocator::stats() const noexcept {

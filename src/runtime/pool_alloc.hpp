@@ -1,23 +1,27 @@
-// Sharded pool allocator — the repo's stand-in for mimalloc.
+// Pool allocator — the repo's stand-in for mimalloc.
 //
 // The paper (§5.0.1, citing "Are Your Epochs Too Epic?") runs under
 // mimalloc because deferred reclamation frees objects in large batches,
 // often from a different thread than the allocator, and jemalloc-style
-// arenas serialize those cross-thread frees. What SMR benchmarking needs
-// from the allocator is:
-//   * per-thread free lists (no lock on the alloc/local-free fast path),
-//   * a lock-free remote-free path (an MPSC Treiber stack per heap) so a
-//     reclaimer can free another thread's blocks without contending,
-//   * size-class recycling so freed nodes are reused quickly (keeping the
-//     working set cache-resident, as mimalloc's sharded free lists do).
+// arenas serialize those cross-thread frees. The pool follows Blelloch &
+// Wei, "Concurrent Fixed-Size Allocation and Free in Constant Time":
+//   * every thread keeps a private free list per size class; a free
+//     always lands on the *freeing* thread's list, so no free path
+//     synchronizes, whoever allocated the block;
+//   * surplus moves through a shared per-class depot of fixed-size chunks
+//     (kPoolChunkBlocks blocks each), one lock-free operation per chunk:
+//     a private list past two chunks hands one to the depot, an empty one
+//     takes a chunk back before carving a new slab, and an exiting thread
+//     hands over everything it holds. Memory freed by a reclaimer is thus
+//     reusable by every thread, not only by the one that carved it.
 //
-// Blocks carry a one-word header encoding the owning heap and size class.
-// An optional poison mode fills freed payloads with a canary byte and
-// checks header magic on reuse; the test suite uses it as a
-// use-after-free / double-free detector for every SMR scheme.
+// Blocks carry a 16-byte header (keeping payloads 16-byte aligned). An
+// optional poison mode fills freed payloads with a canary byte and checks
+// header magic on reuse; the test suite uses it as a use-after-free /
+// double-free detector for every SMR scheme.
 #pragma once
 
-#include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -26,18 +30,43 @@
 namespace pop::runtime {
 
 namespace detail {
-// One header word per pool block, immediately before the payload. Exposed
-// here (owner kept opaque) so FreeBatch::add can inline its fast path;
-// the allocator's .cpp is the only writer of owner/size_class.
+// One header per pool block, immediately before the payload. Exposed here
+// so FreeBatch::add can inline its fast path; only the allocator's .cpp
+// writes it.
 struct PoolBlockHeader {
-  void* owner;  // owning ThreadHeap; null for oversized fall-through blocks
-  uint32_t size_class;
-  uint32_t magic;  // live/free marker, verified in poison mode
+  void* link;           // next depot chunk while this block heads one
+  uint16_t size_class;  // kPoolOversized: an ::operator new fall-through
+  uint16_t chunk_len;   // blocks in the depot chunk this block heads
+  uint32_t magic;       // live/free marker, verified in poison mode
 };
 static_assert(sizeof(PoolBlockHeader) == 16);
 
 inline constexpr uint32_t kPoolMagicLive = 0xA110CA7Eu;
 inline constexpr uint32_t kPoolMagicFree = 0xF7EEF7EEu;
+
+// Size classes fitted to the nodes: 16-byte steps up to 128 B (where set,
+// list and tree nodes live), then four classes per doubling up to
+// kPoolMaxBlock, so no request of 128 B or more wastes over 25%.
+inline constexpr std::size_t kPoolMaxBlock = 8192;
+inline constexpr int kPoolNumClasses = 8 + 4 * 6;  // 16..128, 160..8192
+inline constexpr uint16_t kPoolOversized = 0xFFFF;
+inline constexpr uint32_t kPoolChunkBlocks = 128;
+
+constexpr int pool_class_of(std::size_t size) {
+  if (size <= 128) return size == 0 ? 0 : static_cast<int>((size - 1) / 16);
+  const std::size_t s = size - 1;
+  const int msb = std::bit_width(s) - 1;  // 7 for 129..256
+  return 8 + 4 * (msb - 7) + static_cast<int>((s >> (msb - 2)) - 4);
+}
+
+constexpr std::size_t pool_class_bytes(int c) {
+  if (c < 8) return 16 * static_cast<std::size_t>(c + 1);
+  const std::size_t base = std::size_t{128} << ((c - 8) / 4);
+  return base + base / 4 * static_cast<std::size_t>((c - 8) % 4 + 1);
+}
+
+static_assert(pool_class_bytes(kPoolNumClasses - 1) == kPoolMaxBlock);
+static_assert(pool_class_of(kPoolMaxBlock) == kPoolNumClasses - 1);
 }  // namespace detail
 
 class PoolAllocator {
@@ -48,54 +77,47 @@ class PoolAllocator {
   // falls through to ::operator new). Never returns nullptr.
   void* allocate(std::size_t size);
 
-  // Returns a block to its owning heap (any thread may call).
+  // Frees onto the calling thread's lists (any thread, any pool block).
   void deallocate(void* p) noexcept;
 
-  // Batched free path. A FreeBatch accumulates blocks, grouping them by
-  // (owning heap, size class) into intrusive chains threaded through the
-  // blocks themselves (no allocation), and returns each whole group with a
-  // single operation: local-heap groups are spliced onto the local free
-  // list, remote groups are spliced into the owner's MPSC stack with ONE
-  // CAS per group instead of one per block — O(heaps × classes) CASes per
-  // reclamation pass instead of O(freed). Poison mode (canary fill,
-  // double-free detection) applies per block exactly as on the single
-  // deallocate() path. Destructors are NOT run: callers destroy payloads
-  // first (see smr::Reclaimable::batch_prep).
+  // Batched free path. A FreeBatch threads blocks into one chain per size
+  // class through the blocks themselves (no allocation); a chain that
+  // reaches a full chunk goes to this thread's lists (or the depot) whole,
+  // and flush() pushes the partial chains onto them. Poison mode (canary
+  // fill, double-free detection) applies per block exactly as on the
+  // single deallocate() path. Destructors are NOT run: callers destroy
+  // payloads first (see smr::Reclaimable::batch_prep).
   //
   // Not thread-safe; one thread owns a FreeBatch. Destructor flushes.
-  // Poison mode is sampled at construction (it is enabled before any
-  // thread allocates, per set_poison's contract), saving an atomic load
-  // per block on the hot add() path.
+  // Poison mode is sampled at construction (set_poison's contract: enable
+  // before any thread allocates), saving an atomic load per add().
   class FreeBatch {
    public:
     FreeBatch() noexcept;
     ~FreeBatch() { flush(); }
 
     // Adds a block previously returned by allocate(). The payload is dead
-    // after this call (the chain link is stored inside it). The fast path
-    // — poison off, block hits the most recently used group — inlines to
-    // a handful of loads and stores; everything else (poison checks,
-    // group search, eviction, oversized blocks) takes the slow path.
+    // after this call (the chain link is stored inside it). Poison mode,
+    // oversized blocks and full chunks leave the inlined fast path.
     void add(void* p) noexcept {
       if (p == nullptr) return;
       auto* h = reinterpret_cast<detail::PoolBlockHeader*>(
           static_cast<char*>(p) - sizeof(detail::PoolBlockHeader));
-      Group& g = groups_[last_];
-      if (!poison_ && h->owner != nullptr && g.owner == h->owner &&
-          g.size_class == h->size_class) {
-        // Free-list blocks always carry free magic, so poison mode can be
-        // turned on later without tripping over batch-freed blocks.
-        h->magic = detail::kPoolMagicFree;
-        *static_cast<void**>(p) = g.head;  // link through the dead payload
-        g.head = p;
-        ++g.count;
-        ++added_;
+      if (poison_ || h->size_class >= detail::kPoolNumClasses) {
+        add_slow(p);
         return;
       }
-      add_slow(p);
+      // Free-list blocks always carry free magic, so poison mode can be
+      // turned on later without tripping over batch-freed blocks.
+      h->magic = detail::kPoolMagicFree;
+      Chain& ch = chains_[h->size_class];
+      *static_cast<void**>(p) = ch.head;  // link through the dead payload
+      ch.head = p;
+      ++added_;
+      if (++ch.count == detail::kPoolChunkBlocks) hand_off(h->size_class);
     }
 
-    // Splices every pending group out to its heap. Called automatically on
+    // Pushes every pending chain onto this thread's free lists. Called on
     // destruction; idempotent.
     void flush() noexcept;
 
@@ -105,29 +127,19 @@ class PoolAllocator {
     FreeBatch& operator=(const FreeBatch&) = delete;
 
    private:
-    // One pending chain per distinct (heap, class) seen. Sweeps free
-    // nodes of one or two size classes from a handful of heaps, so a
-    // small direct-mapped set suffices; on overflow the fullest group is
-    // spliced early (still far fewer CASes than per-block).
-    struct Group {
-      void* owner = nullptr;  // ThreadHeap*; null slot = empty
-      void* head = nullptr;   // chain of blocks, linked through payloads
-      void* tail = nullptr;
-      uint32_t size_class = 0;
+    struct Chain {
+      void* head = nullptr;  // blocks linked through their payloads
       uint32_t count = 0;
     };
-    static constexpr int kWays = 16;
 
     void add_slow(void* p) noexcept;
-    void flush_group(Group& g) noexcept;
+    void hand_off(int size_class) noexcept;  // a full chunk leaves
 
-    Group groups_[kWays];
-    int last_ = 0;  // most recently hit group (frees cluster by owner)
+    Chain chains_[detail::kPoolNumClasses];
     bool poison_;
     uint64_t added_ = 0;
   };
 
-  // Typed helpers.
   template <class T, class... Args>
   T* create(Args&&... args) {
     void* mem = allocate(sizeof(T));
@@ -153,10 +165,10 @@ class PoolAllocator {
   static bool is_poisoned(const void* p) noexcept;
 
   // Global counters (approximate under concurrency; exact at quiescence).
-  // remote_frees counts BLOCKS returned to a non-owning heap;
-  // remote_splices counts the push operations that carried them (one per
-  // single deallocate(), one per FreeBatch group), so
-  // remote_splices <= remote_frees and the gap measures batching wins.
+  // remote_frees counts BLOCKS moved through the shared depot (counted as
+  // they enter it); remote_splices counts the depot transfers that carried
+  // them, one per chunk, so remote_frees / remote_splices is near the
+  // chunk size. (The names predate the depot; perf/ reads them.)
   struct Stats {
     uint64_t allocated_blocks;
     uint64_t freed_blocks;
@@ -166,7 +178,7 @@ class PoolAllocator {
   };
   Stats stats() const noexcept;
 
-  static constexpr std::size_t kMaxBlockSize = 8192;
+  static constexpr std::size_t kMaxBlockSize = detail::kPoolMaxBlock;
   static constexpr uint8_t kPoisonByte = 0xDD;
 
   PoolAllocator(const PoolAllocator&) = delete;

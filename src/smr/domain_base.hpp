@@ -235,9 +235,9 @@ class DomainCore {
   }
 
   // One reclamation sweep over the caller's retire list, counted in the
-  // stats (scans, freed): freeable blocks are chained and returned to
-  // their heaps in grouped splices (see PoolAllocator::FreeBatch) instead
-  // of one free per node. Returns the number freed.
+  // stats (scans, freed): freeable blocks are chained per size class and
+  // handed to this thread's free lists whole (see PoolAllocator::FreeBatch)
+  // instead of one free per node. Returns the number freed.
   template <class Pred>
   uint64_t sweep_retired(int tid, Pred&& can_free) {
     const bool obs_timing = obs::latency_on() || obs::trace_on();

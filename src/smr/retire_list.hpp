@@ -22,8 +22,8 @@ class RetireList {
 
   // Batched sweep: destroys freeable nodes (running non-trivial
   // destructors via batch_prep) and chains their memory into `batch`
-  // instead of freeing one block at a time — the batch splices whole
-  // groups back to their owning heaps with one CAS per (heap, class).
+  // instead of freeing one block at a time — the batch keeps one chain
+  // per size class and hands them to the freeing thread's lists whole.
   // Trivially destructible nodes (batch_prep_identity) skip the per-node
   // indirect call entirely; nodes without a batch hook fall back to their
   // deleter. Returns the number freed.

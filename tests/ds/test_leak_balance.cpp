@@ -64,9 +64,9 @@ TEST_P(LeakBalance, PoolBalancesAfterTeardown) {
             after.freed_blocks - before.freed_blocks)
       << "pool imbalance: some node was never freed (leak) for "
       << std::get<0>(GetParam()) << "/" << std::get<1>(GetParam());
-  // (The strict batching claim — splices < blocks on a batched remote
-  // free — is asserted by PoolAlloc.FreeBatchRemoteSpliceCountsBlocksNot-
-  // Operations, where the workload guarantees a multi-block group.)
+  // (That a batched free moves surplus through the depot by the chunk —
+  // transfers < blocks — is asserted by PoolAlloc.FreeBatchHandsWhole-
+  // ChunksOn, where the block count is known.)
 }
 
 TEST_P(LeakBalance, PutReplaceBalancesUnderChurnAndStall) {

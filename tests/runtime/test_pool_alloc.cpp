@@ -62,13 +62,55 @@ TEST(PoolAlloc, CreateDestroyRunsConstructorsAndDestructors) {
   EXPECT_EQ(dtor_calls, 1);
 }
 
-TEST(PoolAlloc, RemoteFreeReturnsBlockToOwner) {
+TEST(PoolAlloc, BlockFreedOnAnotherThreadIsReusedThere) {
   void* p = pool_alloc(256);
-  test::run_threads(1, [&](int) { pool_free(p); });  // freed remotely
-  // The owner drains its remote stack on the next same-class allocation.
-  void* q = pool_alloc(256);
+  void* q = nullptr;
+  test::run_threads(1, [&](int) {
+    pool_free(p);  // lands on this thread's list, not the allocator's
+    q = pool_alloc(256);
+    pool_free(q);
+  });
   EXPECT_EQ(p, q);
-  pool_free(q);
+}
+
+TEST(PoolAlloc, CrossThreadFreesServeTheFreeingThreadWithoutNewSlabs) {
+  constexpr int kBlocks = 1000;  // several chunks: some go via the depot
+  std::vector<void*> blocks;
+  for (int i = 0; i < kBlocks; ++i) blocks.push_back(pool_alloc(96));
+  const auto before = PoolAllocator::instance().stats();
+  std::vector<void*> again;
+  uint64_t slabs_after = 0;
+  test::run_threads(1, [&](int) {
+    for (void* p : blocks) pool_free(p);
+    for (int i = 0; i < kBlocks; ++i) again.push_back(pool_alloc(96));
+    slabs_after = PoolAllocator::instance().stats().slabs;
+    for (void* p : again) pool_free(p);
+  });
+  EXPECT_EQ(slabs_after, before.slabs);
+  std::sort(blocks.begin(), blocks.end());
+  std::sort(again.begin(), again.end());
+  EXPECT_EQ(again, blocks);
+}
+
+TEST(PoolAlloc, ExitedThreadsFreesServeOtherThreads) {
+  constexpr int kBlocks = 1000;
+  std::vector<void*> blocks;
+  for (int i = 0; i < kBlocks; ++i) blocks.push_back(pool_alloc(160));
+  test::run_threads(1, [&](int) {
+    for (void* p : blocks) pool_free(p);
+  });  // the exiting thread hands its lists to the depot
+  const auto before = PoolAllocator::instance().stats();
+  std::vector<void*> again;
+  uint64_t slabs_after = 0;
+  test::run_threads(1, [&](int) {
+    for (int i = 0; i < kBlocks; ++i) again.push_back(pool_alloc(160));
+    slabs_after = PoolAllocator::instance().stats().slabs;
+    for (void* p : again) pool_free(p);
+  });
+  EXPECT_EQ(slabs_after, before.slabs);
+  std::sort(blocks.begin(), blocks.end());
+  std::sort(again.begin(), again.end());
+  EXPECT_EQ(again, blocks);
 }
 
 TEST(PoolAlloc, StatsCountAllocAndFree) {
@@ -101,24 +143,24 @@ TEST(PoolAlloc, ConcurrentAllocFreeStress) {
   SUCCEED();
 }
 
-TEST(PoolAlloc, CrossThreadProducerConsumer) {
+TEST(PoolAlloc, ProducerConsumerKeepsSlabsBounded) {
   // One producer allocates, one consumer frees: every block crosses
-  // threads, exercising the MPSC remote-free stacks like a reclaimer does.
+  // threads, as a reclaimer's frees do. The consumer's surplus must come
+  // back to the producer through the depot, so the pool stays at a few
+  // chunks in flight however many blocks pass.
+  constexpr int kBlocks = 100000;
+  const auto before = PoolAllocator::instance().stats();
   std::atomic<void*> channel{nullptr};
-  std::atomic<bool> done{false};
   std::thread consumer([&] {
-    int freed = 0;
-    while (freed < 2000) {
+    for (int freed = 0; freed < kBlocks;) {
       void* p = channel.exchange(nullptr, std::memory_order_acq_rel);
       if (p != nullptr) {
         pool_free(p);
         ++freed;
       }
     }
-    done.store(true);
   });
-  int sent = 0;
-  while (sent < 2000) {
+  for (int sent = 0; sent < kBlocks; ++sent) {
     void* p = pool_alloc(128);
     void* expected = nullptr;
     while (!channel.compare_exchange_weak(expected, p,
@@ -126,10 +168,12 @@ TEST(PoolAlloc, CrossThreadProducerConsumer) {
       expected = nullptr;
       std::this_thread::yield();
     }
-    ++sent;
   }
   consumer.join();
-  EXPECT_TRUE(done.load());
+  const auto after = PoolAllocator::instance().stats();
+  EXPECT_LE(after.slabs - before.slabs, 2u);
+  EXPECT_EQ(after.allocated_blocks - before.allocated_blocks,
+            after.freed_blocks - before.freed_blocks);
 }
 
 TEST(PoolAlloc, FreeBatchReturnsBlocksForReuse) {
@@ -150,54 +194,88 @@ TEST(PoolAlloc, FreeBatchReturnsBlocksForReuse) {
   for (void* p : again) pool_free(p);
 }
 
-TEST(PoolAlloc, FreeBatchGroupsAcrossSizeClasses) {
+TEST(PoolAlloc, FreeBatchUnderAChunkPerClassStaysPrivate) {
   std::vector<void*> blocks;
   for (int i = 0; i < 40; ++i) blocks.push_back(pool_alloc(32 + 48 * (i % 4)));
-  const auto before = PoolAllocator::instance().stats();
-  {
-    PoolAllocator::FreeBatch batch;
-    for (void* p : blocks) batch.add(p);
-  }
-  const auto after = PoolAllocator::instance().stats();
-  EXPECT_EQ(after.freed_blocks - before.freed_blocks, 40u);
-  // Same-thread frees: nothing crossed heaps.
-  EXPECT_EQ(after.remote_frees - before.remote_frees, 0u);
+  test::run_threads(1, [&](int) {  // a fresh thread: empty private lists
+    const auto before = PoolAllocator::instance().stats();
+    {
+      PoolAllocator::FreeBatch batch;
+      for (void* p : blocks) batch.add(p);
+    }
+    const auto after = PoolAllocator::instance().stats();
+    EXPECT_EQ(after.freed_blocks - before.freed_blocks, 40u);
+    // Four classes, ten blocks each: nothing reached the depot.
+    EXPECT_EQ(after.remote_frees - before.remote_frees, 0u);
+  });
 }
 
-TEST(PoolAlloc, FreeBatchRemoteSpliceCountsBlocksNotOperations) {
-  constexpr int kBlocks = 100;
+TEST(PoolAlloc, DepotCountersCountBlocksAndTransfersSeparately) {
+  // A thread's list for one class holds at most two chunks; each further
+  // full chunk goes to the depot, and what is left goes at thread exit.
+  constexpr int kBlocks = 4 * detail::kPoolChunkBlocks;
   std::vector<void*> blocks;
-  for (int i = 0; i < kBlocks; ++i) blocks.push_back(pool_alloc(256));
+  for (int i = 0; i < kBlocks; ++i) blocks.push_back(pool_alloc(1000));
+  const auto before = PoolAllocator::instance().stats();
+  uint64_t frees_live = 0, splices_live = 0;
+  test::run_threads(1, [&](int) {
+    for (void* p : blocks) pool_free(p);
+    const auto mid = PoolAllocator::instance().stats();
+    frees_live = mid.remote_frees - before.remote_frees;
+    splices_live = mid.remote_splices - before.remote_splices;
+  });
+  const auto after = PoolAllocator::instance().stats();
+  EXPECT_EQ(frees_live, 3u * detail::kPoolChunkBlocks);
+  EXPECT_EQ(splices_live, 3u);
+  EXPECT_EQ(after.remote_frees - before.remote_frees,
+            static_cast<uint64_t>(kBlocks));
+  EXPECT_EQ(after.remote_splices - before.remote_splices, 4u);
+}
+
+TEST(PoolAlloc, FreeBatchHandsWholeChunksOn) {
+  constexpr int kBlocks = 3 * detail::kPoolChunkBlocks + 5;
+  std::vector<void*> blocks;
+  for (int i = 0; i < kBlocks; ++i) blocks.push_back(pool_alloc(2000));
   const auto before = PoolAllocator::instance().stats();
   test::run_threads(1, [&](int) {
     PoolAllocator::FreeBatch batch;
     for (void* p : blocks) batch.add(p);
   });
   const auto after = PoolAllocator::instance().stats();
-  // remote_frees counts blocks; the whole single-class group travelled in
-  // one splice (one CAS), not one per block.
+  // remote_frees counts blocks, remote_splices the chunks that carried
+  // them: two full chunks passed the private bound during the batch, and
+  // the exiting thread handed over its spare and a 5-block remainder.
   EXPECT_EQ(after.remote_frees - before.remote_frees,
             static_cast<uint64_t>(kBlocks));
-  EXPECT_EQ(after.remote_splices - before.remote_splices, 1u);
-  // The owner drains the spliced chain on its next same-class allocation.
+  EXPECT_EQ(after.remote_splices - before.remote_splices, 4u);
   std::vector<void*> again;
-  for (int i = 0; i < kBlocks; ++i) again.push_back(pool_alloc(256));
+  for (int i = 0; i < kBlocks; ++i) again.push_back(pool_alloc(2000));
+  EXPECT_EQ(PoolAllocator::instance().stats().slabs, after.slabs);
   for (void* p : again) {
     EXPECT_NE(std::find(blocks.begin(), blocks.end(), p), blocks.end());
   }
   for (void* p : again) pool_free(p);
 }
 
-TEST(PoolAlloc, SingleRemoteFreeIsSpliceOfOne) {
-  void* p = pool_alloc(512);
-  const auto before = PoolAllocator::instance().stats();
-  test::run_threads(1, [&](int) { pool_free(p); });
-  const auto after = PoolAllocator::instance().stats();
-  EXPECT_EQ(after.remote_frees - before.remote_frees, 1u);
-  EXPECT_EQ(after.remote_splices - before.remote_splices, 1u);
-  void* q = pool_alloc(512);
-  EXPECT_EQ(p, q);
-  pool_free(q);
+TEST(PoolAlloc, SizeClassesFitEveryRequest) {
+  int prev = 0;
+  for (std::size_t size = 1; size <= PoolAllocator::kMaxBlockSize; ++size) {
+    const int c = detail::pool_class_of(size);
+    const std::size_t cap = detail::pool_class_bytes(c);
+    ASSERT_LT(c, detail::kPoolNumClasses) << size;
+    ASSERT_GE(cap, size) << size;
+    ASSERT_EQ(cap % 16, 0u) << size;  // keeps payloads 16-byte aligned
+    ASSERT_GE(c, prev) << size;
+    if (c > 0) {
+      ASSERT_LT(detail::pool_class_bytes(c - 1), size) << size;
+    }
+    if (size >= 128) {
+      ASSERT_LE(4 * (cap - size), size) << size;  // wastes at most 25%
+    }
+    prev = c;
+  }
+  // (The tree and list node headers static_assert that their nodes, 88
+  // and 64 B, land in a class within 16 B of their size.)
 }
 
 TEST(PoolAlloc, FreeBatchOversizedFallsThrough) {
@@ -234,6 +312,23 @@ TEST(PoolAllocDeathTest, PoisonModeCatchesDoubleFreeViaBatch) {
         pool_free(p);
         PoolAllocator::FreeBatch batch;
         batch.add(p);  // double free through the batch path: must abort
+      },
+      "double free");
+}
+
+TEST(PoolAllocDeathTest, PoisonModeCatchesDoubleFreeThroughDepot) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        PoolAllocator::set_poison(true);
+        void* p = pool_alloc(64);
+        // Freed on a thread that exits: the block goes to the depot, and
+        // this thread's next allocation of the class takes it back.
+        std::thread([p] { pool_free(p); }).join();
+        void* q = pool_alloc(64);
+        if (q != p) std::abort();  // would die without the expected text
+        pool_free(q);
+        pool_free(q);  // double free: must abort
       },
       "double free");
 }

@@ -43,14 +43,22 @@ TEST(ThreadRegistry, DistinctLiveThreadsGetDistinctTids) {
 TEST(ThreadRegistry, TidsAreRecycledAfterThreadExit) {
   std::set<int> first, second;
   std::mutex mu;
-  test::run_threads(4, [&](int) {
-    std::lock_guard<std::mutex> lk(mu);
-    first.insert(my_tid());
-  });
-  test::run_threads(4, [&](int) {
-    std::lock_guard<std::mutex> lk(mu);
-    second.insert(my_tid());
-  });
+  // Each wave's four threads hold their tids at the same time; otherwise
+  // a thread that exits early frees its slot for a later one in the same
+  // wave, and the waves' tid sets depend on the scheduler.
+  auto wave = [&](std::set<int>& out) {
+    std::atomic<int> arrived{0};
+    test::run_threads(4, [&](int) {
+      const int tid = my_tid();
+      arrived.fetch_add(1);
+      while (arrived.load() < 4) std::this_thread::yield();
+      std::lock_guard<std::mutex> lk(mu);
+      out.insert(tid);
+    });
+  };
+  wave(first);
+  wave(second);
+  EXPECT_EQ(first.size(), 4u);
   // All four slots freed by join, so the second wave reuses them.
   EXPECT_EQ(first, second);
 }
