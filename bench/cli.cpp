@@ -1,10 +1,17 @@
 #include "cli.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 
+#include "ds/iset.hpp"
 #include "obs/obs.hpp"
+#include "runtime/env.hpp"
+#include "workload/rows.hpp"
 
 namespace pop::bench {
 
@@ -19,7 +26,8 @@ void usage(const char* prog, int exit_code) {
       "          [--latency] [--hw-counters] [--trace PATH]\n"
       "          [--host ADDR] [--port N] [--connections N] [--pipeline N]\n"
       "          [--net-workers N]\n"
-      "          [--scenario NAME|all] [--short] [--list] [--help]\n"
+      "          [--scenario all|GLOB] [--short] [--list]\n"
+      "          [--emit-schema] [--help]\n"
       "Value flags seed the matching POPSMR_BENCH_* env var; an already\n"
       "exported var wins over the flag (CI compatibility).\n",
       prog);
@@ -54,20 +62,20 @@ bool matches(const char* arg, const char* flag) {
 // Identifier flags (scheme / structure / scenario / hash names) travel
 // into env vars, JSONL string fields, and factory lookups verbatim, so
 // they are validated here at the parse boundary: names are restricted to
-// [A-Za-z0-9_-], plus ',' as the separator where the flag takes a list.
-// Anything else (a stray quote, a path, a shell glob that expanded) is
+// [A-Za-z0-9_-], plus `extra` (',' where the flag takes a list, the glob
+// characters for --scenario). Anything else (a stray quote, a path) is
 // diagnosed on one line and rejected before it can seed an env var.
 std::string checked_ident(std::string value, const char* flag,
-                          const char* prog, bool list_ok) {
+                          const char* prog, const char* extra) {
   for (const char c : value) {
     const bool ok = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == '-' ||
-                    (list_ok && c == ',');
+                    (c != '\0' && std::strchr(extra, c) != nullptr);
     if (!ok) {
       std::fprintf(stderr,
                    "%s: %s '%s' has invalid character '%c' (allowed: "
                    "A-Za-z0-9_-%s)\n",
-                   prog, flag, value.c_str(), c, list_ok ? " and ','" : "");
+                   prog, flag, value.c_str(), c, extra);
       std::exit(2);
     }
   }
@@ -75,16 +83,29 @@ std::string checked_ident(std::string value, const char* flag,
 }
 
 // Host names travel into connect()/bind() and JSONL labels: the ident
-// charset plus '.' (dotted quads, DNS labels). Rejected on one line like
-// every other malformed flag value.
-std::string checked_host(std::string value, const char* flag,
-                         const char* prog) {
+// charset plus '.' (dotted quads, DNS labels).
+bool is_host(const std::string& value) {
   bool ok = !value.empty();
   for (const char c : value) {
     ok = ok && ((c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
                 (c >= '0' && c <= '9') || c == '_' || c == '-' || c == '.');
   }
-  if (!ok) {
+  return ok;
+}
+
+// Small non-negative integers (--port, --connections, ...): digits only,
+// within [lo, hi]. "8x", "-1" or "" is not a silent 0. -1 when invalid.
+long bounded_uint(const std::string& value, long lo, long hi) {
+  bool digits = !value.empty() && value.size() <= 10;
+  for (const char c : value) digits = digits && c >= '0' && c <= '9';
+  const long v = digits ? std::strtol(value.c_str(), nullptr, 10) : -1;
+  return v < lo || v > hi ? -1 : v;
+}
+
+// Malformed flag values are rejected on one line.
+std::string checked_host(std::string value, const char* flag,
+                         const char* prog) {
+  if (!is_host(value)) {
     std::fprintf(stderr,
                  "%s: %s '%s' is not a host name (allowed: A-Za-z0-9_-.)\n",
                  prog, flag, value.c_str());
@@ -93,15 +114,9 @@ std::string checked_host(std::string value, const char* flag,
   return value;
 }
 
-// Small non-negative integer flags (--port, --connections, ...): digits
-// only, bounded. "8x", "-1", or an empty value is a one-line diagnosis,
-// not a silent 0.
 std::string checked_uint(std::string value, const char* flag, const char* prog,
                          long lo, long hi) {
-  bool digits = !value.empty() && value.size() <= 10;
-  for (const char c : value) digits = digits && c >= '0' && c <= '9';
-  const long v = digits ? std::strtol(value.c_str(), nullptr, 10) : -1;
-  if (!digits || v < lo || v > hi) {
+  if (bounded_uint(value, lo, hi) < 0) {
     std::fprintf(stderr, "%s: %s '%s' is not an integer in [%ld, %ld]\n", prog,
                  flag, value.c_str(), lo, hi);
     std::exit(2);
@@ -123,18 +138,18 @@ CliOptions apply_bench_cli(int argc, char** argv) {
       const char* flag = matches(arg, "--smrs") ? "--smrs" : "--smr";
       seed_env("POPSMR_BENCH_SMRS",
                checked_ident(flag_value(argc, argv, &i, flag, prog), flag,
-                             prog, /*list_ok=*/true));
+                             prog, ","));
     } else if (matches(arg, "--ds")) {
       seed_env("POPSMR_BENCH_DS",
                checked_ident(flag_value(argc, argv, &i, "--ds", prog), "--ds",
-                             prog, /*list_ok=*/true));
+                             prog, ","));
     } else if (matches(arg, "--shards")) {
       seed_env("POPSMR_BENCH_SHARDS",
                flag_value(argc, argv, &i, "--shards", prog));
     } else if (matches(arg, "--shard-hash")) {
       seed_env("POPSMR_SHARD_HASH",
                checked_ident(flag_value(argc, argv, &i, "--shard-hash", prog),
-                             "--shard-hash", prog, /*list_ok=*/false));
+                             "--shard-hash", prog, ""));
     } else if (matches(arg, "--pct-put")) {
       seed_env("POPSMR_BENCH_PCT_PUT",
                flag_value(argc, argv, &i, "--pct-put", prog));
@@ -174,11 +189,14 @@ CliOptions apply_bench_cli(int argc, char** argv) {
     } else if (matches(arg, "--scenario")) {
       out.scenario =
           checked_ident(flag_value(argc, argv, &i, "--scenario", prog),
-                        "--scenario", prog, /*list_ok=*/false);
+                        "--scenario", prog, "*?[]");
     } else if (std::strcmp(arg, "--short") == 0) {
       out.short_mode = true;
     } else if (std::strcmp(arg, "--list") == 0) {
       out.list = true;
+    } else if (std::strcmp(arg, "--emit-schema") == 0) {
+      std::fputs(workload::row_schema().c_str(), stdout);
+      std::exit(0);
     } else if (std::strcmp(arg, "--help") == 0 ||
                std::strcmp(arg, "-h") == 0) {
       usage(prog, 0);
@@ -199,6 +217,165 @@ CliOptions apply_bench_cli(int argc, char** argv) {
     }
   }
   return out;
+}
+
+namespace {
+
+std::vector<std::string> split_csv(const std::string& raw) {
+  std::vector<std::string> out;
+  std::stringstream ss(raw);
+  std::string tok;
+  while (std::getline(ss, tok, ',')) {
+    if (!tok.empty()) out.push_back(tok);
+  }
+  return out;
+}
+
+// Tokens without a number (after optional whitespace and sign) are
+// dropped; values outside [lo, hi] are clamped into range when `clamp` is
+// set and dropped otherwise.
+std::vector<int> parse_int_list(const std::string& raw, int lo, int hi,
+                                bool clamp) {
+  std::vector<int> out;
+  for (const auto& tok : split_csv(raw)) {
+    const std::size_t i = tok.find_first_not_of(" \t");
+    if (i == std::string::npos) continue;
+    const std::size_t d =
+        i + ((tok[i] == '-' || tok[i] == '+') ? 1 : 0);
+    if (d >= tok.size() || !std::isdigit(static_cast<unsigned char>(tok[d]))) {
+      continue;  // no number: drop, don't parse to a silent 0
+    }
+    // strtol, not atoi: out-of-int-range input must saturate into the
+    // range filter below instead of being undefined behavior.
+    long v = std::strtol(tok.c_str() + i, nullptr, 10);
+    if (v > INT_MAX) v = INT_MAX;
+    if (v < INT_MIN) v = INT_MIN;
+    if (v < lo) {
+      if (!clamp) continue;
+      v = lo;
+    }
+    if (v > hi) {
+      if (!clamp) continue;
+      v = hi;
+    }
+    out.push_back(static_cast<int>(v));
+  }
+  return out;
+}
+
+// The one parser behind every POPSMR_BENCH_* integer-list knob; a value
+// that leaves nothing falls back to `fallback`.
+std::vector<int> env_int_list(const char* var, const std::string& fallback,
+                              int lo, int hi, bool clamp) {
+  auto out = parse_int_list(runtime::env_str(var, fallback), lo, hi, clamp);
+  return out.empty() ? parse_int_list(fallback, lo, hi, clamp) : out;
+}
+
+// A name list checked against the catalogue before any cell runs: a typo
+// must not abort a sweep halfway, after earlier cells wrote their rows.
+std::vector<std::string> env_name_list(const char* var,
+                                       const std::string& fallback,
+                                       const std::vector<std::string>& known,
+                                       const char* what) {
+  auto out = split_csv(runtime::env_str(var, fallback));
+  if (out.empty()) out = split_csv(fallback);
+  if (out.empty()) out = known;
+  for (const auto& name : out) {
+    if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+    std::string names;
+    for (const auto& k : known) names += (names.empty() ? "" : ", ") + k;
+    std::fprintf(stderr, "popsmr bench: unknown %s '%s' in %s (known: %s)\n",
+                 what, name.c_str(), var, names.c_str());
+    std::exit(2);
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<int> bench_thread_list(const std::string& fallback) {
+  return env_int_list("POPSMR_BENCH_THREADS", fallback, 1, INT_MAX,
+                      /*clamp=*/false);
+}
+
+std::vector<std::string> bench_smr_list(const std::string& fallback) {
+  return env_name_list("POPSMR_BENCH_SMRS", fallback, ds::all_smr_names(),
+                       "scheme");
+}
+
+std::vector<std::string> bench_ds_list(const std::string& fallback) {
+  return env_name_list("POPSMR_BENCH_DS", fallback, ds::all_ds_names(),
+                       "data structure");
+}
+
+std::vector<int> bench_shard_list(const std::string& fallback) {
+  return env_int_list("POPSMR_BENCH_SHARDS", fallback, 1, INT_MAX,
+                      /*clamp=*/false);
+}
+
+std::vector<int> bench_pct_put_list(const std::string& fallback) {
+  // Clamped rather than dropped: 0 is a legitimate sweep point and an
+  // out-of-range ratio still names a nearest meaningful cell.
+  return env_int_list("POPSMR_BENCH_PCT_PUT", fallback, 0, 100,
+                      /*clamp=*/true);
+}
+
+std::vector<int> bench_deficit_list(const std::string& fallback) {
+  return env_int_list("POPSMR_BENCH_DEFICITS", fallback, 1, INT_MAX,
+                      /*clamp=*/false);
+}
+
+uint64_t bench_duration_ms(uint64_t fallback) {
+  return runtime::env_u64("POPSMR_BENCH_DURATION_MS", fallback);
+}
+
+namespace {
+
+// Bounded positive-int env knob with a one-line diagnosis on garbage
+// (the CLI already validates the flag path; this guards direct exports).
+int env_bounded_int(const char* var, int fallback, int lo, int hi) {
+  const std::string raw = runtime::env_str(var, "");
+  if (raw.empty()) return fallback;
+  const long v = bounded_uint(raw, lo, hi);
+  if (v < 0) {
+    std::fprintf(stderr,
+                 "popsmr bench: %s='%s' is not an integer in [%d, %d]; "
+                 "using %d\n",
+                 var, raw.c_str(), lo, hi, fallback);
+    return fallback;
+  }
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
+std::string bench_host(const std::string& fallback) {
+  const std::string raw = runtime::env_str("POPSMR_BENCH_HOST", "");
+  if (raw.empty()) return fallback;
+  if (!is_host(raw)) {
+    std::fprintf(stderr,
+                 "popsmr bench: POPSMR_BENCH_HOST='%s' is not a host name "
+                 "(allowed: A-Za-z0-9_-.); using %s\n",
+                 raw.c_str(), fallback.empty() ? "<none>" : fallback.c_str());
+    return fallback;
+  }
+  return raw;
+}
+
+int bench_port(int fallback) {
+  return env_bounded_int("POPSMR_BENCH_PORT", fallback, 0, 65535);
+}
+
+int bench_connections(int fallback) {
+  return env_bounded_int("POPSMR_BENCH_CONNECTIONS", fallback, 1, 4096);
+}
+
+int bench_pipeline(int fallback) {
+  return env_bounded_int("POPSMR_BENCH_PIPELINE", fallback, 1, 4096);
+}
+
+int bench_net_workers(int fallback) {
+  return env_bounded_int("POPSMR_NET_WORKERS", fallback, 1, 256);
 }
 
 }  // namespace pop::bench

@@ -21,20 +21,26 @@
 //   --connections 4        -> POPSMR_BENCH_CONNECTIONS (loadgen)
 //   --pipeline 8           -> POPSMR_BENCH_PIPELINE    (loadgen batch depth)
 //   --net-workers 2        -> POPSMR_NET_WORKERS  (server epoll workers)
-//   --scenario NAME|all    scenario selection       (bench_scenarios)
+//   --scenario all|GLOB    scenario selection: the `all` matrix, or a
+//                          name or shell glob (fig2-*)
 //   --short                smoke mode: small key range, ~50 ms phases
 //   --list                 list named scenarios and exit
+//   --emit-schema          print the JSONL row schema (workload/rows.hpp)
+//                          for tools/check_bench_jsonl.py and exit
 //   --help                 usage and exit
 //
-// Unknown flags print usage and exit(2); figure binaries simply ignore
-// the fields they don't consume. Identifier-valued flags (--scenario,
-// --ds, --smr/--smrs, --shard-hash) are validated at parse time: names
-// must match [A-Za-z0-9_-] (',' also allowed in list flags); anything
-// else is diagnosed on one stderr line and rejected with exit(2) before
-// it can leak into env vars, factory lookups, or JSONL string fields.
+// Unknown flags print usage and exit(2); binaries simply ignore the
+// fields they don't consume. Identifier-valued flags (--scenario, --ds,
+// --smr/--smrs, --shard-hash) are validated at parse time: names must
+// match [A-Za-z0-9_-] (',' also allowed in list flags, and the glob
+// characters *?[] in --scenario); anything else is diagnosed on one
+// stderr line and rejected with exit(2) before it can leak into env
+// vars, factory lookups, or JSONL string fields.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 namespace pop::bench {
 
@@ -45,7 +51,42 @@ struct CliOptions {
 };
 
 // Parses argv, seeds env knobs (without overriding), and returns the
-// flags that are not env-backed. Exits on --help / parse errors.
+// flags that are not env-backed. Exits on --help / --emit-schema / parse
+// errors.
 CliOptions apply_bench_cli(int argc, char** argv);
+
+// ---- env knobs --------------------------------------------------------
+// Each reader takes the binary's default as `fallback`; the flags above
+// seed the env only when unset, so an exported value wins. Integer lists
+// share one parser: tokens without a number are dropped, out-of-int-range
+// values saturate, and a list that leaves nothing falls back.
+std::vector<int> bench_thread_list(const std::string& fallback);
+// Scheme and structure lists are checked against ds::all_smr_names() /
+// ds::all_ds_names(): an unknown name is one stderr line and exit(2),
+// before any cell runs. An empty smr fallback means every scheme.
+std::vector<std::string> bench_smr_list(const std::string& fallback = "");
+std::vector<std::string> bench_ds_list(const std::string& fallback);
+std::vector<int> bench_shard_list(const std::string& fallback);
+// Put ratios are clamped to [0, 100].
+std::vector<int> bench_pct_put_list(const std::string& fallback);
+// POPSMR_BENCH_DEFICITS (bench_resize): values below 1 are dropped.
+std::vector<int> bench_deficit_list(const std::string& fallback);
+uint64_t bench_duration_ms(uint64_t fallback);
+
+// ---- networked front-end knobs (bench_loadgen / popsmr_server) ------------
+// POPSMR_BENCH_HOST / POPSMR_BENCH_PORT: where the loadgen connects (and
+// where popsmr_server binds). Env wins over the --host/--port flags like
+// every other knob; a malformed env value (bad charset, port out of
+// [0, 65535]) is diagnosed on one stderr line and replaced by `fallback`
+// — it must not leak into connect() or a JSONL label. An empty-string
+// host fallback means "no remote server" (the loadgen spawns in-process).
+std::string bench_host(const std::string& fallback);
+int bench_port(int fallback);
+// POPSMR_BENCH_CONNECTIONS / POPSMR_BENCH_PIPELINE / POPSMR_NET_WORKERS:
+// loadgen connection count, pipelined batch depth, and server epoll
+// worker count. Non-numeric or non-positive values fall back.
+int bench_connections(int fallback);
+int bench_pipeline(int fallback);
+int bench_net_workers(int fallback);
 
 }  // namespace pop::bench

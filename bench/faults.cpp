@@ -28,9 +28,8 @@
 #include <vector>
 
 #include "cli.hpp"
-#include "driver.hpp"
 #include "runtime/env.hpp"
-#include "workload/jsonl.hpp"
+#include "workload/rows.hpp"
 #include "workload/scenario_engine.hpp"
 #include "workload/scenarios.hpp"
 
@@ -128,7 +127,7 @@ int main(int argc, char** argv) {
   const auto ds_list = bench_ds_list("HML");
   const auto smrs = bench_smr_list();
   const auto threads = bench_thread_list("4");
-  const std::string json = runtime::env_str("POPSMR_BENCH_JSON", "");
+  obs::JsonlFile out(runtime::env_str("POPSMR_BENCH_JSON", ""));
 
   print_fault_header("signal-loss",
                      "pings to a parked victim dropped until it resumes");
@@ -139,7 +138,8 @@ int main(int argc, char** argv) {
                                                         cli.short_mode));
         const auto r = run_scenario(spec);
         print_fault_cell(spec, r);
-        emit_fault_jsonl(json, spec, "signal-loss", r);
+        out.write(fault_row, spec, "signal-loss", r);
+        for (const auto& l : r.latency) out.write(latency_row, spec, l);
       }
     }
   }
@@ -153,7 +153,8 @@ int main(int argc, char** argv) {
                                   cell_build(ds, smr, t, cli.short_mode));
         const auto r = run_scenario(*spec);
         print_fault_cell(*spec, r);
-        emit_fault_jsonl(json, *spec, "thread-kill", r);
+        out.write(fault_row, *spec, "thread-kill", r);
+        for (const auto& l : r.latency) out.write(latency_row, *spec, l);
       }
     }
   }
@@ -167,7 +168,7 @@ int main(int argc, char** argv) {
                                   cell_build(ds, smr, t, cli.short_mode));
         const auto r = run_scenario(*spec);
         print_pressure_cell(*spec, r);
-        emit_pressure_jsonl(json, *spec, r);
+        out.write(pressure_row, *spec, r);
       }
     }
   }

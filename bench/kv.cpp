@@ -21,9 +21,8 @@
 #include <vector>
 
 #include "cli.hpp"
-#include "driver.hpp"
 #include "runtime/env.hpp"
-#include "workload/jsonl.hpp"
+#include "workload/rows.hpp"
 #include "workload/scenario_engine.hpp"
 
 namespace {
@@ -76,7 +75,7 @@ int main(int argc, char** argv) {
   const auto threads = bench_thread_list("4");
   const auto put_ratios = bench_pct_put_list("0,10,50,90");
   const auto shard_counts = bench_shard_list("1");
-  const std::string json = runtime::env_str("POPSMR_BENCH_JSON", "");
+  obs::JsonlFile out(runtime::env_str("POPSMR_BENCH_JSON", ""));
   const uint64_t duration = bench_duration_ms(cli.short_mode ? 50 : 200);
 
   print_header();
@@ -111,7 +110,11 @@ int main(int argc, char** argv) {
             }
             const auto r = run_scenario(spec);
             print_cell(spec, spec.phases[0].pct_put, r);
-            emit_kv_jsonl(json, spec, spec.phases[0].pct_put, r);
+            out.write(kv_row, spec, spec.phases[0].pct_put, r);
+            for (const auto& l : r.latency) out.write(latency_row, spec, l);
+            for (const auto& s : r.service.shards) {
+              out.write(shard_row, spec, s);
+            }
           }
         }
       }

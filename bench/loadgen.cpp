@@ -30,15 +30,14 @@
 #include <vector>
 
 #include "cli.hpp"
-#include "driver.hpp"
 #include "net/client.hpp"
-#include "net/net_jsonl.hpp"
 #include "net/server.hpp"
 #include "obs/latency_histo.hpp"
 #include "obs/obs.hpp"
 #include "runtime/env.hpp"
 #include "runtime/rng.hpp"
 #include "workload/key_dist.hpp"
+#include "workload/rows.hpp"
 #include "workload/scenario_engine.hpp"
 #include "workload/scenarios.hpp"
 
@@ -143,9 +142,8 @@ bool prefill_over_wire(net::NetClient* client, uint64_t prefill,
   return true;
 }
 
-void print_header(const std::string& scenario) {
-  std::printf("\n# loadgen %s: %s\n", scenario.c_str(),
-              scenario_description(scenario).c_str());
+void print_header(const ScenarioEntry& e) {
+  std::printf("\n# loadgen %s: %s\n", e.name.c_str(), e.description.c_str());
   std::printf("%-5s %-13s %4s %6s %5s %5s %8s %9s %9s %9s %7s\n", "ds", "smr",
               "wkrs", "shards", "conns", "pipe", "Mops", "p50(us)", "p99(us)",
               "p999(us)", "errors");
@@ -159,7 +157,7 @@ bool run_cell(const std::string& scenario, const std::string& ds,
               const std::string& smr, int shards, int workers,
               int connections, int pipeline, const std::string& host,
               int port, double time_scale, uint64_t key_range,
-              const std::string& json) {
+              obs::JsonlFile& out) {
   ScenarioBuild b;
   b.ds = ds;
   b.smr = smr;
@@ -167,13 +165,7 @@ bool run_cell(const std::string& scenario, const std::string& ds,
   b.time_scale = time_scale;
   b.key_range = key_range;
   b.shards = shards;
-  auto maybe_spec = make_scenario(scenario, b);
-  if (!maybe_spec) {
-    std::fprintf(stderr, "bench_loadgen: unknown scenario '%s' (try --list)\n",
-                 scenario.c_str());
-    return false;
-  }
-  ScenarioSpec spec = *maybe_spec;
+  ScenarioSpec spec = *make_scenario(scenario, b);
   for (const auto& w : normalize(spec)) {
     std::fprintf(stderr, "bench_loadgen %s: %s\n", scenario.c_str(), w.c_str());
   }
@@ -249,7 +241,7 @@ bool run_cell(const std::string& scenario, const std::string& ds,
   clients.clear();  // close before the server tears down
   if (server) server->stop();
 
-  net::NetCellRow cell;
+  NetCellRow cell;
   cell.scenario = spec.name;
   cell.ds = ds;
   cell.smr = smr;
@@ -259,7 +251,7 @@ bool run_cell(const std::string& scenario, const std::string& ds,
   cell.pipeline_depth = pipeline;
   cell.seconds = seconds;
   obs::HistoSnapshot merged;
-  std::vector<net::ConnRow> conn_rows;
+  std::vector<ConnRow> conn_rows;
   int failed = 0;
   for (auto& o : outcomes) {
     cell.totals.accumulate(o.stats);
@@ -281,7 +273,8 @@ bool run_cell(const std::string& scenario, const std::string& ds,
               cell.latency.p50_us, cell.latency.p99_us, cell.latency.p999_us,
               static_cast<unsigned long long>(cell.totals.protocol_errors));
   std::fflush(stdout);
-  net::emit_net_jsonl(json, cell, conn_rows);
+  out.write(net_row, cell);
+  for (const auto& c : conn_rows) out.write(conn_row, cell, c);
   return failed < connections;
 }
 
@@ -291,38 +284,45 @@ int main(int argc, char** argv) {
   const CliOptions cli = apply_bench_cli(argc, argv);
 
   if (cli.list) {
-    for (const auto& name : scenario_names()) {
-      std::printf("%-22s %s\n", name.c_str(),
-                  scenario_description(name).c_str());
+    for (const auto& e : scenario_registry()) {
+      std::printf("%-26s %s\n", e.name.c_str(), e.description.c_str());
     }
     return 0;
   }
 
   const std::string scenario =
       cli.scenario.empty() ? "uniform-mixed" : cli.scenario;
+  const ScenarioEntry* entry = find_scenario(scenario);
+  if (entry == nullptr) {
+    std::fprintf(stderr, "bench_loadgen: unknown scenario '%s' (try --list)\n",
+                 scenario.c_str());
+    return 2;
+  }
   const std::string host = bench_host("");
   const int port = bench_port(17979);
   const int connections = bench_connections(4);
   const int pipeline = bench_pipeline(8);
   const int workers = bench_net_workers(2);
   const int shards = bench_shard_list("1")[0];
-  const std::string json = runtime::env_str("POPSMR_BENCH_JSON", "");
+  const auto ds_list = bench_ds_list("HMHT");
+  const auto smrs = bench_smr_list();
+  obs::JsonlFile out(runtime::env_str("POPSMR_BENCH_JSON", ""));
   const double time_scale = cli.short_mode ? 0.25 : 1.0;
   const uint64_t key_range = cli.short_mode ? 512 : 0;
 
-  print_header(scenario);
+  print_header(*entry);
   bool ok = true;
   if (!host.empty()) {
     // Remote mode: one cell against the given server; labels come from
     // the local flags (first list entries).
-    ok = run_cell(scenario, bench_ds_list("HMHT")[0], bench_smr_list()[0],
-                  shards, workers, connections, pipeline, host, port,
-                  time_scale, key_range, json);
+    ok = run_cell(scenario, ds_list[0], smrs[0], shards, workers,
+                  connections, pipeline, host, port, time_scale, key_range,
+                  out);
   } else {
-    for (const auto& ds : bench_ds_list("HMHT")) {
-      for (const auto& smr : bench_smr_list()) {
+    for (const auto& ds : ds_list) {
+      for (const auto& smr : smrs) {
         ok = run_cell(scenario, ds, smr, shards, workers, connections,
-                      pipeline, host, port, time_scale, key_range, json) &&
+                      pipeline, host, port, time_scale, key_range, out) &&
              ok;
       }
     }

@@ -19,7 +19,7 @@
 //
 // Knobs: POPSMR_BENCH_THREADS (default "8"), POPSMR_MICRO_BLOCKS (blocks
 // per thread per round, default 4096), POPSMR_MICRO_ROUNDS (default 25),
-// POPSMR_BENCH_JSON (append one JSON object per row).
+// POPSMR_BENCH_JSON (append one kind:"micro" row per thread count).
 #include <time.h>
 
 #include <algorithm>
@@ -31,10 +31,9 @@
 #include <vector>
 
 #include "cli.hpp"
-#include "driver.hpp"
-#include "obs/obs.hpp"
 #include "runtime/env.hpp"
 #include "runtime/pool_alloc.hpp"
+#include "workload/rows.hpp"
 
 namespace {
 
@@ -195,7 +194,7 @@ int main(int argc, char** argv) {
   const auto thread_list = pop::bench::bench_thread_list("8");
   const uint64_t blocks = env_u64("POPSMR_MICRO_BLOCKS", 4096);
   const uint64_t rounds = std::max<uint64_t>(env_u64("POPSMR_MICRO_ROUNDS", 25), 1);
-  const std::string json_path = env_str("POPSMR_BENCH_JSON", "");
+  pop::obs::JsonlFile out(env_str("POPSMR_BENCH_JSON", ""));
 
   std::printf("# micro_free_batch: cross-thread free throughput, %llu x %llu"
               " 64B blocks/thread (median of interleaved rounds)\n",
@@ -218,24 +217,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(pr.batched.remote_frees),
                 static_cast<unsigned long long>(pr.batched.remote_splices),
                 pr.speedup);
-    if (!json_path.empty()) {
-      if (std::FILE* f = std::fopen(json_path.c_str(), "a")) {
-        std::fprintf(
-            f,
-            "{\"bench\":\"micro_free_batch\",\"run_id\":%llu,\"ts\":%llu,"
-            "\"threads\":%d,"
-            "\"per_node_mfrees\":%.3f,\"batched_mfrees\":%.3f,"
-            "\"speedup\":%.3f,\"batched_remote_frees\":%llu,"
-            "\"batched_remote_splices\":%llu}\n",
-            static_cast<unsigned long long>(pop::obs::run_id()),
-            static_cast<unsigned long long>(pop::obs::wall_ts_ms()),
-            t, pr.per_node.frees_per_sec / 1e6,
-            pr.batched.frees_per_sec / 1e6, pr.speedup,
-            static_cast<unsigned long long>(pr.batched.remote_frees),
-            static_cast<unsigned long long>(pr.batched.remote_splices));
-        std::fclose(f);
-      }
-    }
+    out.write(pop::workload::micro_row,
+              pop::workload::FreeBatchRow{
+                  t, pr.per_node.frees_per_sec / 1e6,
+                  pr.batched.frees_per_sec / 1e6, pr.speedup,
+                  pr.batched.remote_frees, pr.batched.remote_splices});
   }
   return 0;
 }

@@ -26,9 +26,8 @@
 #include <vector>
 
 #include "cli.hpp"
-#include "driver.hpp"
 #include "runtime/env.hpp"
-#include "workload/jsonl.hpp"
+#include "workload/rows.hpp"
 #include "workload/scenario_engine.hpp"
 
 namespace {
@@ -36,25 +35,6 @@ namespace {
 using namespace pop;
 using namespace pop::bench;
 using namespace pop::workload;
-
-// POPSMR_BENCH_DEFICITS comma list; values below 1 are dropped.
-std::vector<uint64_t> deficit_list() {
-  const std::string raw = runtime::env_str("POPSMR_BENCH_DEFICITS", "1,16,64");
-  std::vector<uint64_t> out;
-  uint64_t v = 0;
-  bool have = false;
-  for (const char c : raw + ",") {
-    if (c >= '0' && c <= '9') {
-      v = v * 10 + static_cast<uint64_t>(c - '0');
-      have = true;
-    } else {
-      if (have && v >= 1) out.push_back(v);
-      v = 0;
-      have = false;
-    }
-  }
-  return out.empty() ? std::vector<uint64_t>{1, 16, 64} : out;
-}
 
 ScenarioSpec make_spec(const std::string& ds, const std::string& smr,
                        int threads, uint64_t key_range, uint64_t deficit,
@@ -120,8 +100,8 @@ int main(int argc, char** argv) {
 
   const auto smrs = bench_smr_list();
   const auto threads = bench_thread_list("4");
-  const auto deficits = deficit_list();
-  const std::string json = runtime::env_str("POPSMR_BENCH_JSON", "");
+  const auto deficits = bench_deficit_list("1,16,64");
+  obs::JsonlFile out(runtime::env_str("POPSMR_BENCH_JSON", ""));
   const uint64_t duration = bench_duration_ms(cli.short_mode ? 50 : 200);
   const uint64_t key_range = cli.short_mode ? 2048 : 16384;
 
@@ -136,10 +116,9 @@ int main(int argc, char** argv) {
       const ScenarioResult rr = run_scenario(ref);
       const double ref_steady = rr.phases.size() > 1 ? rr.phases[1].mops : 0;
       print_cell(ref, 1, rr.phases[0].mops, ref_steady, 100.0, rr);
-      emit_resize_jsonl(json, ref, 1, rr.phases[0].mops, ref_steady, 100.0,
-                        rr);
+      out.write(resize_row, ref, 1, rr.phases[0].mops, ref_steady, 100.0, rr);
 
-      for (const uint64_t d : deficits) {
+      for (const int d : deficits) {
         ScenarioSpec spec = make_spec("RHHT", smr, t, key_range, d, duration);
         for (const auto& w : normalize(spec)) {
           std::fprintf(stderr, "bench_resize: %s\n", w.c_str());
@@ -149,8 +128,7 @@ int main(int argc, char** argv) {
         const double recovery =
             ref_steady > 0 ? 100.0 * steady / ref_steady : 0;
         print_cell(spec, d, r.phases[0].mops, steady, recovery, r);
-        emit_resize_jsonl(json, spec, d, r.phases[0].mops, steady, recovery,
-                          r);
+        out.write(resize_row, spec, d, r.phases[0].mops, steady, recovery, r);
       }
     }
   }

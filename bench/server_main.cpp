@@ -19,7 +19,6 @@
 #include <thread>
 
 #include "cli.hpp"
-#include "driver.hpp"
 #include "net/server.hpp"
 #include "runtime/env.hpp"
 

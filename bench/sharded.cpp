@@ -18,9 +18,8 @@
 #include <vector>
 
 #include "cli.hpp"
-#include "driver.hpp"
 #include "runtime/env.hpp"
-#include "workload/jsonl.hpp"
+#include "workload/rows.hpp"
 #include "workload/scenario_engine.hpp"
 #include "workload/scenarios.hpp"
 
@@ -30,9 +29,9 @@ using namespace pop;
 using namespace pop::bench;
 using namespace pop::workload;
 
-void print_header(const std::string& scenario, const std::string& hash) {
-  std::printf("\n# scenario %s (shard hash %s): %s\n", scenario.c_str(),
-              hash.c_str(), scenario_description(scenario).c_str());
+void print_header(const ScenarioEntry& e, const std::string& hash) {
+  std::printf("\n# scenario %s (shard hash %s): %s\n", e.name.c_str(),
+              hash.c_str(), e.description.c_str());
   std::printf("%-5s %-13s %3s %6s %8s %9s %10s %9s %10s %10s\n", "ds", "smr",
               "thr", "shards", "Mops", "readMops", "unreclaimed", "signals",
               "maxShardOp", "minShardOp");
@@ -56,25 +55,20 @@ int main(int argc, char** argv) {
   const CliOptions cli = apply_bench_cli(argc, argv);
 
   if (cli.list) {
-    for (const auto& name : scenario_names()) {
-      std::printf("%-22s %s\n", name.c_str(),
-                  scenario_description(name).c_str());
+    for (const auto& e : scenario_registry()) {
+      std::printf("%-26s %s\n", e.name.c_str(), e.description.c_str());
     }
     return 0;
   }
 
-  std::vector<std::string> selected;
-  if (cli.scenario.empty()) {
-    selected = {"sharded-uniform"};
-  } else if (cli.scenario == "all") {
-    selected = {"sharded-uniform", "sharded-hotspot"};
-  } else {
-    if (!make_scenario(cli.scenario, {})) {
-      std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
-                   cli.scenario.c_str());
-      return 2;
-    }
-    selected.push_back(cli.scenario);
+  const auto selected = select_scenarios(
+      cli.scenario.empty()    ? "sharded-uniform"
+      : cli.scenario == "all" ? "sharded-*"
+                              : cli.scenario);
+  if (selected.empty()) {
+    std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
+                 cli.scenario.c_str());
+    return 2;
   }
 
   const auto ds_list = bench_ds_list("HML");
@@ -82,10 +76,10 @@ int main(int argc, char** argv) {
   const auto threads = bench_thread_list("8");
   const auto shard_counts = bench_shard_list("1,2,4,8");
   const std::string hash = runtime::env_str("POPSMR_SHARD_HASH", "splitmix");
-  const std::string json = runtime::env_str("POPSMR_BENCH_JSON", "");
+  obs::JsonlFile out(runtime::env_str("POPSMR_BENCH_JSON", ""));
 
-  for (const auto& scenario : selected) {
-    print_header(scenario, hash);
+  for (const ScenarioEntry* e : selected) {
+    print_header(*e, hash);
     for (const auto& ds : ds_list) {
       for (int t : threads) {
         for (const auto& smr : smrs) {
@@ -100,7 +94,7 @@ int main(int argc, char** argv) {
               b.time_scale = 0.25;
               b.key_range = 512;
             }
-            auto spec = make_scenario(scenario, b);
+            auto spec = make_scenario(e->name, b);
             spec->shard_hash = hash;
             // This binary emits no mem_sample rows, so don't pay for the
             // background sampler (its per-cadence stats sweeps would also
@@ -111,12 +105,15 @@ int main(int argc, char** argv) {
             // configuration (e.g. --shards beyond the key range, a typo'd
             // --shard-hash) that never actually ran.
             for (const auto& w : normalize(*spec)) {
-              std::fprintf(stderr, "bench_sharded %s: %s\n", scenario.c_str(),
+              std::fprintf(stderr, "bench_sharded %s: %s\n", e->name.c_str(),
                            w.c_str());
             }
             const auto r = run_scenario(*spec);
             print_cell(*spec, r);
-            emit_sharded_jsonl(json, *spec, r);
+            out.write(sharded_row, *spec, r);
+            for (const auto& s : r.service.shards) {
+              out.write(shard_row, *spec, s);
+            }
           }
         }
       }

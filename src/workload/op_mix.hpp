@@ -1,8 +1,5 @@
-// The one shared definition of the operation-mix and per-op-result
-// vocabulary. Both the scenario engine (PhaseSpec / PhaseResult /
-// ScenarioResult) and the legacy bench driver (WorkloadConfig /
-// WorkloadResult) embed these — the driver used to carry its own copies
-// of the same fields, and the two drifted.
+// The operation-mix and per-op-result vocabulary the scenario engine's
+// PhaseSpec, PhaseResult and ScenarioResult share.
 #pragma once
 
 #include <cstdint>

@@ -13,8 +13,8 @@
 // plus a background memory-timeline sampler, so robustness shows up as a
 // plotted trajectory (unreclaimed nodes / RSS over time) instead of one
 // end-of-run number. `run_scenario` executes a spec; `normalize`
-// validates and clamps it first. The legacy bench driver's run_workload
-// is a one-phase wrapper over this engine.
+// validates and clamps it first. The paper's figure cells are one-phase
+// specs from the scenario registry (workload/scenarios.hpp).
 #pragma once
 
 #include <cstdint>
@@ -44,8 +44,7 @@ struct KeyDistSpec {
 };
 
 // The op mix (pct_insert / pct_erase / pct_put, remainder get) is the
-// shared OpMix base — the same struct the bench driver's WorkloadConfig
-// embeds.
+// shared OpMix base.
 struct PhaseSpec : OpMix {
   std::string name = "main";
   uint64_t duration_ms = 100;

@@ -10,9 +10,9 @@ namespace pop::workload {
 
 // Executes the scenario: builds the (ds, smr) set, prefills, runs the
 // phase schedule with churn/stall/sampling as specified, joins, and
-// aggregates. Aborts on an unknown ds/smr name. This is the single
-// worker-loop implementation every bench binary and the legacy
-// run_workload wrapper share.
+// aggregates. Aborts on an unknown ds/smr name (the bench binaries check
+// names first). This is the single worker-loop implementation every
+// bench binary shares.
 ScenarioResult run_scenario(const ScenarioSpec& spec);
 
 }  // namespace pop::workload

@@ -1,8 +1,12 @@
-// Named scenario registry: the matrix bench_scenarios sweeps. Each name
-// maps (ds, smr, threads, time scale) onto a full ScenarioSpec — the
-// "scenario cookbook" in the README documents what each one stresses.
+// Named scenario registry: one table of entries, each mapping a cell
+// (ds, smr, threads, time scale) onto a full ScenarioSpec. It holds the
+// robustness scenarios bench_scenarios sweeps by default (the README's
+// "scenario cookbook") and the paper's figure panels and ablation values
+// (fig1-dgt, fig4-long-reads-10k, ablation-threshold-512, ...), which
+// bench_scenarios selects by name or glob.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,6 +25,9 @@ struct ScenarioBuild {
   // scenario-smoke job (bench_scenarios --short) runs at 0.25 with a
   // shrunken key range.
   double time_scale = 1.0;
+  // Figure and ablation entries only: 0 = the entry's own length,
+  // otherwise the cell's length (overriding time_scale).
+  uint64_t duration_ms = 0;
   // 0 = the scenario's own default range; smoke mode passes a small one.
   uint64_t key_range = 0;
   // Service-layer shard count for the sharded-* scenarios; 0 = the
@@ -28,15 +35,37 @@ struct ScenarioBuild {
   int shards = 0;
 };
 
+struct ScenarioEntry {
+  std::string name;
+  std::string description;  // one line, for --list and table headers
+  // Sweep axes when the caller names none (POPSMR_BENCH_DS / _THREADS /
+  // _SMRS and their flags): comma lists; an empty smrs means every scheme.
+  std::string ds = "HML";
+  std::string threads = "4";
+  std::string smrs;
+  // In the `--scenario all` matrix. The figure and ablation entries are
+  // not; select them by name or glob (`fig2-*`).
+  bool in_all = true;
+  // Fills the scenario-specific part of `s`, whose cell fields (name, ds,
+  // smr, threads, default key_range, shards) are already set; `sc` is the
+  // time scale to apply to every duration.
+  std::function<void(ScenarioSpec& s, const ScenarioBuild& b, double sc)>
+      build;
+};
+
 // Registry order is presentation order.
-const std::vector<std::string>& scenario_names();
+const std::vector<ScenarioEntry>& scenario_registry();
+
+// nullptr for unknown names.
+const ScenarioEntry* find_scenario(const std::string& name);
+
+// Entries selected by `pattern`, in registry order: "all" (the in_all
+// matrix), or a name or shell glob (fnmatch). Empty when nothing matches.
+std::vector<const ScenarioEntry*> select_scenarios(const std::string& pattern);
 
 // Builds `name` for the given cell; nullopt for unknown names. The
 // returned spec is already valid (normalize() would make no changes).
 std::optional<ScenarioSpec> make_scenario(const std::string& name,
                                           const ScenarioBuild& build);
-
-// One-line description per scenario for --list and the cookbook.
-std::string scenario_description(const std::string& name);
 
 }  // namespace pop::workload

@@ -1,0 +1,55 @@
+# The bench binaries end to end, run by ctest (see CMakeLists.txt):
+#
+#   MODE=roundtrip  bench_scenarios --emit-schema, then a --short figure
+#                   cell, bench_micro_free_batch and a bench_loadgen
+#                   --short cell, every row validated by
+#                   tools/check_bench_jsonl.py against the exported schema.
+#   MODE=bad-name   an unknown scheme or structure name, from the flag or
+#                   the env knob, exits 2 before any cell runs and leaves
+#                   no artifact behind.
+#
+# cmake -DMODE=... -DBIN_DIR=<binaries> -DSRC_DIR=<repo> -DOUT_DIR=<scratch>
+#       -DPYTHON=<python3> -P tests/bench_cli.cmake
+
+file(REMOVE_RECURSE ${OUT_DIR})
+file(MAKE_DIRECTORY ${OUT_DIR})
+set(rows ${OUT_DIR}/rows.jsonl)
+
+# run(<expected exit code> <command...>)
+function(run expect)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc STREQUAL "${expect}")
+    message(FATAL_ERROR "exit ${rc} (expected ${expect}): ${ARGN}\n${out}\n${err}")
+  endif()
+endfunction()
+
+if(MODE STREQUAL "roundtrip")
+  execute_process(COMMAND ${BIN_DIR}/bench_scenarios --emit-schema
+                  OUTPUT_FILE ${OUT_DIR}/schema.json RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "--emit-schema exited ${rc}")
+  endif()
+  run(0 ${BIN_DIR}/bench_scenarios --scenario fig2-hml --short
+        --threads 2 --smr NR,EpochPOP --duration-ms 40 --json ${rows})
+  run(0 ${CMAKE_COMMAND} -E env POPSMR_MICRO_ROUNDS=2 POPSMR_MICRO_BLOCKS=512
+        ${BIN_DIR}/bench_micro_free_batch --threads 2 --json ${rows})
+  run(0 ${BIN_DIR}/bench_loadgen --short --ds HMHT --smr EBR
+        --connections 2 --pipeline 4 --json ${rows})
+  run(0 ${PYTHON} ${SRC_DIR}/tools/check_bench_jsonl.py
+        --schema ${OUT_DIR}/schema.json ${rows}
+        --require-kind scenario --require-kind phase --require-kind micro
+        --require-kind net --require-kind conn --summary)
+elseif(MODE STREQUAL "bad-name")
+  run(2 ${BIN_DIR}/bench_scenarios --scenario fig2-hml --smr EBR,Bogus
+        --json ${rows})
+  run(2 ${CMAKE_COMMAND} -E env POPSMR_BENCH_DS=HML,Bogus
+        ${BIN_DIR}/bench_kv --short --json ${rows})
+  run(2 ${CMAKE_COMMAND} -E env POPSMR_BENCH_SMRS=Bogus
+        ${BIN_DIR}/bench_faults --short --json ${rows})
+  if(EXISTS ${rows})
+    message(FATAL_ERROR "a rejected run left ${rows} behind")
+  endif()
+else()
+  message(FATAL_ERROR "unknown MODE '${MODE}'")
+endif()

@@ -1,42 +1,53 @@
-// End-to-end runs of the benchmark driver itself: short timed workloads
-// across representative configurations, checking the metrics the figures
-// are built from (throughput > 0, retire-list bounds, signal counts).
+// End-to-end runs of one-phase workloads through the scenario engine —
+// the shape of every figure cell — across representative configurations,
+// checking the metrics the figures are built from (throughput > 0,
+// retire-list bounds, signal counts), plus the bench env-list knobs.
 #include <gtest/gtest.h>
 
-#include "../../bench/driver.hpp"
+#include <climits>
+#include <cstdlib>
+
+#include "../../bench/cli.hpp"
+#include "ds/iset.hpp"
+#include "workload/scenario_engine.hpp"
 
 namespace pop::bench {
 namespace {
 
-WorkloadConfig base(const std::string& ds, const std::string& smr) {
-  WorkloadConfig c;
-  c.ds = ds;
-  c.smr = smr;
-  c.threads = 2;
-  c.key_range = 256;
-  c.duration_ms = 60;
-  c.smr_cfg.retire_threshold = 32;
-  return c;
+using workload::ScenarioSpec;
+
+ScenarioSpec base(const std::string& ds, const std::string& smr) {
+  ScenarioSpec s;
+  s.ds = ds;
+  s.smr = smr;
+  s.threads = 2;
+  s.key_range = 256;
+  s.smr_cfg.retire_threshold = 32;
+  s.phases.emplace_back();
+  s.phases[0].duration_ms = 60;
+  return s;
 }
+
+workload::PhaseSpec& phase(ScenarioSpec& s) { return s.phases[0]; }
 
 TEST(Workloads, UpdateHeavyRunsForEveryScheme) {
   for (const auto& smr : ds::all_smr_names()) {
-    WorkloadConfig c = base("HML", smr);
-    c.pct_insert = 50;
-    c.pct_erase = 50;
-    const auto r = run_workload(c);
+    ScenarioSpec s = base("HML", smr);
+    phase(s).pct_insert = 50;
+    phase(s).pct_erase = 50;
+    const auto r = workload::run_scenario(s);
     EXPECT_GT(r.ops, 0u) << smr;
     EXPECT_GT(r.mops, 0.0) << smr;
-    EXPECT_LE(r.final_size, c.key_range) << smr;
+    EXPECT_LE(r.final_size, s.key_range) << smr;
   }
 }
 
 TEST(Workloads, ReadHeavyMixRespectsRatios) {
-  WorkloadConfig c = base("HMHT", "EpochPOP");
-  c.pct_insert = 5;
-  c.pct_erase = 5;
-  c.duration_ms = 100;
-  const auto r = run_workload(c);
+  ScenarioSpec s = base("HMHT", "EpochPOP");
+  phase(s).pct_insert = 5;
+  phase(s).pct_erase = 5;
+  phase(s).duration_ms = 100;
+  const auto r = workload::run_scenario(s);
   ASSERT_GT(r.ops, 1000u);
   const double read_frac =
       static_cast<double>(r.reads) / static_cast<double>(r.ops);
@@ -44,69 +55,68 @@ TEST(Workloads, ReadHeavyMixRespectsRatios) {
 }
 
 TEST(Workloads, SplitReadersWritersReportsReadThroughput) {
-  WorkloadConfig c = base("HML", "HazardPtrPOP");
-  c.split_readers_writers = true;
-  c.threads = 4;
-  c.key_range = 512;
-  c.writer_key_range = 32;
-  const auto r = run_workload(c);
+  ScenarioSpec s = base("HML", "HazardPtrPOP");
+  phase(s).split_readers_writers = true;
+  s.threads = 4;
+  s.key_range = 512;
+  phase(s).writer_key_range = 32;
+  const auto r = workload::run_scenario(s);
   EXPECT_GT(r.reads, 0u);
   EXPECT_GT(r.updates, 0u);
   EXPECT_GT(r.read_mops, 0.0);
 }
 
 TEST(Workloads, RetireThresholdBoundsRetireList) {
-  WorkloadConfig c = base("DGT", "HazardPtrPOP");
-  c.pct_insert = 50;
-  c.pct_erase = 50;
-  c.smr_cfg.retire_threshold = 64;
-  const auto r = run_workload(c);
+  ScenarioSpec s = base("DGT", "HazardPtrPOP");
+  phase(s).pct_insert = 50;
+  phase(s).pct_erase = 50;
+  s.smr_cfg.retire_threshold = 64;
+  const auto r = workload::run_scenario(s);
   // A delete retires 2 nodes, so the high-watermark may exceed the
   // threshold by the per-op retire count but not run away.
-  EXPECT_LE(r.smr.max_retire_len, c.smr_cfg.retire_threshold + 8);
+  EXPECT_LE(r.smr.max_retire_len, s.smr_cfg.retire_threshold + 8);
 }
 
 TEST(Workloads, PopSchemesSendSignalsOnlyWhenReclaiming) {
-  WorkloadConfig c = base("HML", "HazardPtrPOP");
-  c.pct_insert = 0;
-  c.pct_erase = 0;  // read-only: nothing retired, nobody pings
-  const auto r = run_workload(c);
+  ScenarioSpec s = base("HML", "HazardPtrPOP");
+  phase(s).pct_insert = 0;
+  phase(s).pct_erase = 0;  // read-only: nothing retired, nobody pings
+  const auto r = workload::run_scenario(s);
   EXPECT_EQ(r.smr.signals_sent, 0u);
   EXPECT_EQ(r.smr.retired, 0u);
 }
 
 TEST(Workloads, UpdateHeavyPopSchemesDoSignal) {
-  WorkloadConfig c = base("HML", "HazardPtrPOP");
-  c.pct_insert = 50;
-  c.pct_erase = 50;
-  c.smr_cfg.retire_threshold = 16;
-  const auto r = run_workload(c);
+  ScenarioSpec s = base("HML", "HazardPtrPOP");
+  phase(s).pct_insert = 50;
+  phase(s).pct_erase = 50;
+  s.smr_cfg.retire_threshold = 16;
+  const auto r = workload::run_scenario(s);
   EXPECT_GT(r.smr.signals_sent, 0u);
   EXPECT_GT(r.smr.freed, 0u);
 }
 
 TEST(Workloads, NbrNeutralizesUnderChurn) {
-  WorkloadConfig c = base("HML", "NBR");
-  c.split_readers_writers = true;
-  c.threads = 4;
-  c.key_range = 4096;  // long traversals for the readers
-  c.writer_key_range = 16;
-  c.smr_cfg.retire_threshold = 16;  // constant reclaims => constant pings
-  c.duration_ms = 150;
-  const auto r = run_workload(c);
+  ScenarioSpec s = base("HML", "NBR");
+  phase(s).split_readers_writers = true;
+  s.threads = 4;
+  s.key_range = 4096;  // long traversals for the readers
+  phase(s).writer_key_range = 16;
+  s.smr_cfg.retire_threshold = 16;  // constant reclaims => constant pings
+  phase(s).duration_ms = 150;
+  const auto r = workload::run_scenario(s);
   EXPECT_GT(r.smr.neutralized, 0u)
       << "long readers must get restarted by NBR reclaimers";
 }
 
-TEST(Workloads, PutMixFlowsThroughTheDriverWrapper) {
-  // The driver's WorkloadConfig shares OpMix with PhaseSpec, so pct_put
-  // set on the legacy surface must reach the engine and report the KV
-  // breakdown back through the shared OpCounts base.
-  WorkloadConfig c = base("HMHT", "EpochPOP");
-  c.pct_insert = 5;
-  c.pct_erase = 5;
-  c.pct_put = 50;
-  const auto r = run_workload(c);
+TEST(Workloads, PutMixReportsTheKvBreakdown) {
+  // pct_put set on the phase's OpMix reaches the workers and the KV
+  // breakdown comes back through the shared OpCounts base.
+  ScenarioSpec s = base("HMHT", "EpochPOP");
+  phase(s).pct_insert = 5;
+  phase(s).pct_erase = 5;
+  phase(s).pct_put = 50;
+  const auto r = workload::run_scenario(s);
   ASSERT_GT(r.ops, 0u);
   EXPECT_GT(r.puts, 0u);
   EXPECT_GT(r.put_replaced, 0u);
@@ -139,6 +149,29 @@ TEST(Workloads, EnvListHelpersParse) {
   ASSERT_EQ(ts2.size(), 2u);
   EXPECT_EQ(ts2[1], 4);
   EXPECT_FALSE(bench_smr_list().empty());
+}
+
+TEST(Workloads, DeficitListDropsBelowOneAndSaturates) {
+  unsetenv("POPSMR_BENCH_DEFICITS");
+  EXPECT_EQ(bench_deficit_list("1,16,64"), (std::vector<int>{1, 16, 64}));
+  // A 20-digit value saturates instead of wrapping; 0 and negatives drop.
+  setenv("POPSMR_BENCH_DEFICITS", "0,-4,16,99999999999999999999", 1);
+  EXPECT_EQ(bench_deficit_list("1,16,64"), (std::vector<int>{16, INT_MAX}));
+  // Nothing usable left: the default list, not a single stand-in value.
+  setenv("POPSMR_BENCH_DEFICITS", "0,x", 1);
+  EXPECT_EQ(bench_deficit_list("1,16,64"), (std::vector<int>{1, 16, 64}));
+  unsetenv("POPSMR_BENCH_DEFICITS");
+}
+
+TEST(Workloads, NameListsDefaultToTheCallersList) {
+  unsetenv("POPSMR_BENCH_SMRS");
+  unsetenv("POPSMR_BENCH_DS");
+  EXPECT_EQ(bench_smr_list(), ds::all_smr_names());
+  EXPECT_EQ(bench_smr_list("EBR,NR"), (std::vector<std::string>{"EBR", "NR"}));
+  EXPECT_EQ(bench_ds_list("DGT"), (std::vector<std::string>{"DGT"}));
+  setenv("POPSMR_BENCH_DS", "HML,LL", 1);
+  EXPECT_EQ(bench_ds_list("DGT"), (std::vector<std::string>{"HML", "LL"}));
+  unsetenv("POPSMR_BENCH_DS");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "ds/iset.hpp"
 #include "workload/scenario_engine.hpp"
@@ -28,23 +29,26 @@ constexpr double kSmokeTimeScale = 0.2;
 #endif
 
 TEST(Scenarios, RegistryListsAndDescribesEveryScenario) {
-  const auto& names = scenario_names();
-  ASSERT_GE(names.size(), 5u);
-  for (const auto& n : names) {
-    EXPECT_FALSE(scenario_description(n).empty()) << n;
-    ASSERT_TRUE(make_scenario(n, {}).has_value()) << n;
+  const auto& registry = scenario_registry();
+  ASSERT_GE(registry.size(), 5u);
+  for (const auto& e : registry) {
+    EXPECT_FALSE(e.description.empty()) << e.name;
+    ASSERT_TRUE(make_scenario(e.name, {}).has_value()) << e.name;
+    EXPECT_EQ(find_scenario(e.name), &e);
   }
 }
 
 TEST(Scenarios, UnknownNameIsRejected) {
   EXPECT_FALSE(make_scenario("no-such-scenario", {}).has_value());
-  EXPECT_TRUE(scenario_description("no-such-scenario").empty());
+  EXPECT_EQ(find_scenario("no-such-scenario"), nullptr);
+  EXPECT_TRUE(select_scenarios("no-such-*").empty());
 }
 
 TEST(Scenarios, BuiltSpecsAreAlreadyNormalized) {
   // The registry's contract: normalize() would change nothing, for any
   // cell of the full (ds, smr) matrix at several thread counts.
-  for (const auto& name : scenario_names()) {
+  for (const auto& e : scenario_registry()) {
+    const auto& name = e.name;
     for (const auto& ds : ds::all_ds_names()) {
       for (int threads : {1, 2, 8}) {
         ScenarioBuild b;
@@ -59,6 +63,150 @@ TEST(Scenarios, BuiltSpecsAreAlreadyNormalized) {
         EXPECT_FALSE(spec->phases.empty());
       }
     }
+  }
+}
+
+// A one-phase cell's identity: "DS key_range ins/ers/put duration_ms
+// threshold C epoch_freq", plus " split" for Figure 4's reader/writer roles
+// (writers on [0, 64)).
+std::string identity(const ScenarioSpec& s) {
+  const PhaseSpec& p = s.phases.at(0);
+  std::string id = s.ds + " " + std::to_string(s.key_range) + " " +
+                   std::to_string(p.pct_insert) + "/" +
+                   std::to_string(p.pct_erase) + "/" +
+                   std::to_string(p.pct_put);
+  for (uint64_t v : {p.duration_ms, s.smr_cfg.retire_threshold,
+                     s.smr_cfg.pop_multiplier, s.smr_cfg.epoch_freq}) {
+    id += " " + std::to_string(v);
+  }
+  if (p.split_readers_writers && p.writer_key_range == 64) id += " split";
+  return id;
+}
+
+// The paper's figure panels and ablation values: each entry's default
+// threads and schemes ("" = every scheme) and its cell identity, as the
+// standalone bench binaries ran them before the figures joined the
+// registry.
+struct FigureRow {
+  const char* name;
+  const char* threads;
+  const char* smrs;
+  const char* identity;
+};
+
+constexpr const char* kCrystal =
+    "NR,BRC,EBR,HazardPtrPOP,HazardEraPOP,EpochPOP";
+constexpr const char* kThr = "HazardPtrPOP,EpochPOP,HP,NBR";
+
+const FigureRow kFigures[] = {
+    {"fig1-dgt", "1,2,4", "", "DGT 8192 50/50/0 200 512 2 64"},
+    {"fig1-hmht", "1,2,4", "", "HMHT 16384 50/50/0 200 512 2 64"},
+    {"fig1-abt", "1,2,4", "", "ABT 65536 50/50/0 200 512 2 64"},
+    {"fig2-hml", "1,2,4", "", "HML 2048 50/50/0 200 512 2 64"},
+    {"fig2-ll", "1,2,4", "", "LL 2048 50/50/0 200 512 2 64"},
+    {"fig3-abt", "1,2,4", "", "ABT 65536 5/5/0 200 512 2 64"},
+    {"fig3-dgt", "1,2,4", "", "DGT 8192 5/5/0 200 512 2 64"},
+    {"fig4-long-reads-10k", "4", "", "HML 10000 25/25/0 300 64 2 64 split"},
+    {"fig4-long-reads-50k", "4", "", "HML 50000 25/25/0 300 64 2 64 split"},
+    {"fig4-long-reads-100k", "4", "", "HML 100000 25/25/0 300 64 2 64 split"},
+    {"fig5-abt-update", "2,4", "", "ABT 65536 50/50/0 150 512 2 64"},
+    {"fig5-abt-read", "2,4", "", "ABT 65536 5/5/0 150 512 2 64"},
+    {"fig6-dgt-update", "2,4", "", "DGT 8192 50/50/0 150 512 2 64"},
+    {"fig6-dgt-read", "2,4", "", "DGT 8192 5/5/0 150 512 2 64"},
+    {"fig7-hmht-update", "2,4", "", "HMHT 16384 50/50/0 150 512 2 64"},
+    {"fig7-hmht-read", "2,4", "", "HMHT 16384 5/5/0 150 512 2 64"},
+    {"fig8-hml-update", "2,4", "", "HML 2048 50/50/0 150 512 2 64"},
+    {"fig8-hml-read", "2,4", "", "HML 2048 5/5/0 150 512 2 64"},
+    {"fig9-ll-update", "2,4", "", "LL 2048 50/50/0 150 512 2 64"},
+    {"fig9-ll-read", "2,4", "", "LL 2048 5/5/0 150 512 2 64"},
+    {"fig10-hml-update", "1,2,4", kCrystal, "HML 2048 50/50/0 200 512 2 64"},
+    {"fig10-hml-read", "1,2,4", kCrystal, "HML 2048 5/5/0 200 512 2 64"},
+    {"fig11-hmht-update", "1,2,4", kCrystal,
+     "HMHT 16384 50/50/0 200 512 2 64"},
+    {"fig11-hmht-read", "1,2,4", kCrystal, "HMHT 16384 5/5/0 200 512 2 64"},
+    {"ablation-oversubscription", "1,2,4,8,16,32",
+     "HP,HPAsym,EBR,HazardPtrPOP,EpochPOP,NBR",
+     "HMHT 16384 50/50/0 150 512 2 64"},
+    {"ablation-threshold-32", "4", kThr, "HML 2048 50/50/0 150 32 2 64"},
+    {"ablation-threshold-128", "4", kThr, "HML 2048 50/50/0 150 128 2 64"},
+    {"ablation-threshold-512", "4", kThr, "HML 2048 50/50/0 150 512 2 64"},
+    {"ablation-threshold-2048", "4", kThr, "HML 2048 50/50/0 150 2048 2 64"},
+    {"ablation-threshold-8192", "4", kThr, "HML 2048 50/50/0 150 8192 2 64"},
+    {"ablation-pop-multiplier-2", "4", "EpochPOP",
+     "HMHT 16384 50/50/0 150 256 2 64"},
+    {"ablation-pop-multiplier-4", "4", "EpochPOP",
+     "HMHT 16384 50/50/0 150 256 4 64"},
+    {"ablation-pop-multiplier-8", "4", "EpochPOP",
+     "HMHT 16384 50/50/0 150 256 8 64"},
+    {"ablation-epoch-freq-1", "4", "EBR,EpochPOP",
+     "DGT 8192 50/50/0 150 512 2 1"},
+    {"ablation-epoch-freq-16", "4", "EBR,EpochPOP",
+     "DGT 8192 50/50/0 150 512 2 16"},
+    {"ablation-epoch-freq-64", "4", "EBR,EpochPOP",
+     "DGT 8192 50/50/0 150 512 2 64"},
+    {"ablation-epoch-freq-256", "4", "EBR,EpochPOP",
+     "DGT 8192 50/50/0 150 512 2 256"},
+};
+
+TEST(Scenarios, FigureEntriesKeepTheirCellIdentity) {
+  for (const FigureRow& f : kFigures) {
+    const ScenarioEntry* e = find_scenario(f.name);
+    ASSERT_NE(e, nullptr) << f.name;
+    EXPECT_EQ(e->threads, f.threads) << f.name;
+    EXPECT_EQ(e->smrs, f.smrs) << f.name;
+    EXPECT_FALSE(e->in_all) << f.name;
+    ScenarioBuild b;
+    b.ds = e->ds;
+    const auto spec = make_scenario(f.name, b);
+    EXPECT_EQ(identity(*spec), f.identity) << f.name;
+    // Uniform keys, half the range prefilled, no timeline sampler: the
+    // standalone binaries' one-phase cell.
+    EXPECT_EQ(spec->phases.size(), 1u) << f.name;
+    EXPECT_EQ(spec->phases[0].keys.kind, KeyDist::kUniform) << f.name;
+    EXPECT_EQ(spec->prefill, UINT64_MAX) << f.name;
+    EXPECT_EQ(spec->mem_sample_every_ms, 0u) << f.name;
+  }
+  size_t figures = 0;  // every figure and ablation entry is pinned above
+  for (const auto& e : scenario_registry()) figures += e.in_all ? 0 : 1;
+  EXPECT_EQ(figures, std::size(kFigures));
+}
+
+TEST(Scenarios, SelectionByAllAndGlob) {
+  // `all` is the robustness matrix CI's scenario-smoke runs; the figures
+  // join it only by name or glob.
+  const auto all = select_scenarios("all");
+  ASSERT_EQ(all.size(), 12u);
+  for (const auto* e : all) EXPECT_TRUE(e->in_all) << e->name;
+  const auto fig2 = select_scenarios("fig2-*");
+  ASSERT_EQ(fig2.size(), 2u);
+  EXPECT_EQ(fig2[0]->name, "fig2-hml");
+  EXPECT_EQ(fig2[1]->name, "fig2-ll");
+  EXPECT_EQ(select_scenarios("fig1[01]-*").size(), 4u);
+  EXPECT_EQ(select_scenarios("fig*").size(), 24u);
+  EXPECT_EQ(select_scenarios("ablation-*").size(), 13u);
+  // ablation_thresholds' three sweeps, without the oversubscription one.
+  EXPECT_EQ(select_scenarios("ablation-[tpe]*").size(), 12u);
+  EXPECT_EQ(select_scenarios("stall-recovery").size(), 1u);
+}
+
+TEST(Scenarios, DurationSetsTheCellLength) {
+  ScenarioBuild b;
+  b.duration_ms = 70;
+  b.time_scale = 0.25;  // an explicit length wins over the smoke scale
+  for (const char* name : {"fig4-long-reads-10k", "ablation-threshold-32"}) {
+    const auto spec = make_scenario(name, b);
+    ASSERT_TRUE(spec.has_value());
+    ASSERT_EQ(spec->phases.size(), 1u) << name;
+    EXPECT_EQ(spec->phases[0].duration_ms, 70u) << name;
+  }
+  // The robustness entries keep their own schedules.
+  ScenarioBuild plain = b;
+  plain.duration_ms = 0;
+  const auto stall = make_scenario("stall-recovery", b);
+  const auto own = make_scenario("stall-recovery", plain);
+  ASSERT_EQ(stall->phases.size(), own->phases.size());
+  for (size_t i = 0; i < own->phases.size(); ++i) {
+    EXPECT_EQ(stall->phases[i].duration_ms, own->phases[i].duration_ms);
   }
 }
 

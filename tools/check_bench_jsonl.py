@@ -1,415 +1,154 @@
 #!/usr/bin/env python3
-"""Validate popsmr benchmark JSONL artifacts (BENCH_*.json).
+"""Validate popsmr benchmark JSONL artifacts (BENCH_*.json) against a schema.
 
-Every bench binary appends JSON Lines to POPSMR_BENCH_JSON. Three row
-families exist:
+Every bench binary appends kind-tagged JSON Lines to POPSMR_BENCH_JSON.
+The row kinds are declared once, in C++ (src/workload/rows.hpp), and any
+bench binary exports them:
 
-  * kind-tagged rows (bench_scenarios / bench_sharded / bench_kv /
-    bench_resize / bench_faults): "scenario", "phase", "mem_sample",
-    "sharded", "shard", "kv", "resize", "fault", "pressure", "latency"
-  * micro rows ("bench": "...") from the microbenchmarks
-  * legacy figure rows (no tag) from print_row: ds/smr/threads/mops/...
+  bench_scenarios --emit-schema > schema.json
+  tools/check_bench_jsonl.py --schema schema.json BENCH_*.json \\
+      [--require-kind scenario] [--min-rows 1] [--summary]
 
-CI's smoke jobs run this gate over their artifacts so a malformed or —
-the historical failure mode — silently *empty* artifact fails the job
-instead of uploading garbage. Usage:
+This checker names no row field. The schema names the tag field that
+carries a row's kind and lists each kind's fields with a JSON type: int
+(a JSON bool is rejected although Python's bool is an int), num (int or
+finite float), str, or flag (bool-as-int: 0/1 or true/false). A field may
+also be "optional", pinned by "equals" (the only value a green artifact
+may hold) or bounded by "min".
 
-  tools/check_bench_jsonl.py BENCH_*.json [--require-kind scenario] \
-      [--min-rows 1] [--summary]
-
-Exits 0 iff every named file exists, is non-empty, every line parses as
-a JSON object matching its family's schema, and every --require-kind
-appears at least once across all files.
+Exits 0 iff every file holds at least --min-rows rows, every line is a
+JSON object matching its kind, and every --require-kind appears. CI runs
+it over every artifact, so a malformed or empty one fails the job.
 """
 
 import argparse
 import json
+import math
 import sys
 
-# Required fields per kind-tagged row family: (name, type) pairs. bool is
-# accepted for int fields only where noted in BOOL_OK; numbers must not
-# be NaN/inf (json.loads would have produced float('nan') from bare NaN,
-# which the emitters never write — reject them anyway).
-NUM = (int, float)
-
-# The documented bool-as-int fields: a C emitter printing a flag as 0/1
-# and a hand-written fixture using true/false must both pass. Every other
-# field rejects bools (Python's bool is an int subclass, so without this
-# carve-out `"retired": true` would silently satisfy an int schema).
-BOOL_OK = {"victim_parked", "hw_valid"}
-
-# Per-op outcome breakdown shared by every row family that reports a run
-# of the KV workload loop (get hit ratio, put insert/replace split, and
-# the read-your-writes validation verdict).
-PER_OP = {
-    "gets": int, "get_hits": int, "inserts": int, "erases": int,
-    "puts": int, "put_replaced": int, "rw_violations": int,
-}
-
-# Every row (tagged, micro, and legacy alike) is stamped with the
-# process-wide run id and a wall-clock ms timestamp so concatenated
-# multi-run artifacts stay disambiguable.
-STAMP = {"run_id": int, "ts": int}
-
-# The --latency percentile block (zero-filled when recording is off) on
-# the row families that summarize a workload run.
-LAT = {
-    "lat_ops": int, "lat_p50_us": NUM, "lat_p90_us": NUM,
-    "lat_p99_us": NUM, "lat_p999_us": NUM, "lat_max_us": NUM,
-}
-
-# The --hw-counters derived rates; hw_valid is a documented bool-as-int
-# flag (0 when perf_event_open was refused and the counts are zero-fill).
-HW = {"ipc": NUM, "llc_miss_rate": NUM, "hw_valid": int}
-
-# Wire-op outcome counters shared by the networked front end's rows
-# (bench_loadgen): the wire has no insert/erase split, so the breakdown
-# is GET/PUT/DEL/PING plus socket- or framing-level errors.
-NET_OPS = {
-    "ops": int, "gets": int, "get_hits": int, "puts": int,
-    "put_replaced": int, "dels": int, "del_hits": int, "pings": int,
-    "errors": int,
-}
-
-# Fields that must be strictly positive where present: a "net"/"conn" row
-# claiming zero connections or a zero-deep pipeline describes a run that
-# cannot have produced the ops it reports.
-POSITIVE = {"connections", "pipeline_depth"}
-
-SCHEMAS = {
-    "scenario": {
-        **STAMP, **LAT, **HW,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "shards": int, "seconds": NUM, "mops": NUM, "read_mops": NUM,
-        "retired": int, "freed": int, "signals_sent": int,
-        "vm_hwm_kib": int, "churn_cycles": int,
-        "baseline_unreclaimed": int, "stall_peak_unreclaimed": int,
-        "final_unreclaimed": int, "grows": int, "shrinks": int,
-        "buckets_final": int, **PER_OP,
-    },
-    "latency": {
-        **STAMP,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "shards": int, "op": str, "count": int, "p50_us": NUM,
-        "p90_us": NUM, "p99_us": NUM, "p999_us": NUM, "max_us": NUM,
-    },
-    "resize": {
-        **STAMP,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "deficit": int, "initial_capacity": int, "key_range": int,
-        "seconds": NUM, "mops": NUM, "storm_mops": NUM, "steady_mops": NUM,
-        "recovery_pct": NUM, "grows": int, "shrinks": int,
-        "buckets_final": int, "retired": int, "freed": int,
-        "final_unreclaimed": int,
-    },
-    "phase": {
-        **STAMP, **LAT, **HW,
-        "scenario": str, "ds": str, "smr": str, "phase": str, "idx": int,
-        "threads": int, "seconds": NUM, "mops": NUM, "read_mops": NUM,
-        "retired": int, "freed": int, "signals_sent": int, "pings": int,
-        "neutralized": int, "max_retire_len": int, "unreclaimed_end": int,
-        "cycles": int, "instructions": int, "llc_misses": int,
-        "ctx_switches": int, **PER_OP,
-    },
-    "kv": {
-        **STAMP, **LAT,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "shards": int, "pct_put": int, "seconds": NUM, "mops": NUM,
-        "read_mops": NUM, "retired": int, "freed": int,
-        "signals_sent": int, "final_unreclaimed": int, "vm_hwm_kib": int,
-        **PER_OP,
-    },
-    "fault": {
-        **STAMP, **LAT,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "fault": str, "seconds": NUM, "mops": NUM, "kills": int,
-        "signals_suppressed": int, "first_kill_at_ms": int,
-        "recovered_at_ms": int, "waves_timed_out": int, "tids_reaped": int,
-        "orphans_adopted": int, "pressure_events": int,
-        "forced_handshakes": int, "signals_sent": int, "retired": int,
-        "freed": int, "peak_unreclaimed": int, "final_unreclaimed": int,
-    },
-    "pressure": {
-        **STAMP,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "pressure_bound": int, "pressure_events": int,
-        "forced_handshakes": int, "baseline_unreclaimed": int,
-        "peak_unreclaimed": int, "final_unreclaimed": int,
-        "stall_parked_at_ms": int, "stall_resumed_at_ms": int,
-        "retired": int, "freed": int,
-    },
-    "mem_sample": {
-        **STAMP,
-        "scenario": str, "ds": str, "smr": str, "t_ms": int, "phase": int,
-        "vm_rss_kib": int, "vm_hwm_kib": int, "unreclaimed": int,
-        "pool_live_blocks": int, "victim_parked": int,
-    },
-    "sharded": {
-        **STAMP,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "shards": int, "shard_hash": str, "seconds": NUM, "mops": NUM,
-        "read_mops": NUM, "retired": int, "freed": int,
-        "signals_sent": int, "final_unreclaimed": int,
-        "pool_live_blocks": int, "shard_ops_max": int, "shard_ops_min": int,
-    },
-    # bench_loadgen's per-cell summary: end-to-end client-side latency
-    # (the lat_* block) over every connection, plus the wire-op totals.
-    "net": {
-        **STAMP, **LAT, **NET_OPS,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "shards": int, "connections": int, "pipeline_depth": int,
-        "seconds": NUM, "mops": NUM,
-    },
-    # bench_loadgen's per-connection row: one per client connection, with
-    # that connection's own percentile block (fairness across the
-    # multiplexed workers is visible as p99 spread between conn rows).
-    "conn": {
-        **STAMP, **NET_OPS,
-        "scenario": str, "ds": str, "smr": str, "conn": int,
-        "connections": int, "pipeline_depth": int, "p50_us": NUM,
-        "p90_us": NUM, "p99_us": NUM, "p999_us": NUM, "max_us": NUM,
-    },
-    "shard": {
-        **STAMP,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "shards": int, "shard": int, "ops": int, "retired": int,
-        "freed": int, "unreclaimed": int, "signals_sent": int,
-        "get_hits": int, "get_misses": int, "put_inserts": int,
-        "put_replaces": int, "resizes": int, "buckets_final": int,
-        "waves_timed_out": int, "tids_reaped": int,
-        "pressure_events": int, "forced_handshakes": int,
-    },
-}
-
-# Optional per-kind columns, present only when the producing run armed
-# the feature: the SMR contract sanitizer (POPSMR_AUDIT=1) adds
-# audit_violations to its summary rows, and an unaudited run omits the
-# column entirely rather than writing an ambiguous 0. When present the
-# value must be 0 — a green artifact never carries contract violations.
-OPTIONAL = {
-    "scenario": {"audit_violations": int},
-    "fault": {"audit_violations": int},
-}
-ZERO_REQUIRED = {"audit_violations"}
-
-# Untagged families, identified by a discriminating field.
-MICRO_REQUIRED = {**STAMP, "bench": str, "threads": int}
-LEGACY_REQUIRED = {
-    **STAMP, **LAT,
-    "ds": str, "smr": str, "threads": int, "mops": NUM, "read_mops": NUM,
-    "vm_hwm_kib": int, "freed": int, "signals_sent": int,
+TYPES = {
+    "flag": lambda v: isinstance(v, int),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "num": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
 }
 
 
-def check_fields(row, schema, where, errors):
-    for field, ftype in schema.items():
-        if field not in row:
-            errors.append(f"{where}: missing field '{field}'")
-            continue
-        v = row[field]
-        # bools are ints in Python; reject them for numeric fields except
-        # the documented bool-as-int flags in BOOL_OK.
-        if isinstance(v, bool) and field in BOOL_OK:
-            continue
-        if isinstance(v, bool) or not isinstance(v, ftype):
-            errors.append(
-                f"{where}: field '{field}' has type {type(v).__name__}, "
-                f"expected {ftype}")
-            continue
-        if isinstance(v, float) and (v != v or v in (float("inf"),
-                                                     float("-inf"))):
-            errors.append(f"{where}: field '{field}' is NaN/inf")
-
-
-def check_row(row, where, errors, kind_counts):
+def check_row(schema, row, where, errors, kind_counts):
     if not isinstance(row, dict):
         errors.append(f"{where}: not a JSON object")
         return
-    if "kind" in row:
-        kind = row["kind"]
-        if kind not in SCHEMAS:
-            errors.append(f"{where}: unknown kind '{kind}'")
-            return
-        kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        check_fields(row, SCHEMAS[kind], f"{where} [{kind}]", errors)
-        for field, ftype in OPTIONAL.get(kind, {}).items():
-            if field not in row:
-                continue
-            v = row[field]
-            if isinstance(v, bool) or not isinstance(v, ftype):
-                errors.append(
-                    f"{where} [{kind}]: field '{field}' has type "
-                    f"{type(v).__name__}, expected {ftype}")
-            elif field in ZERO_REQUIRED and v != 0:
-                errors.append(
-                    f"{where} [{kind}]: field '{field}' must be 0 in a "
-                    f"green artifact, got {v}")
-        for field in POSITIVE & SCHEMAS[kind].keys():
-            v = row.get(field)
-            if isinstance(v, int) and not isinstance(v, bool) and v <= 0:
-                errors.append(
-                    f"{where} [{kind}]: field '{field}' must be >= 1, "
-                    f"got {v}")
-    elif "bench" in row:
-        kind_counts["micro"] = kind_counts.get("micro", 0) + 1
-        check_fields(row, MICRO_REQUIRED, f"{where} [micro]", errors)
-    else:
-        kind_counts["workload"] = kind_counts.get("workload", 0) + 1
-        check_fields(row, LEGACY_REQUIRED, f"{where} [workload]", errors)
+    kind = row.get(schema["tag"])
+    if kind not in schema["kinds"]:
+        errors.append(f"{where}: unknown {schema['tag']} {kind!r}")
+        return
+    kind_counts[kind] = kind_counts.get(kind, 0) + 1
+    for f in schema["kinds"][kind]:
+        name, v = f["name"], row.get(f["name"])
+        bad = None
+        if name not in row:
+            bad = None if f.get("optional") else "is missing"
+        elif not TYPES[f["type"]](v):
+            bad = f"has type {type(v).__name__}, expected {f['type']}"
+        elif isinstance(v, float) and not math.isfinite(v):
+            bad = "is NaN/inf"
+        elif "equals" in f and v != f["equals"]:
+            bad = f"must be {f['equals']} in a green artifact, got {v}"
+        elif "min" in f and v < f["min"]:
+            bad = f"must be >= {f['min']}, got {v}"
+        if bad:
+            errors.append(f"{where} [{kind}]: field '{name}' {bad}")
+
+
+def fields(**types):
+    """A fixture kind: name=type pairs; a type may carry ':key=value'."""
+    out = []
+    for name, spec in types.items():
+        t, *facts = spec.split(":")
+        out.append({"name": name, "type": t,
+                    **{k: json.loads(v) for k, v in
+                       (fact.split("=") for fact in facts)}})
+    return out
+
+
+# A small stand-in for the exported schema, so the self-test needs no
+# build. Its kinds and fields exist only to exercise each rule.
+FIXTURE = {"tag": "kind", "kinds": {
+    "shard": fields(run_id="int", ts="int", retired="int",
+                    forced_handshakes="int"),
+    "net": fields(run_id="int", lat_p999_us="num", errors="int",
+                  connections="int:min=1", pipeline_depth="int:min=1"),
+    "latency": fields(run_id="int", op="str", p99_us="num"),
+    "fault": fields(run_id="int",
+                    audit_violations="int:optional=true:equals=0",
+                    fault="str", tids_reaped="int", recovery_pct="num"),
+    "mem_sample": fields(run_id="int", victim_parked="flag"),
+}}
 
 
 def self_test():
-    """Regression cases for the checker itself (run with --self-test).
+    """The checker's own regression cases: (description, row, passes).
 
-    Each case is (description, row, should_pass). The load-bearing one is
-    the bool regression: `"retired": true` must FAIL even though Python's
-    bool is an int subclass — only the documented BOOL_OK flags may carry
-    a JSON bool.
+    The load-bearing one is the bool regression: `"retired": true` must
+    FAIL although Python's bool is an int; only flags take a JSON bool.
     """
-    stamp_ok = {"run_id": 1754600000000000000, "ts": 1754600000000}
-    lat_ok = {
-        "lat_ops": 301284, "lat_p50_us": 0.294, "lat_p90_us": 0.47,
-        "lat_p99_us": 0.51, "lat_p999_us": 24.192, "lat_max_us": 5984.301,
-    }
-    shard_ok = {
-        "kind": "shard", **stamp_ok, "scenario": "s", "ds": "RHHT",
-        "smr": "EBR",
-        "threads": 2, "shards": 4, "shard": 0, "ops": 10, "retired": 5,
-        "freed": 5, "unreclaimed": 0, "signals_sent": 0, "get_hits": 1,
-        "get_misses": 1, "put_inserts": 1, "put_replaces": 1, "resizes": 3,
-        "buckets_final": 256, "waves_timed_out": 0, "tids_reaped": 0,
-        "pressure_events": 2, "forced_handshakes": 2,
-    }
-    latency_ok = {
-        "kind": "latency", **stamp_ok, "scenario": "stall-recovery",
-        "ds": "HML", "smr": "EpochPOP", "threads": 2, "shards": 1,
-        "op": "ping_wave", "count": 18, "p50_us": 22.4, "p90_us": 28.0,
-        "p99_us": 5203.6, "p999_us": 5203.6, "max_us": 5203.6,
-    }
-    resize_ok = {
-        "kind": "resize", **stamp_ok, "scenario": "grow-storm", "ds": "RHHT",
-        "smr": "EBR", "threads": 2, "deficit": 64, "initial_capacity": 256,
-        "key_range": 16384, "seconds": 0.4, "mops": 1.0, "storm_mops": 0.8,
-        "steady_mops": 1.2, "recovery_pct": 97.5, "grows": 6, "shrinks": 0,
-        "buckets_final": 4096, "retired": 6, "freed": 6,
-        "final_unreclaimed": 0,
-    }
-    mem_ok = {
-        "kind": "mem_sample", **stamp_ok, "scenario": "s", "ds": "HML",
-        "smr": "HP",
-        "t_ms": 1, "phase": 0, "vm_rss_kib": 1, "vm_hwm_kib": 1,
-        "unreclaimed": 0, "pool_live_blocks": 0, "victim_parked": 0,
-    }
-    fault_ok = {
-        "kind": "fault", **stamp_ok, **lat_ok, "scenario": "zombie-storm",
-        "ds": "HML",
-        "smr": "EpochPOP", "threads": 3, "fault": "thread-kill",
-        "seconds": 0.1, "mops": 2.5, "kills": 4, "signals_suppressed": 0,
-        "first_kill_at_ms": 17, "recovered_at_ms": 25, "waves_timed_out": 0,
-        "tids_reaped": 4, "orphans_adopted": 2721, "pressure_events": 0,
-        "forced_handshakes": 0, "signals_sent": 19, "retired": 45663,
-        "freed": 44258, "peak_unreclaimed": 0, "final_unreclaimed": 1405,
-    }
-    pressure_ok = {
-        "kind": "pressure", **stamp_ok, "scenario": "pressure-backstop",
-        "ds": "HML",
-        "smr": "EBR", "threads": 3, "pressure_bound": 3072,
-        "pressure_events": 601, "forced_handshakes": 601,
-        "baseline_unreclaimed": 3808, "peak_unreclaimed": 11360,
-        "final_unreclaimed": 3013, "stall_parked_at_ms": 33,
-        "stall_resumed_at_ms": 85, "retired": 38547, "freed": 35534,
-    }
-    scenario_hw_missing = {
-        "kind": "scenario", **stamp_ok, **lat_ok, "scenario": "s",
-        "ds": "HML", "smr": "EBR", "threads": 2, "shards": 1,
-        "seconds": 0.1, "mops": 1.0, "read_mops": 0.5, "retired": 1,
-        "freed": 1, "signals_sent": 0, "vm_hwm_kib": 1, "churn_cycles": 0,
-        "baseline_unreclaimed": 0, "stall_peak_unreclaimed": 0,
-        "final_unreclaimed": 0, "grows": 0, "shrinks": 0,
-        "buckets_final": 0, "gets": 1, "get_hits": 1, "inserts": 0,
-        "erases": 0, "puts": 0, "put_replaced": 0, "rw_violations": 0,
-    }  # deliberately lacks ipc/llc_miss_rate/hw_valid
-    net_ops_ok = {
-        "ops": 47748, "gets": 23946, "get_hits": 11786, "puts": 11753,
-        "put_replaced": 5754, "dels": 12045, "del_hits": 5992, "pings": 4,
-        "errors": 0,
-    }
-    net_ok = {
-        "kind": "net", **stamp_ok, **lat_ok, **net_ops_ok,
-        "scenario": "uniform-mixed", "ds": "HMHT", "smr": "EBR",
-        "threads": 2, "shards": 1, "connections": 4, "pipeline_depth": 8,
-        "seconds": 0.05, "mops": 0.952,
-    }
-    conn_ok = {
-        "kind": "conn", **stamp_ok, **net_ops_ok,
-        "scenario": "uniform-mixed", "ds": "HMHT", "smr": "EBR", "conn": 0,
-        "connections": 4, "pipeline_depth": 8, "p50_us": 27.7,
-        "p90_us": 51.9, "p99_us": 95.7, "p999_us": 142.3, "max_us": 152.6,
-    }
+    shard = {"kind": "shard", "run_id": 1754600000000000000,
+             "ts": 1754600000000, "retired": 5, "forced_handshakes": 2}
+    net = {"kind": "net", "run_id": 1, "lat_p999_us": 24.192, "errors": 0,
+           "connections": 4, "pipeline_depth": 8}
+    latency = {"kind": "latency", "run_id": 1, "op": "ping_wave",
+               "p99_us": 5203.6}
+    fault = {"kind": "fault", "run_id": 1, "fault": "thread-kill",
+             "tids_reaped": 4, "recovery_pct": 97.5}
+    mem = {"kind": "mem_sample", "run_id": 1, "victim_parked": 0}
+
+    def drop(row, field):
+        return {k: v for k, v in row.items() if k != field}
+
     cases = [
-        ("valid shard row", shard_ok, True),
-        ("valid net row", net_ok, True),
-        ("valid conn row", conn_ok, True),
-        ("net row without the lat_* block",
-         {k: v for k, v in net_ok.items() if k != "lat_p999_us"}, False),
-        ("net row without pipeline_depth",
-         {k: v for k, v in net_ok.items() if k != "pipeline_depth"}, False),
-        ("net row with zero connections must be rejected",
-         {**net_ok, "connections": 0}, False),
-        ("conn row with non-positive pipeline_depth must be rejected",
-         {**conn_ok, "pipeline_depth": -8}, False),
-        ("conn row without per-conn percentiles",
-         {k: v for k, v in conn_ok.items() if k != "p999_us"}, False),
-        ("net errors counter as bool must be rejected",
-         {**net_ok, "errors": False}, False),
-        ("valid latency row", latency_ok, True),
-        ("latency op must be a string",
-         {**latency_ok, "op": 7}, False),
-        ("latency row without run_id stamp",
-         {k: v for k, v in latency_ok.items() if k != "run_id"}, False),
-        ("valid fault row", fault_ok, True),
-        ("fault row without the lat_* block",
-         {k: v for k, v in fault_ok.items() if k != "lat_p99_us"}, False),
-        ("scenario row must carry hw fields", scenario_hw_missing, False),
-        ("hw_valid as bool (documented bool-as-int)",
-         {**scenario_hw_missing, "ipc": 1.1, "llc_miss_rate": 0.2,
-          "hw_valid": True}, True),
-        ("shard row without fault counters",
-         {k: v for k, v in shard_ok.items()
-          if k != "forced_handshakes"}, False),
-        ("valid pressure row", pressure_ok, True),
-        ("fault name must be a string",
-         {**fault_ok, "fault": 3}, False),
-        ("tids_reaped as bool must be rejected",
-         {**fault_ok, "tids_reaped": True}, False),
-        ("missing pressure_bound", {k: v for k, v in pressure_ok.items()
-                                    if k != "pressure_bound"}, False),
-        ("valid resize row", resize_ok, True),
-        ("valid mem_sample row", mem_ok, True),
-        ("victim_parked as bool (documented bool-as-int)",
-         {**mem_ok, "victim_parked": True}, True),
-        ("retired as bool must be rejected",
-         {**shard_ok, "retired": True}, False),
-        ("recovery_pct as bool must be rejected",
-         {**resize_ok, "recovery_pct": False}, False),
-        ("missing deficit", {k: v for k, v in resize_ok.items()
-                             if k != "deficit"}, False),
+        ("valid shard row", shard, True),
+        ("valid net row", net, True),
+        ("valid latency row", latency, True),
+        ("valid fault row", fault, True),
+        ("valid mem_sample row", mem, True),
+        ("missing required num field", drop(net, "lat_p999_us"), False),
+        ("missing required positive field", drop(net, "pipeline_depth"),
+         False),
+        ("missing required int field", drop(shard, "forced_handshakes"),
+         False),
+        ("missing stamp field", drop(latency, "run_id"), False),
+        ("missing per-row percentile", drop(latency, "p99_us"), False),
+        ("missing required ratio", drop(fault, "recovery_pct"), False),
+        ("zero where min is 1", {**net, "connections": 0}, False),
+        ("negative where min is 1", {**net, "pipeline_depth": -8}, False),
+        ("int counter as bool", {**net, "errors": False}, False),
+        ("retired as bool", {**shard, "retired": True}, False),
+        ("tids_reaped as bool", {**fault, "tids_reaped": True}, False),
+        ("num field as bool", {**fault, "recovery_pct": False}, False),
+        ("num field as null (a NaN the writer could not encode)",
+         {**fault, "recovery_pct": None}, False),
+        ("str field as number", {**latency, "op": 7}, False),
+        ("fault name as number", {**fault, "fault": 3}, False),
+        ("int field as float", {**shard, "retired": 5.0}, False),
+        ("flag as bool", {**mem, "victim_parked": True}, True),
+        ("flag as 0/1", {**mem, "victim_parked": 1}, True),
+        ("flag as string", {**mem, "victim_parked": "1"}, False),
+        ("optional field absent", fault, True),
+        ("optional field at its required value",
+         {**fault, "audit_violations": 0}, True),
+        ("optional field off its required value",
+         {**fault, "audit_violations": 3}, False),
+        ("optional field as bool", {**fault, "audit_violations": False},
+         False),
         ("unknown kind", {"kind": "nope"}, False),
+        ("row without a kind", drop(shard, "kind"), False),
         ("non-object row", [1, 2, 3], False),
-        ("audited scenario row with explicit zero violations",
-         {**scenario_hw_missing, "ipc": 1.1, "llc_miss_rate": 0.2,
-          "hw_valid": 1, "audit_violations": 0}, True),
-        ("nonzero audit_violations must be rejected",
-         {**fault_ok, "audit_violations": 3}, False),
-        ("audit_violations as bool must be rejected",
-         {**fault_ok, "audit_violations": False}, False),
     ]
     failures = 0
     for desc, row, should_pass in cases:
         errors = []
-        check_row(row, "self-test", errors, {})
-        passed = not errors
-        if passed != should_pass:
+        check_row(FIXTURE, row, "self-test", errors, {})
+        if (not errors) != should_pass:
             failures += 1
             print(f"check_bench_jsonl: self-test FAIL: {desc} "
                   f"(expected {'pass' if should_pass else 'fail'}, "
@@ -423,13 +162,11 @@ def self_test():
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("files", nargs="*", help="JSONL artifacts to validate")
+    ap.add_argument("--schema", metavar="FILE",
+                    help="row schema from `bench_scenarios --emit-schema`")
     ap.add_argument("--require-kind", action="append", default=[],
-                    metavar="KIND",
-                    help="fail unless at least one row of KIND exists "
-                         "(scenario, phase, mem_sample, sharded, shard, "
-                         "kv, resize, fault, pressure, latency, net, conn, "
-                         "micro, workload); "
-                         "repeatable")
+                    metavar="KIND", help="fail unless a row of KIND exists "
+                    "(any kind the schema declares); repeatable")
     ap.add_argument("--min-rows", type=int, default=1, metavar="N",
                     help="fail any file with fewer than N rows (default 1: "
                          "an empty artifact is a failure, not a pass)")
@@ -441,8 +178,13 @@ def main():
 
     if args.self_test:
         return self_test()
-    if not args.files:
-        ap.error("no input files (or pass --self-test)")
+    if not args.files or not args.schema:
+        ap.error("need --schema FILE and input files (or pass --self-test)")
+    try:
+        with open(args.schema, "r", encoding="utf-8") as f:
+            schema = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        ap.error(f"unreadable schema {args.schema}: {e}")
 
     errors = []
     kind_counts = {}
@@ -458,34 +200,33 @@ def main():
         for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            where = f"{path}:{lineno}"
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as e:
-                errors.append(f"{where}: invalid JSON: {e}")
+                errors.append(f"{path}:{lineno}: invalid JSON: {e}")
                 continue
             rows += 1
-            check_row(row, where, errors, kind_counts)
+            check_row(schema, row, f"{path}:{lineno}", errors, kind_counts)
         if rows < args.min_rows:
-            errors.append(
-                f"{path}: only {rows} row(s), expected >= {args.min_rows} "
-                "(empty artifacts previously passed CI silently)")
+            errors.append(f"{path}: only {rows} row(s), expected >= "
+                          f"{args.min_rows} (an empty artifact is a failure)")
         total_rows += rows
 
     for kind in args.require_kind:
-        if kind_counts.get(kind, 0) == 0:
-            errors.append(
-                f"required kind '{kind}' absent from all inputs "
-                f"(saw: {sorted(kind_counts) or 'nothing'})")
+        if kind not in schema["kinds"]:
+            errors.append(f"--require-kind '{kind}' is not a kind the schema "
+                          f"declares ({', '.join(sorted(schema['kinds']))})")
+        elif kind_counts.get(kind, 0) == 0:
+            errors.append(f"required kind '{kind}' absent from all inputs "
+                          f"(saw: {sorted(kind_counts) or 'nothing'})")
 
+    for e in errors[:50]:
+        print(f"check_bench_jsonl: {e}", file=sys.stderr)
+    if len(errors) > 50:
+        print(f"check_bench_jsonl: ... and {len(errors) - 50} more",
+              file=sys.stderr)
     if errors:
-        for e in errors[:50]:
-            print(f"check_bench_jsonl: {e}", file=sys.stderr)
-        if len(errors) > 50:
-            print(f"check_bench_jsonl: ... and {len(errors) - 50} more",
-                  file=sys.stderr)
         return 1
-
     if args.summary:
         counts = ", ".join(f"{k}={v}" for k, v in sorted(kind_counts.items()))
         print(f"check_bench_jsonl: OK — {total_rows} rows ({counts})")
