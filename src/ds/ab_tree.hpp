@@ -489,7 +489,7 @@ class AbTree {
         destroy_rec(in->children[i].load(std::memory_order_relaxed));
       }
     }
-    n->deleter(n);
+    smr::destroy_unpublished(n);
   }
 
   uint64_t count_rec(const NodeBase* n) const {

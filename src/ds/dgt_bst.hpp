@@ -173,16 +173,16 @@ class DgtBst {
         : key(k), val(v), leaf(is_leaf) {}
     uint64_t key;
     uint64_t val;  // leaf payload; immutable after publication
-    bool leaf;
     std::atomic<Node*> left{nullptr};
     std::atomic<Node*> right{nullptr};
     runtime::Spinlock lock;
     std::atomic<bool> marked{false};
+    bool leaf;  // packed with lock and marked into the last word
   };
   // The pool's size classes are fitted to the node: it wastes under 16 B.
-  static_assert(runtime::detail::pool_class_bytes(
-                    runtime::detail::pool_class_of(sizeof(Node))) <
-                sizeof(Node) + 16);
+  // The size pin makes a field that crosses a size class fail here.
+  static_assert(runtime::detail::pool_class_slack(sizeof(Node)) < 16);
+  static_assert(sizeof(Node) == 64);
 
   static constexpr int kSlotGp = 0;
   static constexpr int kSlotP = 1;
@@ -257,7 +257,7 @@ class DgtBst {
       destroy_rec(n->left.load(std::memory_order_relaxed));
       destroy_rec(n->right.load(std::memory_order_relaxed));
     }
-    n->deleter(n);
+    smr::destroy_unpublished(n);
   }
 
   uint64_t count_rec(const Node* n) const {

@@ -47,7 +47,7 @@ class HashTable {
   }
 
   ~HashTable() {
-    for (Node* h : heads_) Ops::destroy_chain(h);
+    for (Node* h : heads_) smr::destroy_list(h);
   }
 
   bool get(uint64_t k, uint64_t* val_out) {

@@ -49,9 +49,9 @@ struct HmOps {
     std::atomic<Node*> next{nullptr};
   };
   // The pool's size classes are fitted to the node: it wastes under 16 B.
-  static_assert(runtime::detail::pool_class_bytes(
-                    runtime::detail::pool_class_of(sizeof(Node))) <
-                sizeof(Node) + 16);
+  // The size pin makes a field that crosses a size class fail here.
+  static_assert(runtime::detail::pool_class_slack(sizeof(Node)) < 16);
+  static_assert(sizeof(Node) == 48);
 
   static constexpr int kSlotPrev = 0;
   static constexpr int kSlotCurr = 1;
@@ -254,15 +254,6 @@ struct HmOps {
     }
     return true;
   }
-
-  static void destroy_chain(Node* head) {
-    Node* c = head;
-    while (c != nullptr) {
-      Node* nx = smr::strip_mark(c->next.load(std::memory_order_relaxed));
-      c->deleter(c);
-      c = nx;
-    }
-  }
 };
 
 // The standalone list map (also usable as a set via the key-only shims).
@@ -275,7 +266,7 @@ class HmList {
   explicit HmList(const smr::SmrConfig& cfg = {}) : smr_(cfg) {
     head_ = smr_.template create<Node>(0);
   }
-  ~HmList() { Ops::destroy_chain(head_); }
+  ~HmList() { smr::destroy_list(head_); }
 
   bool get(uint64_t k, uint64_t* val_out) {
     return Ops::get(smr_, head_, k, val_out);

@@ -27,6 +27,7 @@
 #include <cstdint>
 
 #include "ds/kv.hpp"
+#include "runtime/pool_alloc.hpp"
 #include "runtime/spinlock.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/domain_base.hpp"
@@ -45,14 +46,7 @@ class LazyList {
     head_->next.store(tail_, std::memory_order_relaxed);
   }
 
-  ~LazyList() {
-    Node* c = head_;
-    while (c != nullptr) {
-      Node* nx = c->next.load(std::memory_order_relaxed);
-      c->deleter(c);
-      c = nx;
-    }
-  }
+  ~LazyList() { smr::destroy_list(head_); }
 
   bool get(uint64_t key, uint64_t* val_out) {
     typename Smr::Guard g(smr_);
@@ -204,6 +198,8 @@ class LazyList {
     // readers treat it as still present, writers as stale.
     std::atomic<bool> replaced{false};
   };
+  // The pool's size classes are fitted to the node: it wastes under 16 B.
+  static_assert(runtime::detail::pool_class_slack(sizeof(Node)) < 16);
 
   static constexpr int kSlotPred = 0;
   static constexpr int kSlotCurr = 1;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "runtime/pool_alloc.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/domain_base.hpp"
 #include "smr/tagged.hpp"
@@ -30,14 +31,7 @@ class MsQueue {
     tail_.store(dummy, std::memory_order_relaxed);
   }
 
-  ~MsQueue() {
-    Node* c = head_.load(std::memory_order_relaxed);
-    while (c != nullptr) {
-      Node* nx = c->next.load(std::memory_order_relaxed);
-      c->deleter(c);
-      c = nx;
-    }
-  }
+  ~MsQueue() { smr::destroy_list(head_.load(std::memory_order_relaxed)); }
 
   void enqueue(uint64_t value) {
     typename Smr::Guard g(smr_);
@@ -128,6 +122,8 @@ class MsQueue {
     uint64_t value;
     std::atomic<Node*> next{nullptr};
   };
+  // The pool's size classes are fitted to the node: it wastes under 16 B.
+  static_assert(runtime::detail::pool_class_slack(sizeof(Node)) < 16);
 
   Smr smr_;  // destroyed last
   std::atomic<Node*> head_;

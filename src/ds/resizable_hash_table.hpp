@@ -27,9 +27,10 @@
 //
 // The displaced descriptor — a multi-kilobyte bucket array, the bursty
 // large-Reclaimable shape this structure exists to exercise — is retired
-// as a single Reclaimable through the owning domain; its destructor
-// returns the cells array to the pool, so the batched sweep, the
-// poisoned/UAF suites, and the leak-balance accounting all see it.
+// as a single Reclaimable through the owning domain. The cells array is
+// the trailing bytes of the descriptor's own pool block, so a retired
+// table is exactly one block to the batched sweep, the poisoned/UAF
+// suites and the leak-balance accounting.
 // Readers protect the descriptor with a validated protect() in a slot of
 // its own (kSlotTable = 3; the list traversal rotates 0..2 exactly like
 // HmOps), so a descriptor is never freed under a traversal that still
@@ -109,24 +110,23 @@ class ResizableHashTable {
     uint64_t val;  // immutable after publication (replace swaps nodes)
     std::atomic<Node*> next{nullptr};
   };
+  // The pool's size classes are fitted to the node: it wastes under 16 B.
+  static_assert(runtime::detail::pool_class_slack(sizeof(Node)) < 16);
 
-  // The CAS-published descriptor. Retiring one retires the whole bucket
-  // array as a single large Reclaimable: the destructor (run by the
-  // batch_prep hook on the sweep path) returns the cells block to the
-  // pool, so descriptor reclamation is visible to the same allocated ==
-  // freed accounting as node reclamation.
+  // The CAS-published descriptor. Its cells array (write-once: null ->
+  // dummy, never back) lives in the trailing bytes of the same pool
+  // block, so retiring a table retires the whole bucket array as one
+  // large Reclaimable, one block in the allocated == freed accounting.
   struct Table : smr::Reclaimable {
     explicit Table(uint64_t n) : nbuckets(n) {
-      cells = static_cast<std::atomic<Node*>*>(
-          runtime::PoolAllocator::instance().allocate(
-              n * sizeof(std::atomic<Node*>)));
       for (uint64_t i = 0; i < n; ++i) {
-        new (&cells[i]) std::atomic<Node*>(nullptr);
+        new (&cells()[i]) std::atomic<Node*>(nullptr);
       }
     }
-    ~Table() { runtime::PoolAllocator::instance().deallocate(cells); }
-    const uint64_t nbuckets;         // always a power of two
-    std::atomic<Node*>* cells;       // write-once: null -> dummy, never back
+    std::atomic<Node*>* cells() {
+      return reinterpret_cast<std::atomic<Node*>*>(this + 1);
+    }
+    const uint64_t nbuckets;  // always a power of two
   };
 
   // The list traversal rotates slots 0..2 (HmOps discipline); the table
@@ -152,8 +152,9 @@ class ResizableHashTable {
     const uint64_t n = std::clamp<uint64_t>(detail_rhht::pow2_at_least(want),
                                             kMinBuckets, kMaxBuckets);
     head_ = smr_.template create<Node>(detail_rhht::so_dummy(0), 0, 0);
-    Table* t = smr_.template create<Table>(n);
-    t->cells[0].store(head_, std::memory_order_relaxed);
+    Table* t = smr_.template create<Table>(
+        smr::TailBytes{n * sizeof(std::atomic<Node*>)}, n);
+    t->cells()[0].store(head_, std::memory_order_relaxed);
     nbuckets_now_.store(n, std::memory_order_relaxed);
     table_.store(t, std::memory_order_release);
   }
@@ -163,12 +164,7 @@ class ResizableHashTable {
     // the current descriptor; descriptors displaced earlier sit on the
     // domain's retire lists and are freed by its drain (smr_ is the
     // first member, so it is destroyed after this body runs).
-    Node* c = head_;
-    while (c != nullptr) {
-      Node* nx = smr::strip_mark(c->next.load(std::memory_order_relaxed));
-      c->deleter(c);
-      c = nx;
-    }
+    smr::destroy_list(head_);
     smr::destroy_unpublished(table_.load(std::memory_order_relaxed));
   }
 
@@ -342,7 +338,7 @@ class ResizableHashTable {
   // absent, never retired), so a lost cells-CAS race always installed
   // the same pointer.
   Node* bucket_head(Table* t, uint64_t b) {
-    Node* d = t->cells[b].load(std::memory_order_acquire);
+    Node* d = t->cells()[b].load(std::memory_order_acquire);
     if (d != nullptr) return d;
     Node* p = bucket_head(t, detail_rhht::parent_bucket(b));
     const uint64_t so = detail_rhht::so_dummy(b);
@@ -370,10 +366,10 @@ class ResizableHashTable {
       smr_.exit_write_phase();
     }
     Node* expected = nullptr;
-    t->cells[b].compare_exchange_strong(expected, d,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire);
-    return t->cells[b].load(std::memory_order_acquire);
+    t->cells()[b].compare_exchange_strong(expected, d,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire);
+    return t->cells()[b].load(std::memory_order_acquire);
   }
 
   // HmOps::find with (so, key) lexicographic comparisons. `head` is a
@@ -488,14 +484,15 @@ class ResizableHashTable {
     // the operand set is safe; the phase itself stays open (no exit
     // until the Guard's end_op), keeping the copy un-neutralizable.
     smr_.enter_write_phase({t});
-    Table* nt = smr_.template create<Table>(want);
+    Table* nt = smr_.template create<Table>(
+        smr::TailBytes{want * sizeof(std::atomic<Node*>)}, want);
     const uint64_t keep = std::min(n, want);
     for (uint64_t i = 0; i < keep; ++i) {
       // Snapshot the shortcut index. A cell initialized concurrently
       // after the copy is re-derived lazily in the new table (the dummy
       // is already in the list; bucket_head just re-finds it).
-      nt->cells[i].store(t->cells[i].load(std::memory_order_acquire),
-                         std::memory_order_relaxed);
+      nt->cells()[i].store(t->cells()[i].load(std::memory_order_acquire),
+                           std::memory_order_relaxed);
     }
     Table* expected = t;
     if (table_.compare_exchange_strong(expected, nt,

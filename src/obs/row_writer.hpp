@@ -44,7 +44,7 @@ struct Field {
       : name(name), checks(checks), present(present) {
     if constexpr (std::is_same_v<T, bool>) {
       type = FieldType::kFlag;
-      json = v ? "1" : "0";
+      json.assign(1, v ? '1' : '0');
     } else if constexpr (std::is_integral_v<T>) {
       char buf[24];
       type = FieldType::kInt;

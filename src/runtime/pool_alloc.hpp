@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
-#include <utility>
 
 namespace pop::runtime {
 
@@ -65,6 +64,11 @@ constexpr std::size_t pool_class_bytes(int c) {
   return base + base / 4 * static_cast<std::size_t>((c - 8) % 4 + 1);
 }
 
+// Bytes a `size`-byte request leaves unused in its size class.
+constexpr std::size_t pool_class_slack(std::size_t size) {
+  return pool_class_bytes(pool_class_of(size)) - size;
+}
+
 static_assert(pool_class_bytes(kPoolNumClasses - 1) == kPoolMaxBlock);
 static_assert(pool_class_of(kPoolMaxBlock) == kPoolNumClasses - 1);
 }  // namespace detail
@@ -85,8 +89,8 @@ class PoolAllocator {
   // reaches a full chunk goes to this thread's lists (or the depot) whole,
   // and flush() pushes the partial chains onto them. Poison mode (canary
   // fill, double-free detection) applies per block exactly as on the
-  // single deallocate() path. Destructors are NOT run: callers destroy
-  // payloads first (see smr::Reclaimable::batch_prep).
+  // single deallocate() path. Destructors are NOT run, which is why
+  // SMR-managed nodes must be trivially destructible (smr/reclaimable.hpp).
   //
   // Not thread-safe; one thread owns a FreeBatch. Destructor flushes.
   // Poison mode is sampled at construction (set_poison's contract: enable
@@ -139,19 +143,6 @@ class PoolAllocator {
     bool poison_;
     uint64_t added_ = 0;
   };
-
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    void* mem = allocate(sizeof(T));
-    return ::new (mem) T(std::forward<Args>(args)...);
-  }
-
-  template <class T>
-  void destroy(T* p) noexcept {
-    if (p == nullptr) return;
-    p->~T();
-    deallocate(p);
-  }
 
   // When enabled, freed payloads are filled with kPoisonByte and block
   // headers are verified on free/reuse (aborts on corruption). Enable

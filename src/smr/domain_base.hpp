@@ -12,9 +12,12 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <initializer_list>
 #include <memory>
+#include <new>
 #include <type_traits>
 #include <utility>
 
@@ -27,11 +30,24 @@
 #include "smr/hp_slots.hpp"
 #include "smr/retire_list.hpp"
 #include "smr/smr_config.hpp"
+#include "smr/tagged.hpp"
 
 namespace pop::smr {
 
 template <class Scheme>
 class DomainBase;
+
+// What a domain creates: a node a sweep can free by its Reclaimable
+// address alone (reclaimable.hpp).
+template <class T>
+concept ManagedNode = std::is_base_of_v<Reclaimable, T> &&
+                      std::is_trivially_destructible_v<T>;
+
+// Trailing storage for DomainBase::create: a node that owns an array keeps
+// it in the same pool block, past sizeof(T).
+struct TailBytes {
+  std::size_t bytes;
+};
 
 class DomainCore {
  public:
@@ -205,32 +221,25 @@ class DomainCore {
     if (forced) pressure_relieved_or_warn(tid);
   }
 
-  // Allocates and constructs a node, stamping its birth era.
+  // Allocates a pool block of sizeof(T) + `tail` bytes, constructs T at
+  // its front and stamps the birth era. A sweep frees the block by its
+  // Reclaimable address with no per-type dispatch (reclaimable.hpp), so T
+  // must be trivially destructible with the base at offset 0; the tail
+  // holds any array T owns.
   template <class T, class... Args>
-  T* create_node(uint64_t birth_era, Args&&... args) {
-    static_assert(std::is_base_of_v<Reclaimable, T>,
-                  "SMR-managed nodes must derive from smr::Reclaimable");
-    T* n = runtime::PoolAllocator::instance().create<T>(
-        std::forward<Args>(args)...);
-    n->birth_era = birth_era;
-    n->deleter = [](Reclaimable* r) {
-      runtime::PoolAllocator::instance().destroy(static_cast<T*>(r));
-    };
-    // Batch hook: the sentinel lets sweeps free trivially destructible
-    // nodes with zero per-node dispatch (the base-at-offset-0 check folds
-    // to a constant); otherwise destroy in place and hand back the
-    // allocation address for the batched splice.
-    if (std::is_trivially_destructible_v<T> &&
-        static_cast<void*>(n) == static_cast<void*>(
-                                     static_cast<Reclaimable*>(n))) {
-      n->batch_prep = &batch_prep_identity;
-    } else {
-      n->batch_prep = [](Reclaimable* r) noexcept -> void* {
-        T* p = static_cast<T*>(r);
-        p->~T();
-        return p;
-      };
+  T* create_node(uint64_t birth_era, std::size_t tail, Args&&... args) {
+    static_assert(ManagedNode<T>,
+                  "SMR-managed nodes derive from smr::Reclaimable and are "
+                  "freed without running a destructor: keep owned arrays "
+                  "in the tail bytes");
+    void* mem = runtime::PoolAllocator::instance().allocate(sizeof(T) + tail);
+    T* n = ::new (mem) T(std::forward<Args>(args)...);
+    if (static_cast<void*>(static_cast<Reclaimable*>(n)) != n) {
+      std::fputs("popsmr: smr::Reclaimable must be a node's first base\n",
+                 stderr);  // a layout check that folds away when it holds
+      std::abort();
     }
+    n->birth_era = birth_era;
     return n;
   }
 
@@ -463,12 +472,23 @@ class DomainCore {
   runtime::Padded<PerThread> pt_[runtime::kMaxThreads];
 };
 
-// Frees a node that was created but never published into the shared
-// structure (e.g. a failed insert's fresh node): no reclamation protocol
-// is needed because no other thread can have seen it.
-template <class T>
+// Frees a node no other thread can reach: one created but never published
+// (e.g. a failed insert's fresh node), or a live node of a structure being
+// torn down at quiescence. No reclamation protocol is needed.
+template <ManagedNode T>
 void destroy_unpublished(T* p) noexcept {
-  runtime::PoolAllocator::instance().destroy(p);
+  runtime::pool_free(p);
+}
+
+// destroy_unpublished over a quiescent list linked through `next` (a list
+// structure's teardown), whatever its mark bits.
+template <class T>
+void destroy_list(T* head) noexcept {
+  while (head != nullptr) {
+    T* next = strip_mark(head->next.load(std::memory_order_relaxed));
+    destroy_unpublished(head);
+    head = next;
+  }
 }
 
 // ---- batch bracket ---------------------------------------------------------
@@ -521,10 +541,13 @@ class OpGuard {
       audit::bracket_enter();
     }
   }
+  // end_op first: until it runs, NBR's read phase is still armed, and a
+  // neutralization landing after bracket_exit would re-run the body from
+  // its checkpoint outside the audit bracket.
   ~OpGuard() {  // smr-lint: allow(R3) — closes the bracket the ctor opened
     if (!skip_) {
-      audit::bracket_exit();
       d_.end_op();
+      audit::bracket_exit();
     }
   }
   OpGuard(const OpGuard&) = delete;
@@ -566,9 +589,15 @@ class DomainBase {
     core_.mark_detached(tid);
   }
 
-  template <class T, class... Args>
+  template <ManagedNode T, class... Args>
   T* create(Args&&... args) {
-    return core_.create_node<T>(self().birth_era(),
+    return core_.create_node<T>(self().birth_era(), 0,
+                                std::forward<Args>(args)...);
+  }
+  // The same with `tail.bytes` of trailing storage in the node's block.
+  template <ManagedNode T, class... Args>
+  T* create(TailBytes tail, Args&&... args) {
+    return core_.create_node<T>(self().birth_era(), tail.bytes,
                                 std::forward<Args>(args)...);
   }
 

@@ -6,39 +6,24 @@
 // rl_next links retired nodes into the owner's intrusive retire list so
 // retiring never allocates.
 //
-// Two destruction hooks:
-//   deleter     destroys the concrete node type AND releases its memory —
-//               the per-node path, used by data-structure teardown (live,
-//               never-retired nodes) and as the fallback for nodes that
-//               did not come from the pool allocator.
-//   batch_prep  destroys the node WITHOUT releasing memory and returns the
-//               pool-allocation address, so a sweep can chain many blocks
-//               and hand them to PoolAllocator::FreeBatch in one splice.
-//               The sentinel &batch_prep_identity marks the common case —
-//               trivially destructible node whose Reclaimable base sits at
-//               offset 0 — letting the sweep skip the indirect call
-//               entirely. nullptr means "not batch-eligible": the sweep
-//               falls back to `deleter`.
+// There is no per-node destruction hook. Every managed node is a pool
+// block that is trivially destructible with this base at offset 0
+// (DomainCore::create_node enforces both), so the Reclaimable pointer IS
+// the allocation address: a sweep hands it straight to
+// PoolAllocator::FreeBatch, which finds the size class in the block
+// header. A node that owns an array carries it as trailing bytes of its
+// own block (see ResizableHashTable::Table).
 #pragma once
 
 #include <cstdint>
 
 namespace pop::smr {
 
-struct Reclaimable;
-using Deleter = void (*)(Reclaimable*) /*noexcept*/;
-using BatchPrep = void* (*)(Reclaimable*) /*noexcept*/;
-
-// Sentinel for trivially destructible nodes with the base at offset 0:
-// the Reclaimable pointer IS the allocation address, nothing to run.
-inline void* batch_prep_identity(Reclaimable* r) noexcept { return r; }
-
 struct Reclaimable {
   uint64_t birth_era = 0;
   uint64_t retire_era = 0;
   Reclaimable* rl_next = nullptr;
-  Deleter deleter = nullptr;
-  BatchPrep batch_prep = nullptr;
 };
+static_assert(sizeof(Reclaimable) == 24);
 
 }  // namespace pop::smr

@@ -20,13 +20,12 @@ class RetireList {
   uint64_t length() const noexcept { return len_; }
   bool empty() const noexcept { return head_ == nullptr; }
 
-  // Batched sweep: destroys freeable nodes (running non-trivial
-  // destructors via batch_prep) and chains their memory into `batch`
+  // Batched sweep: chains every freeable node's block into `batch`
   // instead of freeing one block at a time — the batch keeps one chain
   // per size class and hands them to the freeing thread's lists whole.
-  // Trivially destructible nodes (batch_prep_identity) skip the per-node
-  // indirect call entirely; nodes without a batch hook fall back to their
-  // deleter. Returns the number freed.
+  // Every node is a trivially destructible pool block addressed by its
+  // Reclaimable base (reclaimable.hpp), so there is nothing to run first.
+  // Returns the number freed.
   template <class Pred>
   uint64_t sweep_batch(Pred&& can_free,
                        runtime::PoolAllocator::FreeBatch& batch) noexcept {
@@ -37,13 +36,7 @@ class RetireList {
     while (cur != nullptr) {
       Reclaimable* next = cur->rl_next;
       if (can_free(cur)) {
-        if (cur->batch_prep == &batch_prep_identity) {
-          batch.add(cur);
-        } else if (cur->batch_prep != nullptr) {
-          batch.add(cur->batch_prep(cur));
-        } else {
-          cur->deleter(cur);
-        }
+        batch.add(cur);
         ++freed;
       } else {
         cur->rl_next = kept_head;

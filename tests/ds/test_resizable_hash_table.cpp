@@ -13,8 +13,11 @@
 #include <thread>
 
 #include "ds/iset.hpp"
+#include "ds/resizable_hash_table.hpp"
+#include "runtime/pool_alloc.hpp"
 #include "runtime/rng.hpp"
 #include "service/sharded_map.hpp"
+#include "smr/hp.hpp"
 #include "../support/test_util.hpp"
 
 namespace pop::ds {
@@ -188,6 +191,39 @@ TEST(ResizableHashTable, ShardsResizeIndependentlyThroughServiceStats) {
   EXPECT_GT(ss.resizes_total, 0u);
   EXPECT_EQ(ss.resizes_total, m->resize_stats().resizes());
   m->detach_thread();
+}
+
+// A descriptor's bucket array is the tail of its own pool block: a grow
+// allocates one block for the new table, and the displaced table frees
+// as one block. Hazard pointers with retire_threshold 1 make every free
+// deterministic: each retire runs a pass that frees exactly what no slot
+// of this thread still names.
+TEST(ResizableHashTable, GrowAllocatesAndFreesOneTableBlock) {
+  smr::SmrConfig cfg;
+  cfg.retire_threshold = 1;
+  ResizableHashTable<smr::HpDomain> m(/*capacity=*/4, /*load_factor=*/2.0,
+                                      cfg);
+  auto& pool = runtime::PoolAllocator::instance();
+  const uint64_t every = ResizableHashTable<smr::HpDomain>::kResizeCheckEvery;
+  for (uint64_t k = 0; k + 1 < every; ++k) ASSERT_TRUE(m.insert(k));
+  ASSERT_EQ(m.resize_stats().grows, 0u);
+  // The resize check's update: its own node, then the new table. The old
+  // table is still reserved by this operation, so nothing frees yet.
+  const auto s0 = pool.stats();
+  ASSERT_TRUE(m.insert(every - 1));
+  const auto s1 = pool.stats();
+  ASSERT_EQ(m.resize_stats().grows, 1u);
+  EXPECT_EQ(s1.allocated_blocks - s0.allocated_blocks, 2u);
+  EXPECT_EQ(s1.freed_blocks, s0.freed_blocks);
+  // A replace allocates one node and retires the one it displaced, which
+  // its own slots still reserve; the pass frees the old table alone.
+  const uint64_t freed_nodes = m.domain().stats().freed;
+  ASSERT_EQ(m.put(0, 1), PutResult::kReplaced);
+  const auto s2 = pool.stats();
+  EXPECT_EQ(m.domain().stats().freed - freed_nodes, 1u);
+  EXPECT_EQ(s2.allocated_blocks - s1.allocated_blocks, 1u);
+  EXPECT_EQ(s2.freed_blocks - s1.freed_blocks, 1u);
+  m.domain().detach();
 }
 
 }  // namespace

@@ -48,20 +48,6 @@ TEST(PoolAlloc, OversizedAllocationsFallThrough) {
   pool_free(p);
 }
 
-TEST(PoolAlloc, CreateDestroyRunsConstructorsAndDestructors) {
-  static int dtor_calls;
-  dtor_calls = 0;
-  struct Obj {
-    explicit Obj(int v) : val(v) {}
-    ~Obj() { ++dtor_calls; }
-    int val;
-  };
-  Obj* o = PoolAllocator::instance().create<Obj>(7);
-  EXPECT_EQ(o->val, 7);
-  PoolAllocator::instance().destroy(o);
-  EXPECT_EQ(dtor_calls, 1);
-}
-
 TEST(PoolAlloc, BlockFreedOnAnotherThreadIsReusedThere) {
   void* p = pool_alloc(256);
   void* q = nullptr;

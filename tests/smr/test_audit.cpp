@@ -25,14 +25,12 @@
 
 #include "ds/iset.hpp"
 #include "smr/all.hpp"
+#include "../support/test_util.hpp"
 
 namespace pop::smr {
 namespace {
 
-struct TNode : Reclaimable {
-  explicit TNode(uint64_t k = 0) : key(k) {}
-  uint64_t key;
-};
+using test::TNode;
 
 SmrConfig tiny() {
   SmrConfig c;

@@ -17,10 +17,7 @@
 namespace pop::smr {
 namespace {
 
-struct TNode : Reclaimable {
-  explicit TNode(uint64_t k = 0) : key(k) {}
-  uint64_t key;
-};
+using test::TNode;
 
 SmrConfig tiny() {
   SmrConfig c;

@@ -7,14 +7,12 @@
 #include <thread>
 
 #include "core/epoch_pop.hpp"
+#include "../support/test_util.hpp"
 
 namespace pop::core {
 namespace {
 
-struct TNode : smr::Reclaimable {
-  explicit TNode(uint64_t k = 0) : key(k) {}
-  uint64_t key;
-};
+using test::TNode;
 
 smr::SmrConfig tiny() {
   smr::SmrConfig c;

@@ -6,14 +6,12 @@
 #include <thread>
 
 #include "core/hazard_era_pop.hpp"
+#include "../support/test_util.hpp"
 
 namespace pop::core {
 namespace {
 
-struct TNode : smr::Reclaimable {
-  explicit TNode(uint64_t k = 0) : key(k) {}
-  uint64_t key;
-};
+using test::TNode;
 
 smr::SmrConfig tiny() {
   smr::SmrConfig c;

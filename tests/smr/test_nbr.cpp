@@ -4,18 +4,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 
+#include "smr/audit.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/nbr.hpp"
+#include "../support/test_util.hpp"
 
 namespace pop::smr {
 namespace {
 
-struct TNode : Reclaimable {
-  explicit TNode(uint64_t k = 0) : key(k) {}
-  uint64_t key;
-};
+using test::TNode;
 
 SmrConfig tiny() {
   SmrConfig c;
@@ -162,6 +162,44 @@ TEST(Nbr, AckHandshakeCountsSignals) {
   release.store(true);
   bystander.join();
   d.detach();
+}
+
+// A ping that lands while the Guard closes must not re-run the body
+// outside its audit bracket: the read phase stays armed until end_op, so
+// ~OpGuard has to run end_op before it leaves the bracket. Every retire
+// here pings the looping reader; a body entered at bracket depth 0 is one
+// the neutralization re-ran after the bracket had closed.
+TEST(Nbr, GuardExitNeverRerunsBodyOutsideAuditBracket) {
+  if (!audit::kCompiled) GTEST_SKIP() << "audit compiled out";
+  const bool audit_was_on = audit::on();
+  audit::set_enabled(true);
+  SmrConfig cfg;
+  cfg.retire_threshold = 1;
+  NbrDomain d(cfg);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> bodies{0}, unbracketed{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      NbrDomain::Guard g(d);
+      POPSMR_CHECKPOINT(d);
+      bodies.fetch_add(1, std::memory_order_relaxed);
+      if (audit::bracket_depth() == 0) unbracketed.fetch_add(1);
+    }
+    d.detach();
+  });
+  while (bodies.load() == 0) std::this_thread::yield();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < deadline) {
+    NbrDomain::Guard g(d);
+    d.retire(d.create<TNode>(0));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  d.detach();
+  audit::set_enabled(audit_was_on);
+  EXPECT_GT(d.stats().neutralized, 0u);
+  EXPECT_EQ(unbracketed.load(), 0u) << "of " << bodies.load() << " bodies";
 }
 
 }  // namespace

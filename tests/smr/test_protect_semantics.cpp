@@ -5,16 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 
 #include "smr/all.hpp"
+#include "../support/test_util.hpp"
 
 namespace pop {
 namespace {
 
-struct TNode : smr::Reclaimable {
-  explicit TNode(uint64_t k = 0) : key(k) {}
-  uint64_t key;
-};
+using test::TNode;
 
 template <class Smr>
 class ProtectSemantics : public ::testing::Test {
@@ -66,12 +65,35 @@ TYPED_TEST(ProtectSemantics, ProtectTracksLatestValueAcrossChanges) {
   smr::destroy_unpublished(b);
 }
 
-TYPED_TEST(ProtectSemantics, CreateStampsDeleter) {
-  TypeParam d;
-  TNode* n = d.template create<TNode>(3);
-  ASSERT_NE(n->deleter, nullptr);
-  smr::destroy_unpublished(n);
+// create stamps the scheme's clock over whatever the constructor wrote,
+// and the clock never runs backwards.
+TYPED_TEST(ProtectSemantics, CreateStampsBirthEra) {
+  struct Unstamped : smr::Reclaimable {
+    Unstamped() { birth_era = UINT64_MAX; }
+  };
+  TypeParam d(this->small_cfg());
+  typename TypeParam::Guard g(d);
+  Unstamped* first = d.template create<Unstamped>();
+  for (int i = 0; i < 16; ++i) d.retire(d.template create<TNode>(i));
+  Unstamped* later = d.template create<Unstamped>();
+  EXPECT_LE(first->birth_era, later->birth_era);
+  EXPECT_NE(later->birth_era, UINT64_MAX);
+  smr::destroy_unpublished(first);
+  smr::destroy_unpublished(later);
 }
+
+// create<T> accepts only nodes a sweep can free without running code:
+// a destructor would be skipped, so such a type must not compile.
+struct DtorNode : smr::Reclaimable {
+  ~DtorNode() {}
+};
+template <class D, class T>
+concept Creates = requires(D d) {
+  d.template create<T>();
+  d.template create<T>(smr::TailBytes{64});
+};
+static_assert(Creates<smr::EbrDomain, TNode>);
+static_assert(!Creates<smr::EbrDomain, DtorNode>);
 
 TYPED_TEST(ProtectSemantics, RetiredNodesAreCountedAndDrainedAtTeardown) {
   smr::StatsSnapshot snap;

@@ -12,10 +12,7 @@
 namespace pop {
 namespace {
 
-struct TNode : smr::Reclaimable {
-  explicit TNode(uint64_t k = 0) : key(k) {}
-  uint64_t key;
-};
+using test::TNode;
 
 smr::SmrConfig tiny() {
   smr::SmrConfig c;

@@ -2,43 +2,60 @@
 
 #include <gtest/gtest.h>
 
+#include <new>
 #include <utility>
-#include <vector>
 
 #include "runtime/pool_alloc.hpp"
 
 namespace pop::smr {
 namespace {
 
-struct TestNode : Reclaimable {
-  static int live;
-  TestNode() { ++live; }
+// Larger than the pool's biggest size class: an ::operator new block,
+// the shape of a large RHHT descriptor.
+struct OversizedNode : Reclaimable {
+  unsigned char payload[runtime::PoolAllocator::kMaxBlockSize] = {};
 };
-int TestNode::live = 0;
 
-void test_deleter(Reclaimable* r) {
-  --TestNode::live;
-  delete static_cast<TestNode*>(r);
-}
-
-// One batched sweep; nodes without a batch hook free through their deleter.
-template <class Pred>
-uint64_t sweep(RetireList& rl, Pred&& can_free) {
-  runtime::PoolAllocator::FreeBatch batch;
-  return rl.sweep_batch(std::forward<Pred>(can_free), batch);
-}
-
-TestNode* make_node(uint64_t retire_era = 0) {
-  auto* n = new TestNode();
-  n->deleter = &test_deleter;
+// A pool block with its Reclaimable base at offset 0, as create makes.
+template <class T = Reclaimable>
+T* make_node(uint64_t retire_era = 0) {
+  T* n = ::new (runtime::pool_alloc(sizeof(T))) T();
   n->retire_era = retire_era;
   return n;
 }
 
-TEST(RetireList, StartsEmpty) {
+uint64_t freed_blocks() {
+  return runtime::PoolAllocator::instance().stats().freed_blocks;
+}
+
+// Runs `free_some` (a sweep or a drain) and checks the pool freed exactly
+// as many blocks as it reports: every freed node is one block, returned
+// by its header alone.
+template <class Fn>
+uint64_t counted(Fn&& free_some) {
+  const uint64_t before = freed_blocks();
+  const uint64_t n = free_some();
+  EXPECT_EQ(freed_blocks() - before, n);
+  return n;
+}
+
+template <class Pred>
+uint64_t sweep(RetireList& rl, Pred&& can_free) {
+  return counted([&] {
+    runtime::PoolAllocator::FreeBatch batch;
+    return rl.sweep_batch(std::forward<Pred>(can_free), batch);
+  });
+}
+
+uint64_t drain(RetireList& rl) {
+  return counted([&] { return rl.drain(); });
+}
+
+TEST(RetireList, StartsEmptyAndEmptySweepIsNoop) {
   RetireList rl;
   EXPECT_TRUE(rl.empty());
   EXPECT_EQ(rl.length(), 0u);
+  EXPECT_EQ(sweep(rl, [](Reclaimable*) { return true; }), 0u);
 }
 
 TEST(RetireList, PushIncreasesLength) {
@@ -47,20 +64,15 @@ TEST(RetireList, PushIncreasesLength) {
   rl.push(make_node());
   EXPECT_EQ(rl.length(), 2u);
   EXPECT_FALSE(rl.empty());
-  rl.drain();
-  EXPECT_EQ(TestNode::live, 0);
+  EXPECT_EQ(drain(rl), 2u);
 }
 
 TEST(RetireList, SweepFreesOnlyMatching) {
   RetireList rl;
   for (uint64_t e = 0; e < 10; ++e) rl.push(make_node(e));
-  const uint64_t freed =
-      sweep(rl, [](Reclaimable* n) { return n->retire_era < 5; });
-  EXPECT_EQ(freed, 5u);
+  EXPECT_EQ(sweep(rl, [](Reclaimable* n) { return n->retire_era < 5; }), 5u);
   EXPECT_EQ(rl.length(), 5u);
-  EXPECT_EQ(TestNode::live, 5);
-  rl.drain();
-  EXPECT_EQ(TestNode::live, 0);
+  EXPECT_EQ(drain(rl), 5u);
 }
 
 TEST(RetireList, SweepKeepsSurvivorsForLaterSweep) {
@@ -68,102 +80,30 @@ TEST(RetireList, SweepKeepsSurvivorsForLaterSweep) {
   for (uint64_t e = 0; e < 6; ++e) rl.push(make_node(e));
   sweep(rl, [](Reclaimable* n) { return n->retire_era % 2 == 0; });
   EXPECT_EQ(rl.length(), 3u);
-  const uint64_t freed = sweep(rl, [](Reclaimable*) { return true; });
-  EXPECT_EQ(freed, 3u);
+  EXPECT_EQ(sweep(rl, [](Reclaimable*) { return true; }), 3u);
   EXPECT_TRUE(rl.empty());
-  EXPECT_EQ(TestNode::live, 0);
 }
 
+// 1000 blocks of one class fill several FreeBatch chunks: the full ones
+// leave mid-drain, the partial one at flush, and all are counted.
 TEST(RetireList, DrainFreesEverything) {
   RetireList rl;
-  for (int i = 0; i < 100; ++i) rl.push(make_node());
-  EXPECT_EQ(rl.drain(), 100u);
-  EXPECT_TRUE(rl.empty());
-  EXPECT_EQ(TestNode::live, 0);
-}
-
-TEST(RetireList, SweepOnEmptyListIsNoop) {
-  RetireList rl;
-  EXPECT_EQ(sweep(rl, [](Reclaimable*) { return true; }), 0u);
-}
-
-// ---- batched sweep --------------------------------------------------------
-
-// Pool-backed node mirroring what DomainCore::create_node produces for a
-// trivially destructible type: the identity hook, no per-node dispatch.
-struct PoolNode : Reclaimable {
-  uint64_t payload = 0;
-};
-
-PoolNode* make_pool_node(uint64_t retire_era) {
-  auto* n = runtime::PoolAllocator::instance().create<PoolNode>();
-  n->retire_era = retire_era;
-  n->deleter = [](Reclaimable* r) {
-    runtime::PoolAllocator::instance().destroy(static_cast<PoolNode*>(r));
-  };
-  n->batch_prep = &batch_prep_identity;
-  return n;
-}
-
-TEST(RetireList, SweepBatchFreesOnlyMatchingAndKeepsRest) {
-  RetireList rl;
-  for (uint64_t e = 0; e < 10; ++e) rl.push(make_pool_node(e));
-  const auto before = runtime::PoolAllocator::instance().stats();
-  {
-    runtime::PoolAllocator::FreeBatch batch;
-    const uint64_t freed = rl.sweep_batch(
-        [](Reclaimable* n) { return n->retire_era < 4; }, batch);
-    EXPECT_EQ(freed, 4u);
-  }
-  EXPECT_EQ(rl.length(), 6u);
-  const auto mid = runtime::PoolAllocator::instance().stats();
-  EXPECT_EQ(mid.freed_blocks - before.freed_blocks, 4u);
-  EXPECT_EQ(rl.drain(), 6u);
-  const auto after = runtime::PoolAllocator::instance().stats();
-  EXPECT_EQ(after.freed_blocks - before.freed_blocks, 10u);
+  for (int i = 0; i < 1000; ++i) rl.push(make_node());
+  EXPECT_EQ(drain(rl), 1000u);
   EXPECT_TRUE(rl.empty());
 }
 
-TEST(RetireList, SweepBatchRunsNonTrivialDestructors) {
-  static int dtors;
-  dtors = 0;
-  struct DtorNode : Reclaimable {
-    ~DtorNode() { ++dtors; }
-  };
+// Nodes of different size classes, and an oversized block, share one
+// list; the sweep frees each by its block header with no per-type code.
+TEST(RetireList, SweepFreesMixedSizeClassesByHeader) {
   RetireList rl;
-  for (int i = 0; i < 8; ++i) {
-    auto* n = runtime::PoolAllocator::instance().create<DtorNode>();
-    n->deleter = [](Reclaimable* r) {
-      runtime::PoolAllocator::instance().destroy(static_cast<DtorNode*>(r));
-    };
-    // What DomainCore stamps for a non-trivially-destructible type:
-    // destroy in place, hand the block to the batch.
-    n->batch_prep = [](Reclaimable* r) noexcept -> void* {
-      auto* p = static_cast<DtorNode*>(r);
-      p->~DtorNode();
-      return p;
-    };
-    rl.push(n);
+  for (uint64_t e = 0; e < 4; ++e) {
+    rl.push(make_node(e));
+    rl.push(make_node<OversizedNode>(e));
   }
-  {
-    runtime::PoolAllocator::FreeBatch batch;
-    EXPECT_EQ(rl.sweep_batch([](Reclaimable*) { return true; }, batch), 8u);
-  }
-  EXPECT_EQ(dtors, 8);
-}
-
-TEST(RetireList, SweepBatchFallsBackToDeleterWithoutHook) {
-  // Nodes outside the pool allocator (batch_prep == nullptr) must still be
-  // freed through their per-node deleter on the batched path.
-  RetireList rl;
-  for (int i = 0; i < 5; ++i) rl.push(make_node());
-  EXPECT_EQ(TestNode::live, 5);
-  {
-    runtime::PoolAllocator::FreeBatch batch;
-    EXPECT_EQ(rl.sweep_batch([](Reclaimable*) { return true; }, batch), 5u);
-    EXPECT_EQ(batch.blocks_added(), 0u);  // nothing entered the pool batch
-  }
-  EXPECT_EQ(TestNode::live, 0);
+  EXPECT_EQ(sweep(rl, [](Reclaimable* n) { return n->retire_era < 2; }), 4u);
+  EXPECT_EQ(rl.length(), 4u);
+  EXPECT_EQ(drain(rl), 4u);
 }
 
 }  // namespace

@@ -14,14 +14,12 @@
 #include "runtime/fault_inject.hpp"
 #include "runtime/thread_registry.hpp"
 #include "smr/all.hpp"
+#include "../support/test_util.hpp"
 
 namespace pop {
 namespace {
 
-struct TNode : smr::Reclaimable {
-  explicit TNode(uint64_t k = 0) : key(k) {}
-  uint64_t key;
-};
+using test::TNode;
 
 constexpr int kChurn = 600;
 

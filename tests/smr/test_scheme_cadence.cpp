@@ -16,14 +16,12 @@
 #include <string_view>
 
 #include "smr/all.hpp"
+#include "../support/test_util.hpp"
 
 namespace pop {
 namespace {
 
-struct Node : smr::Reclaimable {
-  explicit Node(uint64_t k = 0) : key(k) {}
-  uint64_t key;
-};
+using Node = test::TNode;
 
 template <class D>
 concept SchemeSurface =

@@ -7,7 +7,15 @@
 #include <thread>
 #include <vector>
 
+#include "smr/reclaimable.hpp"
+
 namespace pop::test {
+
+// The SMR suites' node: a key behind the Reclaimable header.
+struct TNode : smr::Reclaimable {
+  explicit TNode(uint64_t k = 0) : key(k) {}
+  uint64_t key;
+};
 
 // Runs fn(worker_index) on `n` fresh threads and joins them all.
 inline void run_threads(int n, const std::function<void(int)>& fn) {

@@ -31,8 +31,9 @@ Rules (each individually suppressible — see SUPPRESSION below):
       hand-opened begin_op bracket is open is flagged too — RAII can't
       save a hand-rolled bracket.
   R4  no direct `delete` in src/smr/ or src/core/ outside
-      retire_list.hpp: a Reclaimable dies through its deleter/batch_prep
-      hooks or the pool, never through a scheme calling delete.
+      retire_list.hpp: a Reclaimable dies as a pool block, swept into a
+      FreeBatch or freed by destroy_unpublished, never through a scheme
+      calling delete.
   R5  tsan.supp hygiene: every suppression pattern must still resolve to
       a symbol present under src/ (dead suppressions silently mask future
       races), and must sit under a `# ---` documentation block explaining
@@ -377,8 +378,8 @@ def rule_r4(path, code, comments, allowed, findings):
         if R1_DELETE.search(EQ_DELETE.sub("", line)):
             findings.append(Finding(
                 path, idx + 1, "R4",
-                "direct `delete` in scheme code — a Reclaimable dies "
-                "through its deleter/batch_prep hooks or the pool"))
+                "direct `delete` in scheme code — a Reclaimable dies as a "
+                "pool block, swept into a FreeBatch or destroy_unpublished"))
 
 
 # ---- R5 --------------------------------------------------------------------
@@ -564,7 +565,7 @@ bool early_out(Domain& d) {
 FIXTURE_R4 = """\
 void sweep(Reclaimable* n) {
   if (stale(n)) delete n;            // line 2: R4 direct delete
-  n->deleter(n);
+  batch.add(n);
 }
 """
 
