@@ -1,33 +1,27 @@
 #include "runtime/pool_alloc.hpp"
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
+
+#include <sys/mman.h>
 
 #include "runtime/padded.hpp"
 
-// Slabs are retained for the whole process on purpose (see carve()
-// below), and blocks parked in the depot are reachable only through
-// version-tagged pointers that LeakSanitizer cannot follow; teach it that
-// these are not leaks so ASan CI runs stay meaningful for everything else.
-#if !defined(POPSMR_ASAN) && defined(__SANITIZE_ADDRESS__)
-#define POPSMR_ASAN 1
-#endif
-#if !defined(POPSMR_ASAN) && defined(__has_feature)
+// Slabs are mapped straight from the OS, so LeakSanitizer neither reports
+// them nor, unless told, scans them for pointers into the heap.
+#if defined(__SANITIZE_ADDRESS__)
+#define POPSMR_LSAN 1
+#elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
-#define POPSMR_ASAN 1
+#define POPSMR_LSAN 1
 #endif
 #endif
-#ifdef POPSMR_ASAN
-extern "C" const char* __lsan_default_suppressions() {
-  // Match only the slab retention site by function name. A broader
-  // pattern like "leak:pool_alloc" would also match the *module* name of
-  // the runtime_test_pool_alloc test binary and silence every leak in it,
-  // and a source-file match would hide leaked oversized blocks from
-  // PoolAllocator::allocate.
-  return "leak:carve\n";
-}
+#ifdef POPSMR_LSAN
+#include <sanitizer/lsan_interface.h>
 #endif
 
 namespace pop::runtime {
@@ -35,16 +29,38 @@ namespace pop::runtime {
 namespace {
 
 using namespace detail;
-using BlockHeader = PoolBlockHeader;
 constexpr uint32_t kChunk = kPoolChunkBlocks;
-constexpr std::size_t kSlabBytes = 256 * 1024;
 
 struct FreeNode { FreeNode* next; };
 
-BlockHeader* header_of(void* p) {
-  return reinterpret_cast<BlockHeader*>(static_cast<char*>(p) -
-                                        sizeof(BlockHeader));
+// Each class's slab geometry: the most blocks that fit beside a header of
+// PoolSlab plus one state byte per block. The header takes whatever is
+// left, so the blocks end exactly at the slab's end.
+struct SlabGeometry {
+  uint32_t bytes, blocks, inv;
+  uint16_t first;
+};
+
+constexpr SlabGeometry slab_geometry(int c) {
+  const std::size_t b = pool_class_bytes(c);
+  const auto header = [](std::size_t n) {
+    return (sizeof(PoolSlab) + n + 15) / 16 * 16;
+  };
+  std::size_t n = (kPoolSlabBytes - sizeof(PoolSlab)) / (b + 1);
+  while (header(n) + n * b > kPoolSlabBytes) --n;
+  return {static_cast<uint32_t>(b), static_cast<uint32_t>(n),
+          static_cast<uint32_t>((uint64_t{1} << 32) / b + 1),
+          static_cast<uint16_t>(kPoolSlabBytes - n * b)};
 }
+
+constexpr auto kGeometry = [] {
+  std::array<SlabGeometry, kPoolNumClasses> g{};
+  for (int c = 0; c < kPoolNumClasses; ++c) g[c] = slab_geometry(c);
+  return g;
+}();
+
+// An oversized block's one-block slab: the header and its one state byte.
+constexpr uint16_t kOversizedFirst = (sizeof(PoolSlab) + 1 + 15) / 16 * 16;
 
 std::atomic<uint64_t> g_allocated{0};
 std::atomic<uint64_t> g_freed{0};
@@ -105,28 +121,82 @@ class TaggedStack {
   std::atomic<uint64_t> head_{0};
 };
 
-// The depot: per class, a stack of chunks, each a null-terminated chain of
-// blocks headed by a block whose header carries the stack link and the
-// chain length (kChunk except for an exiting thread's partial lists).
-Padded<TaggedStack> g_depot[kPoolNumClasses];
+constexpr std::size_t kPageBytes = 4096;
 
-void depot_push(int c, FreeNode* chain, uint32_t len) {
-  BlockHeader* h = header_of(chain);
-  h->chunk_len = static_cast<uint16_t>(len);
-  g_remote.fetch_add(len, std::memory_order_relaxed);
-  g_remote_splices.fetch_add(1, std::memory_order_relaxed);
-  g_depot[c]->push(h);
+// `bytes` of fresh zero pages at a multiple of `align`, straight from the
+// OS: no allocator header next to them, so pages nobody writes cost no
+// RSS. Never returned: slabs and chunk records are kept for the whole
+// process on purpose (SMR benchmarks measure the reclamation of *nodes*,
+// and mimalloc likewise retains pages for reuse during a run).
+void* map_pages(std::size_t bytes, std::size_t align) {
+  // Over-map by `align`, then unmap what lies outside the aligned run.
+  const std::size_t span = bytes + (align > kPageBytes ? align : 0);
+  void* m = ::mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (m == MAP_FAILED) throw std::bad_alloc();
+  char* base = static_cast<char*>(m);
+  char* start = reinterpret_cast<char*>(
+      (reinterpret_cast<uintptr_t>(base) + align - 1) & ~(align - 1));
+  if (start > base) ::munmap(base, start - base);
+  if (base + span > start + bytes) {
+    ::munmap(start + bytes, base + span - (start + bytes));
+  }
+#ifdef POPSMR_LSAN
+  __lsan_register_root_region(start, bytes);
+#endif
+  return start;
 }
 
-// Unused tails of the bump regions of exited threads, reused before a
-// new slab is carved. The record sits at the start of the tail itself.
-struct Remnant { void* link; char* end; };
-TaggedStack g_remnants;
+PoolSlab* new_slab(int c) {
+  const SlabGeometry& g = kGeometry[c];
+  void* mem = map_pages(kPoolSlabBytes, kPoolSlabBytes);
+  g_slabs.fetch_add(1, std::memory_order_relaxed);
+  return new (mem) PoolSlab{nullptr, g.inv, 0, static_cast<uint16_t>(c),
+                            g.first};
+}
+
+// Per class, the partly carved slabs of exited threads, adopted before a
+// new slab is carved. They link through PoolSlab::link, a header word the
+// allocator never hands out.
+Padded<TaggedStack> g_partial[kPoolNumClasses];
+
+// The depot: per class, a stack of chunks. A chunk's chain of blocks links
+// through their dead payloads; the chunk itself is a record that carries
+// the stack link and the chain. Records are type-stable (taken from and
+// returned to g_free_chunks, never handed out), so a stale pop reads only
+// allocator-owned words, never a block's next owner's payload.
+struct Chunk {
+  void* link;
+  FreeNode* head;
+  uint32_t len;  // kChunk except for an exiting thread's partial lists
+};
+Padded<TaggedStack> g_depot[kPoolNumClasses];
+TaggedStack g_free_chunks;
+
+Chunk* new_chunk() {
+  if (auto* r = static_cast<Chunk*>(g_free_chunks.pop())) return r;
+  auto* batch = static_cast<Chunk*>(map_pages(kPageBytes, kPageBytes));
+  for (std::size_t i = 1; i < kPageBytes / sizeof(Chunk); ++i) {
+    g_free_chunks.push(&batch[i]);
+  }
+  return &batch[0];
+}
+
+void depot_push(int c, FreeNode* chain, uint32_t len) {
+  Chunk* r = new_chunk();
+  r->head = chain;
+  r->len = len;
+  g_remote.fetch_add(len, std::memory_order_relaxed);
+  g_remote_splices.fetch_add(1, std::memory_order_relaxed);
+  g_depot[c]->push(r);
+}
 
 struct ClassCache {
   FreeNode* cur = nullptr;    // private list, fewer than kChunk blocks
   FreeNode* spare = nullptr;  // null or exactly kChunk blocks
   uint32_t n = 0;             // blocks on `cur`
+  uint32_t carved = 0;        // blocks carved from `slab`
+  PoolSlab* slab = nullptr;   // the slab this thread carves the class from
 };
 
 // One per thread. Its destructor hands everything to the depot; a free
@@ -134,8 +204,6 @@ struct ClassCache {
 // straight there too.
 struct ThreadCache {
   ClassCache cls[kPoolNumClasses];
-  char* bump_cur = nullptr;  // current bump region, shared by all classes
-  char* bump_end = nullptr;
   bool exited = false;
 
   ThreadCache() = default;
@@ -149,12 +217,11 @@ struct ThreadCache {
     if (n == nullptr) return alloc_slow(c);
     k.cur = n->next;
     --k.n;
-    BlockHeader* h = header_of(n);
-    if (g_poison.load(std::memory_order_relaxed) &&
-        h->magic != kPoolMagicFree) {
+    uint8_t& state = pool_slab_of(n)->state(n);
+    if (g_poison.load(std::memory_order_relaxed) && state != kPoolBlockFree) {
       die("reusing non-free block", n);
     }
-    h->magic = kPoolMagicLive;
+    state = kPoolBlockLive;
     g_allocated.fetch_add(1, std::memory_order_relaxed);
     return n;
   }
@@ -164,10 +231,13 @@ struct ThreadCache {
   void* alloc_slow(int c) {
     ClassCache& k = cls[c];
     if (k.spare != nullptr) {
-      k = {k.spare, nullptr, kChunk};
+      k.cur = std::exchange(k.spare, nullptr);
+      k.n = kChunk;
     } else if (!g_depot[c]->empty()) {
-      if (auto* h = static_cast<BlockHeader*>(g_depot[c]->pop())) {
-        k = {reinterpret_cast<FreeNode*>(h + 1), nullptr, h->chunk_len};
+      if (auto* r = static_cast<Chunk*>(g_depot[c]->pop())) {
+        k.cur = r->head;
+        k.n = r->len;
+        g_free_chunks.push(r);
       }
     }
     void* p = k.cur != nullptr ? alloc(c) : carve(c);
@@ -184,7 +254,8 @@ struct ThreadCache {
     if (++k.n < kChunk && !exited) return;
     if (exited) return release();
     if (k.spare != nullptr) depot_push(c, k.spare, kChunk);
-    k = {nullptr, k.cur, 0};
+    k.spare = std::exchange(k.cur, nullptr);
+    k.n = 0;
   }
 
   void push_chunk(int c, FreeNode* chain) {  // exactly kChunk blocks
@@ -192,69 +263,64 @@ struct ThreadCache {
     cls[c].spare = chain;
   }
 
+  // The next block of this thread's slab of the class; a full slab is
+  // replaced by an exited thread's partly carved one, or a new one.
   void* carve(int c) {
-    const std::size_t block = sizeof(BlockHeader) + pool_class_bytes(c);
-    if (static_cast<std::size_t>(bump_end - bump_cur) < block) {
-      if (auto* r = static_cast<Remnant*>(g_remnants.pop())) {
-        bump_cur = reinterpret_cast<char*>(r);
-        bump_end = r->end;
-      } else {
-        // Slabs are intentionally never returned to the OS: SMR
-        // benchmarks measure reclamation of *nodes*, and mimalloc likewise
-        // retains pages for reuse during a run.
-        bump_cur = static_cast<char*>(::operator new(kSlabBytes));
-        bump_end = bump_cur + kSlabBytes;
-        g_slabs.fetch_add(1, std::memory_order_relaxed);
-      }
+    ClassCache& k = cls[c];
+    const SlabGeometry& g = kGeometry[c];
+    if (k.slab == nullptr || k.carved == g.blocks) {
+      k.slab = static_cast<PoolSlab*>(g_partial[c]->pop());
+      if (k.slab == nullptr) k.slab = new_slab(c);
+      k.carved = k.slab->carved;
     }
-    // The header's link word is left alone: a stale depot or remnant pop
-    // may still read it (atomically) at this address.
-    auto* h = reinterpret_cast<BlockHeader*>(bump_cur);
-    bump_cur += block;
-    h->size_class = static_cast<uint16_t>(c);
-    h->magic = kPoolMagicLive;
+    const uint32_t i = k.carved++;
+    k.slab->states()[i] = kPoolBlockLive;
     g_allocated.fetch_add(1, std::memory_order_relaxed);
-    return h + 1;
+    return reinterpret_cast<char*>(k.slab) + g.first + std::size_t{i} * g.bytes;
   }
 
-  // Everything this thread holds goes to the depot; a bump tail that can
-  // still fit the largest block is kept as a remnant. Idempotent.
+  // Everything this thread holds goes to the depot, and a slab with blocks
+  // left to carve is parked for adoption. Idempotent.
   void release() {
     for (int c = 0; c < kPoolNumClasses; ++c) {
       ClassCache& k = cls[c];
       if (k.spare != nullptr) depot_push(c, k.spare, kChunk);
       if (k.cur != nullptr) depot_push(c, k.cur, k.n);
+      if (k.slab != nullptr && k.carved < kGeometry[c].blocks) {
+        k.slab->carved = k.carved;
+        g_partial[c]->push(k.slab);
+      }
       k = ClassCache{};
     }
-    if (static_cast<std::size_t>(bump_end - bump_cur) >=
-        sizeof(BlockHeader) + kPoolMaxBlock) {
-      auto* r = reinterpret_cast<Remnant*>(bump_cur);
-      r->end = bump_end;
-      g_remnants.push(r);
-    }
-    bump_cur = bump_end = nullptr;
   }
 };
 
 thread_local ThreadCache t_cache;
 
 // The per-block part of every free: poison check and canary fill, free
-// magic, and oversized blocks straight back to ::operator delete. Returns
+// state, and oversized slabs straight back to ::operator delete. Returns
 // the size class, or -1 for an oversized block (already counted freed).
 int mark_free(void* p, bool poison) {
-  BlockHeader* h = header_of(p);
-  if (poison && h->magic != kPoolMagicLive) {
-    die(h->magic == kPoolMagicFree ? "double free" : "freeing corrupt block",
-        p);
+  PoolSlab* s = pool_slab_of(p);
+  const uint32_t i = s->index_of(p);
+  uint8_t& state = s->states()[i];
+  if (poison && state != kPoolBlockLive) {
+    die(state == kPoolBlockFree ? "double free" : "freeing corrupt block", p);
   }
-  h->magic = kPoolMagicFree;
-  if (h->size_class == kPoolOversized) {
+  state = kPoolBlockFree;
+  if (s->size_class == kPoolOversized) {
     g_freed.fetch_add(1, std::memory_order_relaxed);
-    ::operator delete(static_cast<void*>(h));
+    ::operator delete(static_cast<void*>(s), std::align_val_t{kPoolSlabBytes});
     return -1;
   }
-  const int c = h->size_class;
-  if (poison) std::memset(p, PoolAllocator::kPoisonByte, pool_class_bytes(c));
+  const int c = s->size_class;
+  const std::size_t bytes = kGeometry[c].bytes;
+  if (poison) {
+    if (p != reinterpret_cast<char*>(s) + s->first + i * bytes) {
+      die("freeing a pointer into a block", p);
+    }
+    std::memset(p, PoolAllocator::kPoisonByte, bytes);
+  }
   return c;
 }
 
@@ -267,13 +333,14 @@ PoolAllocator& PoolAllocator::instance() {
 
 void* PoolAllocator::allocate(std::size_t size) {
   if (size <= kMaxBlockSize) return t_cache.alloc(pool_class_of(size));
-  // Oversized: plain heap block tagged as such.
-  auto* h = static_cast<BlockHeader*>(
-      ::operator new(size + sizeof(BlockHeader)));
-  h->size_class = kPoolOversized;
-  h->magic = kPoolMagicLive;
+  // Oversized: a one-block slab, so a free finds it by the same mask. It
+  // comes from ::operator new, so LeakSanitizer reports one that leaks.
+  void* mem = ::operator new(kOversizedFirst + size,
+                             std::align_val_t{kPoolSlabBytes});
+  auto* s = new (mem) PoolSlab{nullptr, 0, 0, kPoolOversized, kOversizedFirst};
+  s->states()[0] = kPoolBlockLive;
   g_allocated.fetch_add(1, std::memory_order_relaxed);
-  return h + 1;
+  return static_cast<char*>(mem) + kOversizedFirst;
 }
 
 void PoolAllocator::deallocate(void* p) noexcept {
@@ -329,8 +396,7 @@ bool PoolAllocator::poison_enabled() noexcept {
 }
 
 bool PoolAllocator::is_poisoned(const void* p) noexcept {
-  return p != nullptr &&
-         header_of(const_cast<void*>(p))->magic == kPoolMagicFree;
+  return p != nullptr && pool_slab_of(p)->state(p) == kPoolBlockFree;
 }
 
 PoolAllocator::Stats PoolAllocator::stats() const noexcept {

@@ -11,14 +11,18 @@
 //   * surplus moves through a shared per-class depot of fixed-size chunks
 //     (kPoolChunkBlocks blocks each), one lock-free operation per chunk:
 //     a private list past two chunks hands one to the depot, an empty one
-//     takes a chunk back before carving a new slab, and an exiting thread
-//     hands over everything it holds. Memory freed by a reclaimer is thus
-//     reusable by every thread, not only by the one that carved it.
+//     takes a chunk back before carving, and an exiting thread hands over
+//     everything it holds. Memory freed by a reclaimer is thus reusable by
+//     every thread, not only by the one that carved it.
 //
-// Blocks carry a 16-byte header (keeping payloads 16-byte aligned). An
-// optional poison mode fills freed payloads with a canary byte and checks
-// header magic on reuse; the test suite uses it as a use-after-free /
-// double-free detector for every SMR scheme.
+// Like mimalloc, blocks carry no header: a block is exactly its class
+// size. Every block lives in a kPoolSlabBytes-aligned slab of one size
+// class whose leading PoolSlab header holds the class and one live/free
+// byte per block, so a free finds both by masking the block's address.
+// An oversized request is a one-block slab of its own. An optional
+// poison mode fills freed payloads with a canary byte and checks the
+// live/free byte on free and reuse; the test suite uses it as a
+// use-after-free / double-free detector for every SMR scheme.
 #pragma once
 
 #include <bit>
@@ -29,19 +33,37 @@
 namespace pop::runtime {
 
 namespace detail {
-// One header per pool block, immediately before the payload. Exposed here
-// so FreeBatch::add can inline its fast path; only the allocator's .cpp
-// writes it.
-struct PoolBlockHeader {
-  void* link;           // next depot chunk while this block heads one
-  uint16_t size_class;  // kPoolOversized: an ::operator new fall-through
-  uint16_t chunk_len;   // blocks in the depot chunk this block heads
-  uint32_t magic;       // live/free marker, verified in poison mode
-};
-static_assert(sizeof(PoolBlockHeader) == 16);
+inline constexpr std::size_t kPoolSlabBytes = 256 * 1024;
 
-inline constexpr uint32_t kPoolMagicLive = 0xA110CA7Eu;
-inline constexpr uint32_t kPoolMagicFree = 0xF7EEF7EEu;
+// The header at the start of every slab. Exposed here so FreeBatch::add
+// can inline its fast path; only the allocator's .cpp writes it.
+struct PoolSlab {
+  void* link;            // next slab while parked for adoption
+  uint32_t inv;          // 2^32 / block bytes + 1: block index by multiply
+  uint32_t carved;       // blocks handed out, while parked for adoption
+  uint16_t size_class;   // kPoolOversized: a one-block slab of its own
+  uint16_t first;        // offset of block 0, past the state bytes
+  // Then one state byte per block (kPoolBlockLive / kPoolBlockFree).
+
+  uint8_t* states() { return reinterpret_cast<uint8_t*>(this + 1); }
+  uint32_t index_of(const void* p) const {
+    const uint64_t rel = reinterpret_cast<uintptr_t>(p) -
+                         reinterpret_cast<uintptr_t>(this) - first;
+    return static_cast<uint32_t>((rel * inv) >> 32);
+  }
+  uint8_t& state(const void* p) { return states()[index_of(p)]; }
+};
+static_assert(sizeof(PoolSlab) == 24);
+
+inline PoolSlab* pool_slab_of(const void* p) {
+  return reinterpret_cast<PoolSlab*>(reinterpret_cast<uintptr_t>(p) &
+                                     ~(kPoolSlabBytes - 1));
+}
+
+// Live/free state of a block, written on every alloc and free in every
+// mode, so poison mode can be turned on while blocks are out.
+inline constexpr uint8_t kPoolBlockLive = 0xA1;
+inline constexpr uint8_t kPoolBlockFree = 0xF7;
 
 // Size classes fitted to the nodes: 16-byte steps up to 128 B (where set,
 // list and tree nodes live), then four classes per doubling up to
@@ -77,20 +99,22 @@ class PoolAllocator {
  public:
   static PoolAllocator& instance();
 
-  // Allocates `size` bytes (size <= kMaxBlockSize served from pools; larger
-  // falls through to ::operator new). Never returns nullptr.
+  // Allocates `size` bytes (size <= kMaxBlockSize served from pools; a
+  // larger request gets a one-block slab of its own). Never returns nullptr.
   void* allocate(std::size_t size);
 
   // Frees onto the calling thread's lists (any thread, any pool block).
   void deallocate(void* p) noexcept;
 
-  // Batched free path. A FreeBatch threads blocks into one chain per size
-  // class through the blocks themselves (no allocation); a chain that
-  // reaches a full chunk goes to this thread's lists (or the depot) whole,
-  // and flush() pushes the partial chains onto them. Poison mode (canary
-  // fill, double-free detection) applies per block exactly as on the
-  // single deallocate() path. Destructors are NOT run, which is why
-  // SMR-managed nodes must be trivially destructible (smr/reclaimable.hpp).
+  // Batched free path. A FreeBatch reads each block's size class from its
+  // slab header (found by masking the address) and threads the blocks
+  // into one chain per class through their dead payloads (no allocation,
+  // no per-block header); a chain that reaches a full chunk goes to this
+  // thread's lists (or the depot) whole, and flush() pushes the partial
+  // chains onto them. Poison mode (canary fill, double-free detection)
+  // applies per block exactly as on the single deallocate() path.
+  // Destructors are NOT run, which is why SMR-managed nodes must be
+  // trivially destructible (smr/reclaimable.hpp).
   //
   // Not thread-safe; one thread owns a FreeBatch. Destructor flushes.
   // Poison mode is sampled at construction (set_poison's contract: enable
@@ -105,20 +129,20 @@ class PoolAllocator {
     // oversized blocks and full chunks leave the inlined fast path.
     void add(void* p) noexcept {
       if (p == nullptr) return;
-      auto* h = reinterpret_cast<detail::PoolBlockHeader*>(
-          static_cast<char*>(p) - sizeof(detail::PoolBlockHeader));
-      if (poison_ || h->size_class >= detail::kPoolNumClasses) {
+      detail::PoolSlab* s = detail::pool_slab_of(p);
+      const int c = s->size_class;
+      if (poison_ || c >= detail::kPoolNumClasses) {
         add_slow(p);
         return;
       }
-      // Free-list blocks always carry free magic, so poison mode can be
-      // turned on later without tripping over batch-freed blocks.
-      h->magic = detail::kPoolMagicFree;
-      Chain& ch = chains_[h->size_class];
+      // Free-list blocks always read free, so poison mode can be turned
+      // on later without tripping over batch-freed blocks.
+      s->state(p) = detail::kPoolBlockFree;
+      Chain& ch = chains_[c];
       *static_cast<void**>(p) = ch.head;  // link through the dead payload
       ch.head = p;
       ++added_;
-      if (++ch.count == detail::kPoolChunkBlocks) hand_off(h->size_class);
+      if (++ch.count == detail::kPoolChunkBlocks) hand_off(c);
     }
 
     // Pushes every pending chain onto this thread's free lists. Called on
@@ -144,15 +168,16 @@ class PoolAllocator {
     uint64_t added_ = 0;
   };
 
-  // When enabled, freed payloads are filled with kPoisonByte and block
-  // headers are verified on free/reuse (aborts on corruption). Enable
-  // before any thread allocates; used by the safety test suites.
+  // When enabled, freed payloads are filled with kPoisonByte and each
+  // block's live/free byte is verified on free/reuse (aborts on a double
+  // free or a pointer that is not a live block). Enable before any thread
+  // allocates; used by the safety test suites.
   static void set_poison(bool on) noexcept;
   static bool poison_enabled() noexcept;
 
-  // True if `p` is a live pool block whose payload has been poisoned -
-  // i.e. reading it would be a use-after-free. Only meaningful in poison
-  // mode and only for pool-managed blocks.
+  // True if `p` is a freed pool block - i.e. reading it would be a
+  // use-after-free (its payload carries the canary in poison mode). Only
+  // meaningful for pool-managed blocks of at most kMaxBlockSize bytes.
   static bool is_poisoned(const void* p) noexcept;
 
   // Global counters (approximate under concurrency; exact at quiescence).

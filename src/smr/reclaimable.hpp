@@ -10,8 +10,8 @@
 // block that is trivially destructible with this base at offset 0
 // (DomainCore::create_node enforces both), so the Reclaimable pointer IS
 // the allocation address: a sweep hands it straight to
-// PoolAllocator::FreeBatch, which finds the size class in the block
-// header. A node that owns an array carries it as trailing bytes of its
+// PoolAllocator::FreeBatch, which finds the size class in the header of
+// the block's slab by masking the address. A node that owns an array carries it as trailing bytes of its
 // own block (see ResizableHashTable::Table).
 #pragma once
 

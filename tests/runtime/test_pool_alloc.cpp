@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -243,6 +245,18 @@ TEST(PoolAlloc, FreeBatchHandsWholeChunksOn) {
   for (void* p : again) pool_free(p);
 }
 
+// Frees `blocks` alternately through deallocate() and a FreeBatch.
+void free_both_ways(const std::vector<void*>& blocks) {
+  PoolAllocator::FreeBatch batch;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (i % 2 == 0) {
+      pool_free(blocks[i]);
+    } else {
+      batch.add(blocks[i]);
+    }
+  }
+}
+
 TEST(PoolAlloc, SizeClassesFitEveryRequest) {
   int prev = 0;
   for (std::size_t size = 1; size <= PoolAllocator::kMaxBlockSize; ++size) {
@@ -260,19 +274,158 @@ TEST(PoolAlloc, SizeClassesFitEveryRequest) {
     }
     prev = c;
   }
-  // (The tree and list node headers static_assert that their nodes, 88
-  // and 64 B, land in a class within 16 B of their size.)
+  // (The tree and list node headers static_assert that their nodes land
+  // in a class within 16 B of their size.)
+
+  // A block's slab header, found by masking its address, names its class
+  // and tracks its live/free state in every mode, whichever path frees it.
+  ASSERT_FALSE(PoolAllocator::poison_enabled());
+  std::vector<void*> blocks;
+  for (int c = 0; c < detail::kPoolNumClasses; ++c) {
+    const std::size_t cap = detail::pool_class_bytes(c);
+    const std::size_t smallest =
+        c == 0 ? 1 : detail::pool_class_bytes(c - 1) + 1;
+    for (std::size_t size : {smallest, cap}) {
+      void* p = pool_alloc(size);
+      EXPECT_EQ(detail::pool_slab_of(p)->size_class, c) << size;
+      EXPECT_FALSE(PoolAllocator::is_poisoned(p)) << size;
+      std::memset(p, 0x5A, cap);
+      blocks.push_back(p);
+    }
+  }
+  free_both_ways(blocks);
+  for (void* p : blocks) EXPECT_TRUE(PoolAllocator::is_poisoned(p));
+}
+
+TEST(PoolAlloc, BlocksAreExactlyClassSized) {
+  // On a fresh thread, take recycled blocks until the pool carves a new
+  // slab: from its first block on, consecutive carves are exactly one
+  // class size apart (no per-block header), and the slab holds as many
+  // blocks as fit behind its header.
+  test::run_threads(1, [](int) {
+    for (int c = 0; c < detail::kPoolNumClasses; ++c) {
+      const std::size_t bytes = detail::pool_class_bytes(c);
+      if (bytes > 128) break;
+      std::vector<void*> blocks;
+      const uint64_t slabs = PoolAllocator::instance().stats().slabs;
+      do {
+        blocks.push_back(pool_alloc(bytes));
+      } while (PoolAllocator::instance().stats().slabs == slabs);
+      char* prev = static_cast<char*>(blocks.back());
+      detail::PoolSlab* slab = detail::pool_slab_of(prev);
+      const std::size_t header = prev - reinterpret_cast<char*>(slab);
+      std::size_t carved = 1;
+      for (;;) {
+        char* p = static_cast<char*>(pool_alloc(bytes));
+        blocks.push_back(p);
+        if (detail::pool_slab_of(p) != slab) break;
+        ASSERT_EQ(p - prev, static_cast<std::ptrdiff_t>(bytes)) << bytes;
+        prev = p;
+        ++carved;
+      }
+      EXPECT_EQ(carved, (detail::kPoolSlabBytes - header) / bytes) << bytes;
+      // The header is the slab fields and one state byte per block, plus
+      // less than a block of rounding.
+      EXPECT_GE(header, sizeof(detail::PoolSlab) + carved) << bytes;
+      EXPECT_LT(header, sizeof(detail::PoolSlab) + carved + 16 + bytes)
+          << bytes;
+      EXPECT_EQ(slab->size_class, c);
+      if (bytes == 64) {
+        EXPECT_EQ(carved, (256 * 1024 - header) / 64);
+      }
+      free_both_ways(blocks);
+    }
+  });
 }
 
 TEST(PoolAlloc, FreeBatchOversizedFallsThrough) {
-  void* p = pool_alloc(PoolAllocator::kMaxBlockSize + 4096);
-  const auto before = PoolAllocator::instance().stats();
-  {
-    PoolAllocator::FreeBatch batch;
-    batch.add(p);
+  // An oversized block, smaller or larger than a slab, is a one-block
+  // slab of its own: the same mask finds its header.
+  for (std::size_t size : {PoolAllocator::kMaxBlockSize + 1,
+                           std::size_t{1} << 20}) {
+    std::vector<void*> blocks;
+    for (int i = 0; i < 2; ++i) {
+      void* p = pool_alloc(size);
+      detail::PoolSlab* slab = detail::pool_slab_of(p);
+      EXPECT_EQ(slab->size_class, detail::kPoolOversized) << size;
+      EXPECT_LT(static_cast<char*>(p) - reinterpret_cast<char*>(slab), 64)
+          << size;
+      std::memset(p, 0x5A, size);
+      blocks.push_back(p);
+    }
+    const auto before = PoolAllocator::instance().stats();
+    free_both_ways(blocks);
+    const auto after = PoolAllocator::instance().stats();
+    EXPECT_EQ(after.freed_blocks - before.freed_blocks, 2u) << size;
   }
+}
+
+TEST(PoolAlloc, RoundRobinHandoffCyclesChunksThroughTheDepot) {
+  // Four threads each allocate a burst of three chunks of one class, fill
+  // every payload, and hand the burst to the next thread, which checks
+  // every byte, overwrites it and frees it. Three chunks overflow the
+  // freer's private list, so chunks enter and leave the depot every
+  // round while their blocks' payloads are written by each new owner: a
+  // depot link stored in a block would race with those writes.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 300;
+  constexpr std::size_t kBurst = 3 * detail::kPoolChunkBlocks;
+  constexpr std::size_t kSizes[] = {48, 64, 96};
+  struct Mailbox {
+    std::mutex m;
+    std::condition_variable cv;
+    std::vector<std::vector<char*>> bursts;
+  };
+  Mailbox box[kThreads];
+  std::atomic<uint64_t> bad_bytes{0};
+  const auto before = PoolAllocator::instance().stats();
+  test::run_threads(kThreads, [&](int t) {
+    for (int r = 0; r < kRounds; ++r) {
+      const std::size_t size = kSizes[(t + r) % 3];
+      const auto fill = static_cast<unsigned char>(t * kRounds + r);
+      std::vector<char*> burst(kBurst);
+      for (char*& p : burst) {
+        p = static_cast<char*>(pool_alloc(size));
+        std::memset(p, fill, size);
+      }
+      Mailbox& next = box[(t + 1) % kThreads];
+      {
+        std::lock_guard<std::mutex> lock(next.m);
+        next.bursts.push_back(std::move(burst));
+      }
+      next.cv.notify_one();
+
+      std::vector<char*> got;
+      {
+        std::unique_lock<std::mutex> lock(box[t].m);
+        box[t].cv.wait(lock, [&] { return !box[t].bursts.empty(); });
+        got = std::move(box[t].bursts.front());
+        box[t].bursts.erase(box[t].bursts.begin());
+      }
+      const int from = (t + kThreads - 1) % kThreads;
+      const std::size_t got_size = kSizes[(from + r) % 3];
+      const auto want = static_cast<unsigned char>(from * kRounds + r);
+      uint64_t bad = 0;
+      for (char* p : got) {
+        for (std::size_t i = 0; i < got_size; ++i) {
+          bad += static_cast<unsigned char>(p[i]) != want;
+        }
+        std::memset(p, 0x5A, got_size);
+      }
+      bad_bytes.fetch_add(bad, std::memory_order_relaxed);
+      free_both_ways({got.begin(), got.end()});
+    }
+  });
   const auto after = PoolAllocator::instance().stats();
-  EXPECT_EQ(after.freed_blocks - before.freed_blocks, 1u);
+  EXPECT_EQ(bad_bytes.load(), 0u);
+  // Every freer pushes two chunks a round; the allocators take them back.
+  EXPECT_GE(after.remote_splices - before.remote_splices,
+            uint64_t{2} * kThreads * kRounds);
+  EXPECT_EQ(after.allocated_blocks - before.allocated_blocks,
+            after.freed_blocks - before.freed_blocks);
+  // 460,800 blocks passed; recycled through the depot they fit a few
+  // slabs per thread and class (about 120 if nothing came back).
+  EXPECT_LE(after.slabs - before.slabs, uint64_t{kThreads} * 3);
 }
 
 using PoolAllocDeathTest = ::testing::Test;

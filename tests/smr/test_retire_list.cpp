@@ -94,7 +94,8 @@ TEST(RetireList, DrainFreesEverything) {
 }
 
 // Nodes of different size classes, and an oversized block, share one
-// list; the sweep frees each by its block header with no per-type code.
+// list; the sweep frees each by its slab header (found by masking the
+// address) with no per-type code.
 TEST(RetireList, SweepFreesMixedSizeClassesByHeader) {
   RetireList rl;
   for (uint64_t e = 0; e < 4; ++e) {
