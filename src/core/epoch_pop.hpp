@@ -15,7 +15,11 @@
 //
 // There is no global mode switch (contrast Qsense): one thread can be
 // reclaiming in EBR mode while another pings — reclaimers act
-// independently, which is exactly Algorithm 3's structure.
+// independently, which is exactly Algorithm 3's structure. Once any
+// thread's POP handshake completes, every thread frees what it covers on
+// its next retire (the lazy sweep, pop_engine.hpp), so one fallback wave
+// drains every list the stall held; those frees count as pop_frees.
+// Without a stall no handshake runs and the lazy sweep never fires.
 #pragma once
 
 #include <atomic>
@@ -83,6 +87,7 @@ class EpochPopDomain : public smr::DomainBase<EpochPopDomain> {
                  cfg.pop_multiplier * cfg.retire_threshold;
         },
         [&](bool) { reclaim_pop(tid); });
+    core_.stats(tid).pop_frees += engine_.on_retired(core_, tid, freeable);
   }
 
   uint64_t current_epoch() const { return epochs_.now(); }
@@ -113,12 +118,14 @@ class EpochPopDomain : public smr::DomainBase<EpochPopDomain> {
   // Algorithm 3 lines 27-30: the POP fallback. Frees everything not in
   // the published hazard reservations, ignoring epochs entirely — safe
   // because every access is preceded by a validated (private) reservation.
+  static bool freeable(const smr::Reservations& published,
+                       smr::Reclaimable* node) {
+    return !published.names(node);
+  }
+
   void reclaim_pop(int tid) {
     core_.stats(tid).pop_frees += engine_.reclaim(
-        core_, tid, [this](int t) { neutralize(t); },
-        [](const smr::Reservations& published, smr::Reclaimable* node) {
-          return !published.names(node);
-        });
+        core_, tid, [this](int t) { neutralize(t); }, freeable);
   }
 
   smr::EpochAnnouncements epochs_;

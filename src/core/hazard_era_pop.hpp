@@ -9,6 +9,14 @@
 // has e published when the reclaimer scans; a reader that reserves after
 // the handshake observes an era >= the victim's retire era bump, so its
 // reservation cannot intersect the victim's lifespan retroactively.
+//
+// Property 6 for the lazy sweep (pop_engine.hpp), where another thread's
+// handshake covers this thread's sealed nodes: the reclaimer advances the
+// era *after* taking its ticket. A sealed node's retire era was read
+// before its seal's fence, which precedes that ticket RMW in S, so the
+// read cannot see the advance: the node's retire era is below the
+// advanced era, exactly as for the reclaimer's own nodes, and a reader
+// reserving after the handshake again cannot intersect its lifespan.
 #pragma once
 
 #include <atomic>
@@ -53,10 +61,8 @@ class HazardEraPopDomain : public smr::DomainBase<HazardEraPopDomain> {
   // this from pinging on every retire.
   void retire(smr::Reclaimable* n) {
     const int tid = runtime::my_tid();
-    core_.retire(tid, n, era_.now(), [&](bool) {
-      era_.advance();
-      reclaim(tid);
-    });
+    core_.retire(tid, n, era_.now(), [&](bool) { reclaim(tid); });
+    engine_.on_retired(core_, tid, freeable);
   }
 
   uint64_t current_era() const { return era_.now(); }
@@ -70,12 +76,16 @@ class HazardEraPopDomain : public smr::DomainBase<HazardEraPopDomain> {
   uint64_t birth_era() const { return era_.now(); }
 
   // Free every retired node whose lifespan no published era intersects.
+  static bool freeable(const smr::Reservations& published,
+                       smr::Reclaimable* node) {
+    return !published.intersects(node);
+  }
+
+  // The era advances once the ticket is taken (Property 6 above).
   void reclaim(int tid) {
     engine_.reclaim(
-        core_, tid, [this](int t) { neutralize(t); },
-        [](const smr::Reservations& published, smr::Reclaimable* node) {
-          return !published.intersects(node);
-        });
+        core_, tid, [this](int t) { neutralize(t); }, freeable,
+        [this] { era_.advance(); });
   }
 
   smr::EpochClock era_;

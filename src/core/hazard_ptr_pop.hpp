@@ -8,11 +8,19 @@
 //             then free every retired node absent from the published
 //             (shared) reservations.
 //
+// Between its own handshakes a thread also frees, on its retire path,
+// whatever another thread's completed handshake covers (the lazy sweep,
+// pop_engine.hpp): one ping wave serves every retire list.
+//
 // Safety (paper Property 2): when the reclaimer scans, every reservation
 // made before the ping handshake completed is visible; a reservation made
 // after must have validated its source pointer *after* the node was
-// unlinked, so it cannot name a node in this reclaimer's retire list.
-// Robustness (Property 3): at most threshold + N*H nodes are unreclaimed.
+// unlinked, so it cannot name a node in this reclaimer's retire list. A
+// lazy sweep frees only nodes sealed before the covering handshake took
+// its ticket, for which the same argument holds (pop_engine.hpp).
+// Robustness (Property 3): at most threshold + N*H nodes are unreclaimed
+// per retire list — a thread's own handshake still sweeps its whole list
+// every threshold retires; lazy sweeps only free sooner.
 #pragma once
 
 #include <atomic>
@@ -55,6 +63,7 @@ class HazardPtrPopDomain : public smr::DomainBase<HazardPtrPopDomain> {
   void retire(smr::Reclaimable* n) {
     const int tid = runtime::my_tid();
     core_.retire(tid, n, 0, [&](bool) { reclaim(tid); });
+    engine_.on_retired(core_, tid, freeable);
   }
 
  private:
@@ -65,12 +74,13 @@ class HazardPtrPopDomain : public smr::DomainBase<HazardPtrPopDomain> {
   void on_detach(int /*tid*/) { engine_.unhook(); }
 
   // Free every retired node no published reservation names.
+  static bool freeable(const smr::Reservations& published,
+                       smr::Reclaimable* node) {
+    return !published.names(node);
+  }
+
   void reclaim(int tid) {
-    engine_.reclaim(
-        core_, tid, [this](int t) { neutralize(t); },
-        [](const smr::Reservations& published, smr::Reclaimable* node) {
-          return !published.names(node);
-        });
+    engine_.reclaim(core_, tid, [this](int t) { neutralize(t); }, freeable);
   }
 
   PopEngine engine_{config().num_slots};

@@ -22,6 +22,32 @@
 // on that wave's publish storm instead of re-signaling every thread (see
 // ping_all_and_wait).
 //
+// Certification. The ping reaches every thread, so a completed handshake
+// publishes everyone's reservations, not only the reclaimer's — it can
+// serve every thread's retire list. Each handshake takes a ticket from a
+// per-engine counter on entry (before its own publish and the counter
+// snapshot); on completion it raises `certified` to that ticket. Each
+// thread seals its open retire segment every seal_every retires under the
+// ticket count it reads after a fence, and on a later retire, once
+// `certified` is above a sealed stamp, sweeps those segments against the
+// shared table with no handshake of its own (on_retired, the lazy
+// sweep). The pinger still sweeps its whole list, so signals per retire
+// do not change; a timed-out handshake certifies nothing. The counter is
+// per engine, unlike the round: a wave led from another domain pings
+// only that domain's threads.
+//
+// Property 2 for the lazy sweep. A node in a segment sealed under stamp
+// s was unlinked before the seal's seq_cst fence X, and the seal's
+// ticket load, which read s, is coherence-ordered before the seq_cst
+// ticket RMW W of any handshake with ticket > s; so X precedes W in the
+// single total order S ([atomics.order]/4.3), and W precedes the
+// handshake's own publish fence. Every ordering the paper's Property 2
+// uses about the reclaimer's own unlinks (sequenced before that fence)
+// therefore holds for the sealed node too: a reservation a pinged thread
+// made before its publish is in the shared table the sweeper collects
+// (certify's release, the sweeper's acquire), and one made after it
+// revalidated its source after X, so it cannot name the node.
+//
 // Private slots are lock-free std::atomic<uintptr_t> accessed with relaxed
 // ordering — plain machine stores, and the only data shared with the
 // (same-thread, asynchronous) signal handler, which makes the handler
@@ -56,6 +82,10 @@ struct HandshakeResult {
 };
 
 class PopEngine final : public runtime::SignalClient {
+  struct NoHook {  // reclaim's default after_ticket
+    void operator()() const {}
+  };
+
  public:
   explicit PopEngine(int num_slots) : num_slots_(num_slots) {}
 
@@ -319,32 +349,65 @@ class PopEngine final : public runtime::SignalClient {
   // ---- reclamation pass ------------------------------------------------------
 
   // One publish-on-ping pass over the caller's retire list (HazardPtrPOP,
-  // HazardEraPOP, EpochPOP's fallback): reap dead owners, run the
-  // handshake, then free every retired node `freeable(published, node)`
-  // accepts, `published` being the shared table. Returns the number freed.
-  // A timed-out handshake frees nothing: a live laggard never published,
-  // so its private reservations could name anything in the retire list —
-  // the sweep is deferred to a later pass (bounded memory degrades, safety
-  // does not).
-  template <class Neutralize, class Freeable>
+  // HazardEraPOP, EpochPOP's fallback): take a ticket, run `after_ticket`
+  // (HazardEraPOP advances its era there), reap dead owners, run the
+  // handshake, certify the ticket, then free every retired node
+  // `freeable(published, node)` accepts, `published` being the shared
+  // table. Returns the number freed. A timed-out handshake frees and
+  // certifies nothing: a live laggard never published, so its private
+  // reservations could name anything in any retire list — the sweep is
+  // deferred to a later pass (bounded memory degrades, safety does not).
+  template <class Neutralize, class Freeable, class AfterTicket = NoHook>
   uint64_t reclaim(smr::DomainCore& core, int tid, Neutralize&& neutralize,
-                   Freeable&& freeable) {
+                   Freeable&& freeable, AfterTicket&& after_ticket = {}) {
+    // A seal whose ticket load read below this ticket is coherence-ordered
+    // before this RMW, which puts the seal's fence before it in S — the
+    // lazy sweep's safety (header, Property 2). The RMW chain also makes
+    // every earlier handshake's entry happen before ours.
+    const uint64_t ticket =  // seq_cst: an RMW in S, for the order above
+        tickets_->issued.fetch_add(1, std::memory_order_seq_cst) + 1;
+    after_ticket();
     auto& st = core.stats(tid);
     core.reap_dead(tid, neutralize);
     const auto hs = ping_all_and_wait(tid);
     st.signals_sent += static_cast<uint64_t>(hs.sent);
     uint64_t freed = 0;
     if (hs.complete()) {
-      const smr::Reservations published =
-          shared_.collect(num_slots_, core.scan_scratch(tid));
-      freed = core.sweep_retired(tid, [&](smr::Reclaimable* node) {
-        return freeable(published, node);
-      });
+      certify(ticket);  // before our own sweep: the others need not wait
+      freed = sweep_published(core, tid, freeable, smr::RetireList::kWhole);
     } else {
       st.waves_timed_out += 1;
     }
     st.pings_received = pings_received(tid);
     return freed;
+  }
+
+  // ---- lazy sweep (retire path) ----------------------------------------------
+
+  // Runs after each retire of a POP scheme, once DomainCore::retire has
+  // pushed the node (and run the scheme's own pass, if due). Seals the
+  // open segment every seal_every retires; then, if a completed handshake
+  // (any thread's) covers a sealed segment, sweeps the covered segments
+  // against the shared table, with the caller's own reservations
+  // published first. Returns the number freed. The fast path reads
+  // owner-local words and `certified`, which changes once per handshake;
+  // the fence is paid once per seal, not per retire.
+  template <class Freeable>
+  uint64_t on_retired(smr::DomainCore& core, int tid, Freeable&& freeable) {
+    auto& rl = core.retire_list(tid);
+    if (rl.open_length() >= seal_every(core.config())) {
+      // seq_cst fence: every unlink of the open segment's nodes precedes
+      // it, and the ticket load after it then precedes, in S, any
+      // handshake whose ticket it did not see (header, Property 2).
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      rl.seal(tickets_->issued.load(std::memory_order_relaxed));
+    }
+    // Acquire: pairs with certify's release, so the collect below sees
+    // every publish the certifying handshake waited for.
+    const uint64_t c = tickets_->certified.load(std::memory_order_acquire);
+    if (c <= rl.oldest_sealed()) return 0;
+    publish(tid);  // the caller may still hold a node it just retired
+    return sweep_published(core, tid, freeable, c);
   }
 
   // ---- shared-table queries (reclaimer side) ---------------------------------
@@ -408,6 +471,43 @@ class PopEngine final : public runtime::SignalClient {
     uint64_t registry_epoch;
   };
 
+  // Retires between seals: 1/64 of the handshake tick (8 at the default
+  // 512), so a node rarely misses the next handshake for want of a seal
+  // and the fence is amortized over as many retires (1 at the tiny
+  // thresholds tests use). On hash-updates a sixteenth left ~15% more
+  // nodes unreclaimed; 1/128 gained nothing measurable over 1/64.
+  static uint64_t seal_every(const smr::SmrConfig& cfg) {
+    const uint64_t n = cfg.retire_threshold / 64;
+    return n > 0 ? n : 1;
+  }
+
+  // Frees every node of the segments a handshake with ticket `below`
+  // covers (kWhole: the whole list) that `freeable` accepts against the
+  // shared table, then marks the survivors covered.
+  template <class Freeable>
+  uint64_t sweep_published(smr::DomainCore& core, int tid, Freeable& freeable,
+                           uint64_t below) {
+    const smr::Reservations published =
+        shared_.collect(num_slots_, core.scan_scratch(tid));
+    const uint64_t freed = core.sweep_retired(
+        tid,
+        [&](smr::Reclaimable* node) { return freeable(published, node); },
+        below);
+    core.retire_list(tid).cover(below);
+    return freed;
+  }
+
+  // Raises `certified` to `ticket` (handshakes may complete out of ticket
+  // order). Release: a lazy sweeper that reads the new value also sees
+  // every shared-slot store this handshake's wait observed.
+  void certify(uint64_t ticket) {
+    uint64_t c = tickets_->certified.load(std::memory_order_relaxed);
+    while (c < ticket && !tickets_->certified.compare_exchange_weak(
+                             c, ticket, std::memory_order_release,
+                             std::memory_order_relaxed)) {
+    }
+  }
+
   // Deadline expiry: resolve every remaining laggard one way or the
   // other so the wave can close. Dead → certify (the registry epoch bump
   // releases every other waiter on the corpse too) and skip; live →
@@ -468,7 +568,17 @@ class PopEngine final : public runtime::SignalClient {
     return *r;
   }
 
+  // This engine's handshake tickets: `issued` counts handshakes begun,
+  // `certified` is the highest completed one's ticket. Both change once
+  // per handshake and `certified` is read on every retire, so they share
+  // a line of their own.
+  struct Tickets {
+    std::atomic<uint64_t> issued{0};
+    std::atomic<uint64_t> certified{0};
+  };
+
   int num_slots_;
+  runtime::Padded<Tickets> tickets_;
   runtime::Padded<PerThread> pt_[runtime::kMaxThreads];
   smr::SlotTable shared_;
   std::atomic<uint64_t> waves_led_{0};

@@ -246,9 +246,12 @@ class DomainCore {
   // One reclamation sweep over the caller's retire list, counted in the
   // stats (scans, freed): freeable blocks are chained per size class and
   // handed to this thread's free lists whole (see PoolAllocator::FreeBatch)
-  // instead of one free per node. Returns the number freed.
+  // instead of one free per node. `below` limits it to the segments a
+  // handshake with that ticket covers (RetireList::sweep_batch; the
+  // publish-on-ping lazy sweep). Returns the number freed.
   template <class Pred>
-  uint64_t sweep_retired(int tid, Pred&& can_free) {
+  uint64_t sweep_retired(int tid, Pred&& can_free,
+                         uint64_t below = RetireList::kWhole) {
     const bool obs_timing = obs::latency_on() || obs::trace_on();
     const uint64_t obs_t0 = obs_timing ? obs::now_ns() : 0;
     runtime::PoolAllocator::FreeBatch batch;
@@ -263,9 +266,10 @@ class DomainCore {
             if (f) shadow_.on_free(scheme_, tid, node);
             return f;
           },
-          batch);
+          batch, below);
     } else {
-      freed = pt_[tid]->retire.sweep_batch(std::forward<Pred>(can_free), batch);
+      freed = pt_[tid]->retire.sweep_batch(std::forward<Pred>(can_free), batch,
+                                           below);
     }
     if (obs_timing) {
       const uint64_t dt = obs::now_ns() - obs_t0;

@@ -57,22 +57,38 @@ struct ThreadStats {
   // Adds a per-thread cell or another snapshot (the service layer rolls
   // one snapshot per shard into a total); max_retire_len takes the max.
   void absorb(const ThreadStats& t) {
-    static_assert(sizeof(ThreadStats) == 14 * sizeof(uint64_t),
-                  "a new counter must be added to absorb()");
-    retired += t.retired;
-    freed += t.freed;
-    scans += t.scans;
-    signals_sent += t.signals_sent;
-    pings_received += t.pings_received;
-    neutralized += t.neutralized;
-    ebr_frees += t.ebr_frees;
-    pop_frees += t.pop_frees;
+    each_counter(*this, t, [](uint64_t& a, uint64_t b) { a += b; });
     if (t.max_retire_len > max_retire_len) max_retire_len = t.max_retire_len;
-    waves_timed_out += t.waves_timed_out;
-    tids_reaped += t.tids_reaped;
-    orphans_adopted += t.orphans_adopted;
-    pressure_events += t.pressure_events;
-    forced_handshakes += t.forced_handshakes;
+  }
+
+  // This snapshot minus an earlier one: the counters a phase added.
+  // max_retire_len is a high-watermark, so it keeps this (the later)
+  // value rather than a delta.
+  ThreadStats since(const ThreadStats& earlier) const {
+    ThreadStats d = *this;
+    each_counter(d, earlier, [](uint64_t& a, uint64_t b) { a -= b; });
+    return d;
+  }
+
+ private:
+  // Every counter is listed once, here: absorb and since both walk it.
+  template <class Fn>
+  static void each_counter(ThreadStats& a, const ThreadStats& b, Fn&& fn) {
+    static_assert(sizeof(ThreadStats) == 14 * sizeof(uint64_t),
+                  "a new counter must be added to each_counter()");
+    fn(a.retired, b.retired);
+    fn(a.freed, b.freed);
+    fn(a.scans, b.scans);
+    fn(a.signals_sent, b.signals_sent);
+    fn(a.pings_received, b.pings_received);
+    fn(a.neutralized, b.neutralized);
+    fn(a.ebr_frees, b.ebr_frees);
+    fn(a.pop_frees, b.pop_frees);
+    fn(a.waves_timed_out, b.waves_timed_out);
+    fn(a.tids_reaped, b.tids_reaped);
+    fn(a.orphans_adopted, b.orphans_adopted);
+    fn(a.pressure_events, b.pressure_events);
+    fn(a.forced_handshakes, b.forced_handshakes);
   }
 };
 

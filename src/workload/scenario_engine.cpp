@@ -83,28 +83,6 @@ void prefill_set(ds::IKV& set, const ScenarioSpec& spec) {
   set.detach_thread();
 }
 
-// End-minus-start of the SWMR per-thread counters; max_retire_len is a
-// high-watermark, so the phase keeps the end value rather than a delta.
-smr::StatsSnapshot snapshot_delta(const smr::StatsSnapshot& a,
-                                  const smr::StatsSnapshot& b) {
-  smr::StatsSnapshot d;
-  d.retired = b.retired - a.retired;
-  d.freed = b.freed - a.freed;
-  d.scans = b.scans - a.scans;
-  d.signals_sent = b.signals_sent - a.signals_sent;
-  d.pings_received = b.pings_received - a.pings_received;
-  d.neutralized = b.neutralized - a.neutralized;
-  d.ebr_frees = b.ebr_frees - a.ebr_frees;
-  d.pop_frees = b.pop_frees - a.pop_frees;
-  d.max_retire_len = b.max_retire_len;
-  d.waves_timed_out = b.waves_timed_out - a.waves_timed_out;
-  d.tids_reaped = b.tids_reaped - a.tids_reaped;
-  d.orphans_adopted = b.orphans_adopted - a.orphans_adopted;
-  d.pressure_events = b.pressure_events - a.pressure_events;
-  d.forced_handshakes = b.forced_handshakes - a.forced_handshakes;
-  return d;
-}
-
 // Mid-run probes read the SWMR counters racily; a torn read can catch a
 // batched sweep between retired and freed and see freed ahead — saturate
 // instead of wrapping.
@@ -666,7 +644,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec_in) {
       pr.mops = static_cast<double>(pr.ops) / pr.seconds / 1e6;
       pr.read_mops = static_cast<double>(pr.reads) / pr.seconds / 1e6;
     }
-    pr.smr_delta = snapshot_delta(boundary[p], boundary[p + 1]);
+    pr.smr_delta = boundary[p + 1].since(boundary[p]);
     pr.unreclaimed_end = boundary[p + 1].unreclaimed();
     if (lat_on) {
       pr.latency = obs::summarize(lat_boundary[p + 1].diff(lat_boundary[p]));

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "core/epoch_pop.hpp"
 #include "../support/test_util.hpp"
@@ -129,6 +130,62 @@ TEST(EpochPop, NoGlobalModeSwitch_TwoReclaimersDifferentModes) {
   EXPECT_GT(d.stats().pop_frees, 0u);
   release.store(true);
   sleeper.join();
+}
+
+TEST(EpochPop, FallbackWaveFreesAnotherThreadsSealedRetires) {
+  // The lazy sweep through the POP fallback: reader C pins the epoch and
+  // privately reserves one of thread A's (this thread's) kEarly retires;
+  // thread B retires until its list reaches pop_multiplier *
+  // retire_threshold and pings. A's next retire, far below both of its
+  // own triggers, frees every earlier node but C's, as POP frees, and
+  // keeps the kLate nodes it retired after B's wave began.
+  constexpr int kEarly = 10;
+  constexpr int kLate = 5;
+  smr::SmrConfig cfg;
+  cfg.retire_threshold = 64;  // A seals per retire and never sweeps itself
+  EpochPopDomain d(cfg);
+  std::vector<TNode*> early;
+  for (int i = 0; i < kEarly; ++i) early.push_back(d.create<TNode>(i));
+  std::atomic<TNode*> src{early[0]};
+  std::atomic<bool> reserved{false}, release{false};
+  std::thread reader([&] {
+    d.begin_op();  // announces an epoch and holds it: no epoch frees
+    EXPECT_EQ(d.protect(0, src), early[0]);
+    reserved.store(true);
+    while (!release.load()) std::this_thread::yield();
+    d.end_op();
+    d.detach();
+  });
+  while (!reserved.load()) std::this_thread::yield();
+  src.store(nullptr);
+  for (TNode* n : early) {
+    EpochPopDomain::Guard g(d);
+    d.retire(n);
+  }
+  std::thread pinger([&] {
+    for (uint64_t i = 0; i < cfg.pop_multiplier * cfg.retire_threshold; ++i) {
+      EpochPopDomain::Guard g(d);
+      d.retire(d.create<TNode>(100 + i));
+    }
+    d.detach();
+  });
+  pinger.join();
+  ASSERT_GT(d.stats().signals_sent, 0u) << "B's fallback never pinged";
+
+  const auto before = d.stats();
+  for (int i = 0; i <= kLate; ++i) {
+    EpochPopDomain::Guard g(d);
+    d.retire(d.create<TNode>(200 + i));
+  }
+  const auto after = d.stats();
+  EXPECT_EQ(after.freed - before.freed, static_cast<uint64_t>(kEarly - 1));
+  EXPECT_EQ(after.pop_frees - before.pop_frees,
+            static_cast<uint64_t>(kEarly - 1));
+  EXPECT_EQ(after.signals_sent, before.signals_sent);
+  EXPECT_EQ(early[0]->key, 0u);
+  release.store(true);
+  reader.join();
+  d.detach();
 }
 
 }  // namespace

@@ -4,8 +4,12 @@
 // only after every attached thread has published.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <signal.h>
+
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "core/pop_engine.hpp"
 #include "runtime/thread_registry.hpp"
@@ -143,37 +147,95 @@ TEST(PopEngine, ConcurrentReclaimersCoalesce) {
   SUCCEED();
 }
 
+// Sleeps until `a` reaches `at_least` (futex wait: a sleeping thread
+// runs its ping handler as soon as the signal arrives).
+void wait_for(const std::atomic<int>& a, int at_least) {
+  for (int v = a.load(); v < at_least; v = a.load()) a.wait(v);
+}
+
+void bump(std::atomic<int>& a) {
+  a.fetch_add(1);
+  a.notify_all();
+}
+
 TEST(PopEngine, ConcurrentReclaimersShareOnePingWave) {
   // Handshake coalescing: two reclaimers whose handshakes overlap should
   // share a single ping wave (one leads, the other piggybacks on the
   // wave's publishes) — strictly fewer signals than the same number of
   // strictly sequential handshakes, where every reclaimer pings everyone.
+  //
+  // The overlap is forced, not timed. In each concurrent round every
+  // reader takes the leader's ping with sigwait (the signal is blocked);
+  // readers 1.. publish and detach, so the joiner will not wait on them,
+  // while reader 0 (the holder) withholds its publish, which keeps the
+  // leader's wave open until the joiner has entered its handshake and
+  // found the wave in flight. Every wait is a sleep, so a pinged thread
+  // answers as soon as the signal lands and re-pings stay rare.
   PopEngine e(4);
   constexpr int kReaders = 6;
   constexpr int kRounds = 25;
   std::atomic<bool> release{false};
   std::atomic<int> up{0};
+  std::atomic<int> turn{0};         // phase 1's alternation; 2 * kRounds after
+  std::atomic<int> ready{0};        // reader-rounds armed for the next ping
+  std::atomic<int> took{0};         // reader-rounds that took the ping
+  std::atomic<int> joiner_ready{0};
+  std::atomic<int> marked{0};       // the joiner recorded its publish count
+  std::atomic<uint64_t> joiner_mark{0};
+  std::atomic<int> joiner_tid{-1};
+  std::atomic<int> rounds_done{0};
   std::vector<std::thread> readers;
   for (int i = 0; i < kReaders; ++i) {
-    readers.emplace_back([&] {
+    readers.emplace_back([&, i] {
       const int tid = runtime::my_tid();
       e.attach(tid);
-      up.fetch_add(1);
-      while (!release.load()) std::this_thread::yield();
-      e.detach(tid);
+      bump(up);
+      wait_for(turn, 2 * kRounds);
+      sigset_t ping;
+      sigemptyset(&ping);
+      sigaddset(&ping, runtime::kPingSignal);
+      pthread_sigmask(SIG_BLOCK, &ping, nullptr);
+      for (int r = 0; r < kRounds; ++r) {
+        wait_for(rounds_done, r);
+        const timespec now{};
+        while (sigtimedwait(&ping, nullptr, &now) > 0) {
+        }  // re-pings of the last round
+        if (i != 0 && r > 0) e.attach(tid);
+        bump(ready);
+        int sig = 0;
+        sigwait(&ping, &sig);  // the leader's broadcast
+        if (i != 0) {
+          e.publish(tid);
+          e.detach(tid);
+          bump(took);
+          continue;
+        }
+        bump(took);
+        wait_for(marked, r + 1);
+        while (e.publish_count(joiner_tid.load()) <= joiner_mark.load()) {
+          std::this_thread::yield();  // the joiner is entering
+        }
+        while (rounds_done.load() < r + 1) {  // publish until both are done
+          e.publish(tid);
+          std::this_thread::yield();
+        }
+      }
+      pthread_sigmask(SIG_UNBLOCK, &ping, nullptr);
+      while (!release.load()) release.wait(false);
+      if (i == 0) e.detach(tid);
     });
   }
-  while (up.load() < kReaders) std::this_thread::yield();
+  wait_for(up, kReaders);
 
   std::atomic<uint64_t> sequential_signals{0};
   std::atomic<uint64_t> concurrent_signals{0};
   std::atomic<uint64_t> waves_before_concurrent{0};
   std::atomic<int> attached_reclaimers{0};
-  std::atomic<int> turn{0};
-  std::atomic<int> arrived{0};
+  std::atomic<int> finished{0};
   test::run_threads(2, [&](int w) {
     const int tid = runtime::my_tid();
     e.attach(tid);
+    if (w == 1) joiner_tid.store(tid);
     attached_reclaimers.fetch_add(1);
     while (attached_reclaimers.load() < 2) std::this_thread::yield();
 
@@ -183,18 +245,32 @@ TEST(PopEngine, ConcurrentReclaimersShareOnePingWave) {
       while (turn.load() != 2 * r + w) std::this_thread::yield();
       sequential_signals.fetch_add(
           static_cast<uint64_t>(e.ping_all_and_wait(tid).sent));
-      turn.fetch_add(1);
+      bump(turn);
     }
 
-    // Phase 2 — concurrent: a barrier per round releases both reclaimers
-    // into the handshake together. Reclaimer 1 owns the last sequential
-    // turn, so its snapshot of the wave count is taken at quiescence.
+    // Phase 2 — concurrent: reclaimer 0 leads each round's wave, and
+    // reclaimer 1 enters while the holder keeps it open. Reclaimer 1 owns
+    // the last sequential turn, so its snapshot of the wave count is taken
+    // at quiescence.
     if (w == 1) waves_before_concurrent.store(e.handshake_rounds());
     for (int r = 0; r < kRounds; ++r) {
-      arrived.fetch_add(1);
-      while (arrived.load() < 2 * (r + 1)) std::this_thread::yield();
+      wait_for(rounds_done, r);
+      if (w == 0) {
+        wait_for(ready, kReaders * (r + 1));
+        wait_for(joiner_ready, r + 1);
+      } else {
+        const uint64_t pings = e.pings_received(tid);
+        bump(joiner_ready);
+        wait_for(took, kReaders * (r + 1));
+        // Our handler has run for the leader's ping, so the next bump of
+        // our publish count is our own handshake's entry publish.
+        while (e.pings_received(tid) == pings) std::this_thread::yield();
+        joiner_mark.store(e.publish_count(tid));
+        bump(marked);
+      }
       concurrent_signals.fetch_add(
           static_cast<uint64_t>(e.ping_all_and_wait(tid).sent));
+      if (finished.fetch_add(1) % 2 == 1) bump(rounds_done);
     }
     e.detach(tid);
   });
@@ -210,6 +286,7 @@ TEST(PopEngine, ConcurrentReclaimersShareOnePingWave) {
             static_cast<uint64_t>(2 * kRounds));
 
   release.store(true);
+  release.notify_all();
   for (auto& t : readers) t.join();
 }
 

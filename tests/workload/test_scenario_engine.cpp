@@ -3,6 +3,9 @@
 // trajectory, spec validation/clamping, and the memory-timeline sampler.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+
 #include "runtime/thread_registry.hpp"
 #include "workload/scenario_engine.hpp"
 
@@ -17,6 +20,32 @@ ScenarioSpec base(const std::string& ds, const std::string& smr) {
   s.key_range = 256;
   s.smr_cfg.retire_threshold = 32;
   return s;
+}
+
+// A phase's SMR delta is ThreadStats::since: every counter subtracted
+// field by field, max_retire_len (a high-watermark) kept from the later
+// snapshot. Distinct values per field catch a field that is skipped or
+// paired with the wrong one.
+TEST(ScenarioEngine, StatsSinceIsFieldwiseDifference) {
+  constexpr size_t kFields = sizeof(smr::StatsSnapshot) / sizeof(uint64_t);
+  constexpr size_t kWatermark =
+      offsetof(smr::StatsSnapshot, max_retire_len) / sizeof(uint64_t);
+  uint64_t ra[kFields], rb[kFields], rd[kFields];
+  for (size_t i = 0; i < kFields; ++i) {
+    ra[i] = 10 + i;
+    rb[i] = 1000 + 37 * i;
+  }
+  smr::StatsSnapshot a, b;
+  std::memcpy(&a, ra, sizeof a);
+  std::memcpy(&b, rb, sizeof b);
+  const smr::StatsSnapshot d = b.since(a);
+  std::memcpy(rd, &d, sizeof d);
+  for (size_t i = 0; i < kFields; ++i) {
+    const uint64_t want = i == kWatermark ? rb[i] : rb[i] - ra[i];
+    EXPECT_EQ(rd[i], want) << "field " << i;
+  }
+  EXPECT_EQ(d.max_retire_len, b.max_retire_len);
+  EXPECT_EQ(d.unreclaimed(), b.unreclaimed() - a.unreclaimed());
 }
 
 TEST(ScenarioEngine, SinglePhaseAggregatesMatchPhaseRows) {
