@@ -6,12 +6,23 @@
 // *simultaneously* track hazard-pointer-style reservations privately, via
 // the fence-free read of HazardPtrPOP. Reclamation:
 //
-//   every retire_threshold retires  -> EBR-mode sweep (free nodes retired
-//                                      before the min announced epoch);
+//   first retire after the epoch     -> EBR-mode sweep (free nodes retired
+//   moved                               before the min announced epoch);
 //   list still >= C*retire_threshold -> a thread delay is suspected: run
 //                                      the POP handshake and free every
 //                                      node not in the published
 //                                      reservations, ignoring epochs.
+//
+// The EBR-mode trigger departs from Algorithm 3's reclaimFreq line, which
+// sweeps when the list length reaches a multiple of reclaimFreq: each
+// thread sweeps once per global-epoch value it observes (DEBRA's cadence,
+// epoch.hpp), so a node is freed about one grace period after its retire
+// instead of waiting for the list to fill, and a sweep whose oldest node
+// is still pinned skips the walk. The free predicate (retire epoch below
+// the min announced epoch) is Algorithm 3's, so the safety argument is
+// unchanged: only when a sweep runs moved, not what it may free. The POP
+// escalation still counts list length against C * retire_threshold. EBR
+// keeps Algorithm 6's every-reclaimFreq sweep for now; ebr.hpp says why.
 //
 // There is no global mode switch (contrast Qsense): one thread can be
 // reclaiming in EBR mode while another pings — reclaimers act
@@ -73,16 +84,16 @@ class EpochPopDomain : public smr::DomainBase<EpochPopDomain> {
 
   void clear() { engine_.clear_local(runtime::my_tid()); }
 
-  // Algorithm 3 retire(): the epoch sweep on every retire_threshold-th
-  // list length, the POP pass once the list outgrows C * retire_threshold
+  // Algorithm 3 retire(): the epoch sweep once per epoch the thread
+  // observes, the POP pass once the list outgrows C * retire_threshold
   // anyway (a delayed thread is suspected) or under memory pressure.
   void retire(smr::Reclaimable* n) {
     const int tid = runtime::my_tid();
     const auto& cfg = config();
     core_.retire(
         tid, n, epochs_.now(),
-        [&](uint64_t len) {
-          if (len % cfg.retire_threshold == 0) reclaim_epoch_freeable(tid);
+        [&](uint64_t) {
+          if (epochs_.advanced_since_sweep(tid)) reclaim_epoch_freeable(tid);
           return core_.retire_list(tid).length() >=
                  cfg.pop_multiplier * cfg.retire_threshold;
         },
@@ -105,10 +116,13 @@ class EpochPopDomain : public smr::DomainBase<EpochPopDomain> {
   void on_detach(int /*tid*/) { engine_.unhook(); }
   uint64_t birth_era() const { return epochs_.now(); }
 
-  // Algorithm 3 reclaimEpochFreeable(): classic EBR sweep.
+  // Algorithm 3 reclaimEpochFreeable(): classic EBR sweep. It walks the
+  // list only when its oldest node passes the predicate, so a sweep a
+  // parked reader pins costs one min_announced(), not a walk.
   void reclaim_epoch_freeable(int tid) {
     reap(tid);
     const uint64_t min_announced = epochs_.min_announced();
+    if (core_.retire_list(tid).oldest_era() >= min_announced) return;
     core_.stats(tid).ebr_frees +=
         core_.sweep_retired(tid, [&](smr::Reclaimable* node) {
           return node->retire_era < min_announced;

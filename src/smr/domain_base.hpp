@@ -195,8 +195,9 @@ class DomainCore {
   }
 
   // The same with the scheme's own trigger in place of the tick: `due`
-  // gets the list length after the push (EpochPOP's Algorithm 3 keeps its
-  // list-length escalation).
+  // gets the list length after the push. EpochPOP sweeps when the global
+  // epoch moved (epoch.hpp) and keeps Algorithm 3's list-length
+  // escalation to the POP pass.
   template <class Due, class Pass>
   void retire(int tid, Reclaimable* n, uint64_t retire_era, Due&& due,
               Pass&& pass) {

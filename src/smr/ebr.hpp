@@ -7,6 +7,15 @@
 // announced epoch. Not robust: a thread parked inside an operation pins
 // the minimum epoch and stops all reclamation — the failure mode EpochPOP
 // exists to fix (and which tests/smr/test_robustness.cpp demonstrates).
+//
+// Sweep cadence: every retire_threshold retires, as Algorithm 6 reads,
+// walking the whole list. EpochPOP's fast path instead sweeps once per
+// epoch value a thread observes and skips walks a pinned minimum makes
+// useless (epoch.hpp). EBR does not take that cadence yet: with it, a
+// parked reader no longer slows EBR's workers with ~100k-node walks, so
+// they retire about twice as many nodes per stall, all pinned, and the
+// stalled-tree benchmark's peak RSS, which the EBR cell sets, rose 16%
+// (53.3 -> 61.9 MiB, one run on a 4-core x86 guest).
 #pragma once
 
 #include <atomic>

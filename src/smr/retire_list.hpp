@@ -12,6 +12,10 @@
 //              because a reservation still named them.
 // Schemes that never seal see one chain, as before. Every whole-list
 // operation (sweep_batch with kWhole, drain, adopt) visits every segment.
+//
+// The list also keeps the oldest retire_era it holds (a lower bound after
+// a partial sweep), so an epoch sweep can tell, without a walk, that none
+// of its nodes is below the minimum announced epoch.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +38,17 @@ class RetireList {
     open_.head = n;
     ++open_.len;
     ++len_;
+    if (n->retire_era < oldest_era_) oldest_era_ = n->retire_era;
   }
 
   uint64_t length() const noexcept { return len_; }
   bool empty() const noexcept { return len_ == 0; }
   uint64_t open_length() const noexcept { return open_.len; }
+
+  // No node in the list has a retire_era below this; UINT64_MAX when the
+  // list is empty. Exact after a push or a whole-list sweep; a partial
+  // sweep leaves it as a lower bound.
+  uint64_t oldest_era() const noexcept { return oldest_era_; }
 
   // Lowest stamp still waiting for a covering handshake; kWhole if none.
   uint64_t oldest_sealed() const noexcept {
@@ -76,12 +86,17 @@ class RetireList {
   uint64_t sweep_batch(Pred&& can_free,
                        runtime::PoolAllocator::FreeBatch& batch,
                        uint64_t below = kWhole) noexcept {
-    uint64_t freed = sweep_chain(covered_, can_free, batch);
+    uint64_t kept_oldest = UINT64_MAX;
+    uint64_t freed = sweep_chain(covered_, can_free, batch, kept_oldest);
     for (int i = 0; i < nsealed_ && sealed_[i].stamp < below; ++i) {
-      freed += sweep_chain(sealed_[i].chain, can_free, batch);
+      freed += sweep_chain(sealed_[i].chain, can_free, batch, kept_oldest);
     }
-    if (below == kWhole) freed += sweep_chain(open_, can_free, batch);
+    if (below == kWhole) {
+      freed += sweep_chain(open_, can_free, batch, kept_oldest);
+      oldest_era_ = kept_oldest;  // every node was visited
+    }
     len_ -= freed;
+    if (len_ == 0) oldest_era_ = UINT64_MAX;
     return freed;
   }
 
@@ -118,6 +133,8 @@ class RetireList {
     splice(open_, other.covered_);
     len_ += n;
     other.len_ = 0;
+    if (other.oldest_era_ < oldest_era_) oldest_era_ = other.oldest_era_;
+    other.oldest_era_ = UINT64_MAX;
     return n;
   }
 
@@ -142,9 +159,11 @@ class RetireList {
     src = {};
   }
 
+  // Sweeps one chain; lowers `kept_oldest` to each survivor's retire_era.
   template <class Pred>
   static uint64_t sweep_chain(Chain& c, Pred& can_free,
-                              runtime::PoolAllocator::FreeBatch& batch) noexcept {
+                              runtime::PoolAllocator::FreeBatch& batch,
+                              uint64_t& kept_oldest) noexcept {
     Chain kept;
     uint64_t freed = 0;
     Reclaimable* cur = c.head;
@@ -154,6 +173,7 @@ class RetireList {
         batch.add(cur);
         ++freed;
       } else {
+        if (cur->retire_era < kept_oldest) kept_oldest = cur->retire_era;
         if (kept.head == nullptr) kept.tail = cur;
         cur->rl_next = kept.head;
         kept.head = cur;
@@ -170,6 +190,7 @@ class RetireList {
   Sealed sealed_[kMaxSealed];
   int nsealed_ = 0;
   uint64_t len_ = 0;
+  uint64_t oldest_era_ = UINT64_MAX;
 };
 
 }  // namespace pop::smr

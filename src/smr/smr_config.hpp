@@ -11,8 +11,10 @@ struct SmrConfig {
   int num_slots = 8;
 
   // Retires between reclamation passes (the paper's reclaimFreq; 24K in
-  // the main experiments, 2K in Figure 4). EpochPOP's epoch sweep counts
-  // it in retire-list length, as Algorithm 3 does.
+  // the main experiments, 2K in Figure 4). EpochPOP's epoch sweep does
+  // not use it: each thread sweeps once per global-epoch value it
+  // observes (smr/epoch.hpp). Its POP fallback fires at pop_multiplier
+  // times this, counted in retire-list length, as in Algorithm 3.
   uint64_t retire_threshold = 512;
 
   // Operations between global-epoch advances for the epoch-based schemes

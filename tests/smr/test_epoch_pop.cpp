@@ -35,6 +35,69 @@ TEST(EpochPop, CommonCaseFreesViaEpochsWithoutSignals) {
   EXPECT_EQ(s.pop_frees, 0u);
 }
 
+// The epoch sweep runs on the first retire after the global epoch moved,
+// not at a retire-list length: with the default threshold (512) an
+// 11-node list is freed one grace period after its retires.
+TEST(EpochPop, EpochSweepFreesAGracePeriodAfterRetireNotAtThreshold) {
+  EpochPopDomain d;  // retire_threshold 512, epoch_freq 64
+  {
+    EpochPopDomain::Guard g(d);
+    for (int i = 0; i < 10; ++i) d.retire(d.create<TNode>(i));
+  }
+  ASSERT_EQ(d.stats().freed, 0u) << "the op's own epoch pins its retires";
+  const uint64_t e0 = d.current_epoch();
+  while (d.current_epoch() == e0) {
+    EpochPopDomain::Guard g(d);  // quiescent between these empty ops
+  }
+  {
+    EpochPopDomain::Guard g(d);
+    d.retire(d.create<TNode>(10));
+  }
+  const auto s = d.stats();
+  EXPECT_EQ(s.ebr_frees, 10u);
+  EXPECT_EQ(s.freed, 10u);
+  EXPECT_EQ(s.scans, 1u);
+  EXPECT_EQ(s.signals_sent, 0u);
+  d.detach();
+}
+
+// A reader parked inside an operation (what park_in_operation does) pins
+// the minimum epoch. The epoch sweeps that then run on every clock move
+// can free nothing and must not walk the list: scans come only from the
+// POP fallback, which still frees the list each time it reaches
+// pop_multiplier * retire_threshold.
+TEST(EpochPop, ParkedReaderCostsNoEpochWalksOnlyFallbackPasses) {
+  smr::SmrConfig cfg;
+  cfg.retire_threshold = 16;
+  cfg.epoch_freq = 1;  // the clock moves on every operation
+  EpochPopDomain d(cfg);
+  std::atomic<bool> parked{false}, release{false};
+  std::thread reader([&] {
+    d.begin_op();
+    parked.store(true);
+    while (!release.load()) std::this_thread::yield();
+    d.end_op();
+    d.detach();
+  });
+  while (!parked.load()) std::this_thread::yield();
+  constexpr uint64_t kPasses = 10;
+  const uint64_t fallback_len = cfg.pop_multiplier * cfg.retire_threshold;
+  const uint64_t e0 = d.current_epoch();
+  for (uint64_t i = 0; i < kPasses * fallback_len; ++i) {
+    EpochPopDomain::Guard g(d);
+    d.retire(d.create<TNode>(i));
+  }
+  const auto s = d.stats();
+  EXPECT_GE(d.current_epoch() - e0, kPasses * fallback_len);
+  EXPECT_EQ(s.scans, kPasses) << "an epoch sweep walked a pinned list";
+  EXPECT_EQ(s.ebr_frees, 0u);
+  EXPECT_EQ(s.pop_frees, kPasses * fallback_len);
+  EXPECT_EQ(s.max_retire_len, fallback_len);
+  release.store(true);
+  reader.join();
+  d.detach();
+}
+
 TEST(EpochPop, StalledReaderActivatesPopFallback) {
   EpochPopDomain d(tiny());
   std::atomic<bool> stalled{false}, release{false};

@@ -87,6 +87,29 @@ TEST(RetireList, SweepKeepsSurvivorsForLaterSweep) {
   EXPECT_TRUE(rl.empty());
 }
 
+// The oldest retire_era the list holds, which lets an epoch sweep skip a
+// walk that could free nothing: exact after pushes, whole sweeps and
+// adoption, a lower bound after a bounded sweep, UINT64_MAX when empty.
+TEST(RetireList, OldestEraTracksPushesSweepsAndAdoption) {
+  RetireList rl;
+  EXPECT_EQ(rl.oldest_era(), UINT64_MAX);
+  for (uint64_t e : {5, 3, 7}) rl.push(make_node(e));
+  EXPECT_EQ(rl.oldest_era(), 3u);
+  EXPECT_EQ(sweep(rl, [](Reclaimable* n) { return n->retire_era < 5; }), 1u);
+  EXPECT_EQ(rl.oldest_era(), 5u);  // recomputed from the survivors
+  RetireList corpse;
+  corpse.push(make_node(2));
+  rl.adopt(corpse);
+  EXPECT_EQ(rl.oldest_era(), 2u);
+  EXPECT_EQ(corpse.oldest_era(), UINT64_MAX);
+  rl.seal(1);
+  rl.push(make_node(9));
+  EXPECT_EQ(sweep(rl, any, 2), 3u);  // the sealed segment only
+  EXPECT_LE(rl.oldest_era(), 9u);
+  EXPECT_EQ(drain(rl), 1u);
+  EXPECT_EQ(rl.oldest_era(), UINT64_MAX);
+}
+
 // 1000 blocks of one class fill several FreeBatch chunks: the full ones
 // leave mid-drain, the partial one at flush, and all are counted.
 TEST(RetireList, DrainFreesEverything) {
