@@ -6,23 +6,27 @@
 // *simultaneously* track hazard-pointer-style reservations privately, via
 // the fence-free read of HazardPtrPOP. Reclamation:
 //
-//   first retire after the epoch     -> EBR-mode sweep (free nodes retired
-//   moved                               before the min announced epoch);
+//   an operation whose epoch tick    -> EBR-mode sweep (free nodes retired
+//   moves the global epoch              before the min announced epoch);
 //   list still >= C*retire_threshold -> a thread delay is suspected: run
 //                                      the POP handshake and free every
 //                                      node not in the published
 //                                      reservations, ignoring epochs.
 //
 // The EBR-mode trigger departs from Algorithm 3's reclaimFreq line, which
-// sweeps when the list length reaches a multiple of reclaimFreq: each
-// thread sweeps once per global-epoch value it observes (DEBRA's cadence,
-// epoch.hpp), so a node is freed about one grace period after its retire
-// instead of waiting for the list to fill, and a sweep whose oldest node
-// is still pinned skips the walk. The free predicate (retire epoch below
-// the min announced epoch) is Algorithm 3's, so the safety argument is
-// unchanged: only when a sweep runs moved, not what it may free. The POP
-// escalation still counts list length against C * retire_threshold. EBR
-// keeps Algorithm 6's every-reclaimFreq sweep for now; ebr.hpp says why.
+// sweeps when the list length reaches a multiple of reclaimFreq. Here a
+// thread sweeps at the start of each operation whose tick advances the
+// clock (once per epoch_freq of its own operations, however many threads
+// run; DEBRA's cadence, Brown 2017): a node retired at epoch e is
+// freeable once every thread has announced past e, about one grace
+// period after its retire, instead of when the list fills. The sweep runs
+// before the thread announces, so its own op pins nothing, and it skips
+// the walk while the list's oldest node is still pinned. The free
+// predicate (retire epoch below the min announced epoch) is Algorithm
+// 3's, so the safety argument is unchanged: only when a sweep runs moved,
+// not what it may free. The POP escalation still counts list length
+// against C * retire_threshold. EBR keeps Algorithm 6's every-reclaimFreq
+// sweep; ebr.hpp says why.
 //
 // There is no global mode switch (contrast Qsense): one thread can be
 // reclaiming in EBR mode while another pings — reclaimers act
@@ -48,11 +52,12 @@ class EpochPopDomain : public smr::DomainBase<EpochPopDomain> {
   static constexpr const char* kName = "EpochPOP";
   using DomainBase::DomainBase;
 
-  // Algorithm 3 startOp().
+  // Algorithm 3 startOp(), after the epoch sweep when this op's tick moves
+  // the clock (before the announce, so the op pins none of its list).
   void begin_op() {
     attach();
     const int tid = runtime::my_tid();
-    epochs_.tick(tid, config().epoch_freq);
+    if (epochs_.tick(tid, config().epoch_freq)) reclaim_epoch_freeable(tid);
     epochs_.announce(tid, epochs_.now());
   }
 
@@ -84,18 +89,16 @@ class EpochPopDomain : public smr::DomainBase<EpochPopDomain> {
 
   void clear() { engine_.clear_local(runtime::my_tid()); }
 
-  // Algorithm 3 retire(): the epoch sweep once per epoch the thread
-  // observes, the POP pass once the list outgrows C * retire_threshold
-  // anyway (a delayed thread is suspected) or under memory pressure.
+  // Algorithm 3 retire(): the POP pass once the list outgrows
+  // C * retire_threshold although begin_op's epoch sweeps ran (a delayed
+  // thread is suspected), or under memory pressure.
   void retire(smr::Reclaimable* n) {
     const int tid = runtime::my_tid();
     const auto& cfg = config();
     core_.retire(
         tid, n, epochs_.now(),
-        [&](uint64_t) {
-          if (epochs_.advanced_since_sweep(tid)) reclaim_epoch_freeable(tid);
-          return core_.retire_list(tid).length() >=
-                 cfg.pop_multiplier * cfg.retire_threshold;
+        [&](uint64_t len) {
+          return len >= cfg.pop_multiplier * cfg.retire_threshold;
         },
         [&](bool) { reclaim_pop(tid); });
     core_.stats(tid).pop_frees += engine_.on_retired(core_, tid, freeable);
@@ -116,13 +119,21 @@ class EpochPopDomain : public smr::DomainBase<EpochPopDomain> {
   void on_detach(int /*tid*/) { engine_.unhook(); }
   uint64_t birth_era() const { return epochs_.now(); }
 
-  // Algorithm 3 reclaimEpochFreeable(): classic EBR sweep. It walks the
-  // list only when its oldest node passes the predicate, so a sweep a
-  // parked reader pins costs one min_announced(), not a walk.
+  // Algorithm 3 reclaimEpochFreeable(): classic EBR sweep, run when this
+  // thread's tick moves the clock. While the list's oldest node is still
+  // pinned (a parked or descheduled reader) it could free nothing, so it
+  // returns after one min_announced() scan: no walk, and no reap, whose
+  // tgkill probes of a heartbeat-frozen reader would otherwise run on
+  // every second sweep. A corpse that pins the epoch is reaped by the POP
+  // pass, which the list reaches at C * retire_threshold. Otherwise it
+  // reaps (adopting orphaned lists) and walks; min_announced can only have
+  // risen since it was read, so freeing below it stays safe.
   void reclaim_epoch_freeable(int tid) {
-    reap(tid);
+    const smr::RetireList& list = core_.retire_list(tid);
+    if (list.empty()) return;
     const uint64_t min_announced = epochs_.min_announced();
-    if (core_.retire_list(tid).oldest_era() >= min_announced) return;
+    if (list.oldest_era() >= min_announced) return;
+    reap(tid);
     core_.stats(tid).ebr_frees +=
         core_.sweep_retired(tid, [&](smr::Reclaimable* node) {
           return node->retire_era < min_announced;

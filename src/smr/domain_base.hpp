@@ -195,9 +195,9 @@ class DomainCore {
   }
 
   // The same with the scheme's own trigger in place of the tick: `due`
-  // gets the list length after the push. EpochPOP sweeps when the global
-  // epoch moved (epoch.hpp) and keeps Algorithm 3's list-length
-  // escalation to the POP pass.
+  // gets the list length after the push. EpochPOP runs its epoch sweep
+  // from begin_op and keeps only Algorithm 3's list-length escalation to
+  // the POP pass here.
   template <class Due, class Pass>
   void retire(int tid, Reclaimable* n, uint64_t retire_era, Due&& due,
               Pass&& pass) {

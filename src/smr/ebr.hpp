@@ -9,13 +9,13 @@
 // exists to fix (and which tests/smr/test_robustness.cpp demonstrates).
 //
 // Sweep cadence: every retire_threshold retires, as Algorithm 6 reads,
-// walking the whole list. EpochPOP's fast path instead sweeps once per
-// epoch value a thread observes and skips walks a pinned minimum makes
-// useless (epoch.hpp). EBR does not take that cadence yet: with it, a
-// parked reader no longer slows EBR's workers with ~100k-node walks, so
-// they retire about twice as many nodes per stall, all pinned, and the
-// stalled-tree benchmark's peak RSS, which the EBR cell sets, rose 16%
-// (53.3 -> 61.9 MiB, one run on a 4-core x86 guest).
+// walking the whole list. EpochPOP's fast path instead sweeps when a
+// thread's own tick moves the epoch and skips walks a pinned minimum
+// makes useless (epoch_pop.hpp). EBR does not take that cadence: with it,
+// a parked reader no longer slows EBR's workers with ~100k-node walks, so
+// they retire more nodes per stall, all pinned, and the stalled-tree
+// benchmark's peak RSS, which the EBR cell sets, rose 13.5% (53.6 -> 60.8
+// MiB, medians of 6 alternating pairs, every pair worse; 4-core x86 guest).
 #pragma once
 
 #include <atomic>

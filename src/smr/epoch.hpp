@@ -1,8 +1,8 @@
 // The global epoch/era clock and the per-thread epoch announcements the
 // epoch-based schemes share. HE and HazardEraPOP reserve eras of an
 // EpochClock; EBR, EpochPOP and IBR (its interval's lower bound) announce
-// epochs through EpochAnnouncements, which also holds the trigger of
-// EpochPOP's epoch sweep.
+// epochs through EpochAnnouncements, whose tick also triggers EpochPOP's
+// epoch sweep.
 #pragma once
 
 #include <atomic>
@@ -31,8 +31,13 @@ class EpochAnnouncements : public EpochClock {
 
   // The epoch_freq cadence: every `freq`-th tick of a thread advances the
   // clock (EBR and EpochPOP tick per operation, IBR per allocation).
-  void tick(int tid, uint64_t freq) {
-    if (++slots_[tid]->ticks % freq == 0) advance();
+  // Returns true when this tick advanced it: EpochPOP runs its epoch
+  // sweep then, so each thread sweeps once per `freq` of its own
+  // operations, however many threads share the clock.
+  bool tick(int tid, uint64_t freq) {
+    if (++slots_[tid]->ticks % freq != 0) return false;
+    advance();
+    return true;
   }
 
   // The one fence per operation these schemes pay, and the one EpochPOP's
@@ -58,27 +63,13 @@ class EpochAnnouncements : public EpochClock {
     return m;
   }
 
-  // The epoch sweep's trigger: true on `tid`'s first call after the clock
-  // moved, so a thread sweeps once per clock value it observes. A node
-  // retired at epoch e is freeable once every thread has announced past
-  // e, a grace period after its retire; this cadence (DEBRA's, Brown
-  // 2017) tries then rather than waiting for the list to reach a length.
-  bool advanced_since_sweep(int tid) {
-    const uint64_t c = now();
-    uint64_t& seen = slots_[tid]->swept_at;
-    if (seen == c) return false;
-    seen = c;
-    return true;
-  }
-
  private:
   // Starts quiescent: a zero-initialized slot would read as "announced at
   // epoch 0" for registry tids that never attached to this domain and pin
   // every retired node forever.
   struct Slot {
     std::atomic<uint64_t> announced{kQuiescent};
-    uint64_t ticks = 0;     // owner-thread only
-    uint64_t swept_at = 0;  // owner-thread only: clock at the last sweep
+    uint64_t ticks = 0;  // owner-thread only
   };
   runtime::Padded<Slot> slots_[runtime::kMaxThreads];
 };

@@ -12,9 +12,10 @@ struct SmrConfig {
 
   // Retires between reclamation passes (the paper's reclaimFreq; 24K in
   // the main experiments, 2K in Figure 4). EpochPOP's epoch sweep does
-  // not use it: each thread sweeps once per global-epoch value it
-  // observes (smr/epoch.hpp). Its POP fallback fires at pop_multiplier
-  // times this, counted in retire-list length, as in Algorithm 3.
+  // not use it: a thread sweeps when its own tick moves the epoch, once
+  // per epoch_freq of its operations (core/epoch_pop.hpp). Its POP
+  // fallback fires at pop_multiplier times this, counted in retire-list
+  // length, as in Algorithm 3.
   uint64_t retire_threshold = 512;
 
   // Operations between global-epoch advances for the epoch-based schemes

@@ -35,23 +35,20 @@ TEST(EpochPop, CommonCaseFreesViaEpochsWithoutSignals) {
   EXPECT_EQ(s.pop_frees, 0u);
 }
 
-// The epoch sweep runs on the first retire after the global epoch moved,
-// not at a retire-list length: with the default threshold (512) an
-// 11-node list is freed one grace period after its retires.
+// The epoch sweep runs when an operation's own tick moves the global
+// epoch, not at a retire-list length: with the default threshold (512)
+// and epoch_freq (64), the 10 nodes retired before the clock moved are
+// freed by the sweep at the start of the op whose tick moves it.
 TEST(EpochPop, EpochSweepFreesAGracePeriodAfterRetireNotAtThreshold) {
-  EpochPopDomain d;  // retire_threshold 512, epoch_freq 64
+  EpochPopDomain d;
   {
     EpochPopDomain::Guard g(d);
     for (int i = 0; i < 10; ++i) d.retire(d.create<TNode>(i));
   }
-  ASSERT_EQ(d.stats().freed, 0u) << "the op's own epoch pins its retires";
+  ASSERT_EQ(d.stats().freed, 0u);
   const uint64_t e0 = d.current_epoch();
   while (d.current_epoch() == e0) {
     EpochPopDomain::Guard g(d);  // quiescent between these empty ops
-  }
-  {
-    EpochPopDomain::Guard g(d);
-    d.retire(d.create<TNode>(10));
   }
   const auto s = d.stats();
   EXPECT_EQ(s.ebr_frees, 10u);
@@ -62,10 +59,11 @@ TEST(EpochPop, EpochSweepFreesAGracePeriodAfterRetireNotAtThreshold) {
 }
 
 // A reader parked inside an operation (what park_in_operation does) pins
-// the minimum epoch. The epoch sweeps that then run on every clock move
-// can free nothing and must not walk the list: scans come only from the
-// POP fallback, which still frees the list each time it reaches
-// pop_multiplier * retire_threshold.
+// the minimum epoch. With epoch_freq 1 every op's tick moves the clock,
+// so an epoch sweep runs at the start of every op; it can free nothing
+// and must not walk the list: scans come only from the POP fallback,
+// which still frees the list each time it reaches pop_multiplier *
+// retire_threshold.
 TEST(EpochPop, ParkedReaderCostsNoEpochWalksOnlyFallbackPasses) {
   smr::SmrConfig cfg;
   cfg.retire_threshold = 16;

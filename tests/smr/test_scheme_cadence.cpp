@@ -3,9 +3,10 @@
 // pressure_bound) row, and the passes, frees and forced passes it
 // produces. Every scheme hands its reclamation pass to the shared retire
 // entry point (DomainCore::retire), so these rows pin that entry point's
-// trigger arithmetic: the every-retire_threshold tick, EpochPOP's epoch
-// sweep on each clock move and its list-length escalation, and the
-// memory-pressure backstop.
+// trigger arithmetic: the every-retire_threshold tick, EpochPOP's
+// list-length escalation, and the memory-pressure backstop. EpochPOP's
+// epoch sweep, which runs when the op's own tick moves the clock, is
+// pinned here too.
 //
 // Also checked at compile time: every scheme still offers the surface the
 // data structures and the benchmark call.
@@ -165,25 +166,25 @@ constexpr Row kRows[] = {
     {"HazardEraPOP", 16, 0, {75, 1200, 0, 0, 0}},
     {"HazardEraPOP", 128, 0, {9, 1152, 0, 0, 0}},
     {"HazardEraPOP", 128, 24, {37, 1193, 0, 0, 28}},
-    // EpochPOP: the epoch sweep on the first retire after the clock moved
-    // (ebr), the POP pass once the list reaches pop_multiplier (2) x
-    // threshold (pop). At the default epoch_freq (64) the clock moves at
-    // ops 63, 127, ..., 575, so the thread sees 10 clock values; a sweep
-    // whose oldest node is still pinned by its own op's epoch skips the
-    // walk and counts no scan. The single thread holds no reservation, so
-    // a POP pass frees its whole list. At threshold 2 the POP pass runs at
-    // every 4th node, 296 times (1184 nodes); 4 epoch sweeps skip and 6
-    // walk, freeing 13: 302 scans. At 16 the POP pass runs 33 times at 32
-    // nodes (1056) and 6 of 10 epoch sweeps walk (125): 39. At 128 the
-    // list never reaches 256: each clock move's sweep frees the nodes of
-    // the 64 ops before it, 9 walks free ops 0..574, 1149 nodes. With
-    // pressure the backstop forces the POP pass 28 times (920) and the 9
-    // clock moves walk (264): 37. When the epoch sweep ran at every
-    // threshold-th list length, as Algorithm 3's reclaimFreq line reads,
-    // the rows were {898, 1197, 13, 1184}, {110, 1181, 125, 1056},
-    // {11, 1021, 1021, 0} and {37, 1184, 0, 1184, forced 37}: the same POP
-    // frees, but hundreds of sweeps that freed nothing, and 1021 instead
-    // of 1149 at threshold 128.
+    // EpochPOP: the epoch sweep at the start of each op whose tick moves
+    // the clock (ebr), the POP pass once the list reaches pop_multiplier
+    // (2) x threshold (pop). At the default epoch_freq (64) the ticks of
+    // ops 63, 127, ..., 575 move the clock: 9 sweeps, each run before the
+    // op announces, so the lone thread pins nothing and a sweep frees the
+    // whole list; a sweep that finds the list empty skips and counts no
+    // scan. The thread holds no reservation, so a POP pass also frees its
+    // whole list. At threshold 2 the POP pass runs at every 4th node, 296
+    // times (1184 nodes); 3 epoch sweeps find the list empty and 6 walk,
+    // freeing 13: 302 scans. At 16 the POP pass runs 33 times at 32 nodes
+    // (1056) and 6 of 9 sweeps walk (125): 39. At 128 the list never
+    // reaches 256: the 9 sweeps free ops 0..574, 1149 nodes. With pressure
+    // the backstop forces the POP pass 28 times (920) and the 9 sweeps
+    // walk (264): 37. When the epoch sweep ran at every threshold-th list
+    // length, as Algorithm 3's reclaimFreq line reads, the rows were
+    // {898, 1197, 13, 1184}, {110, 1181, 125, 1056}, {11, 1021, 1021, 0}
+    // and {37, 1184, 0, 1184, forced 37}: hundreds of sweeps that freed
+    // nothing, 1021 instead of 1149 frees at threshold 128, and with
+    // pressure 9 fewer forced POP passes now that the sweeps free 264.
     {"EpochPOP", 2, 0, {302, 1197, 13, 1184, 0}},
     {"EpochPOP", 16, 0, {39, 1181, 125, 1056, 0}},
     {"EpochPOP", 128, 0, {9, 1149, 1149, 0, 0}},
