@@ -12,7 +12,7 @@
 
 namespace {
 
-struct TNode : pop::smr::Reclaimable {
+struct TNode : pop::smr::EraReclaimable {  // serves every scheme
   explicit TNode(uint64_t k = 0) : key(k) {}
   uint64_t key;
 };

@@ -20,11 +20,12 @@
 // run; DEBRA's cadence, Brown 2017): a node retired at epoch e is
 // freeable once every thread has announced past e, about one grace
 // period after its retire, instead of when the list fills. The sweep runs
-// before the thread announces, so its own op pins nothing, and it skips
-// the walk while the list's oldest node is still pinned. The free
-// predicate (retire epoch below the min announced epoch) is Algorithm
-// 3's, so the safety argument is unchanged: only when a sweep runs moved,
-// not what it may free. The POP escalation still counts list length
+// before the thread announces, so its own op pins nothing, and it
+// returns at once while the list's oldest segment is still pinned. The
+// free predicate (retire epoch below the min announced epoch) is
+// Algorithm 3's, so the safety argument is unchanged: only when a sweep
+// runs moved, not what it may free. The retire epoch is kept per
+// retire-list segment, an upper bound of its nodes' (retire_list.hpp). The POP escalation still counts list length
 // against C * retire_threshold. EBR keeps Algorithm 6's every-reclaimFreq
 // sweep; ebr.hpp says why.
 //
@@ -117,27 +118,25 @@ class EpochPopDomain : public smr::DomainBase<EpochPopDomain> {
   }
   void on_attach(int tid) { engine_.attach(tid); }
   void on_detach(int /*tid*/) { engine_.unhook(); }
-  uint64_t birth_era() const { return epochs_.now(); }
 
   // Algorithm 3 reclaimEpochFreeable(): classic EBR sweep, run when this
-  // thread's tick moves the clock. While the list's oldest node is still
-  // pinned (a parked or descheduled reader) it could free nothing, so it
-  // returns after one min_announced() scan: no walk, and no reap, whose
-  // tgkill probes of a heartbeat-frozen reader would otherwise run on
-  // every second sweep. A corpse that pins the epoch is reaped by the POP
-  // pass, which the list reaches at C * retire_threshold. Otherwise it
-  // reaps (adopting orphaned lists) and walks; min_announced can only have
-  // risen since it was read, so freeing below it stays safe.
+  // thread's tick moves the clock; it frees the retire-list segments
+  // retired before the minimum announced epoch whole. While the list's
+  // oldest segment is still pinned (a parked or descheduled reader) it
+  // could free nothing, so it returns after one min_announced() scan: no
+  // sweep, and no reap, whose tgkill probes of a heartbeat-frozen reader
+  // would otherwise run on every second sweep. A corpse that pins the
+  // epoch is reaped by the POP pass, which the list reaches at
+  // C * retire_threshold. Otherwise it reaps (adopting orphaned lists)
+  // and sweeps; min_announced can only have risen since it was read, so
+  // freeing below it stays safe.
   void reclaim_epoch_freeable(int tid) {
     const smr::RetireList& list = core_.retire_list(tid);
     if (list.empty()) return;
     const uint64_t min_announced = epochs_.min_announced();
-    if (list.oldest_era() >= min_announced) return;
+    if (list.oldest_epoch() >= min_announced) return;
     reap(tid);
-    core_.stats(tid).ebr_frees +=
-        core_.sweep_retired(tid, [&](smr::Reclaimable* node) {
-          return node->retire_era < min_announced;
-        });
+    core_.stats(tid).ebr_frees += core_.sweep_epochs(tid, min_announced);
   }
 
   // Algorithm 3 lines 27-30: the POP fallback. Frees everything not in

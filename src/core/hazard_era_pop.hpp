@@ -30,6 +30,7 @@ namespace pop::core {
 class HazardEraPopDomain : public smr::DomainBase<HazardEraPopDomain> {
  public:
   static constexpr const char* kName = "HazardEraPOP";
+  using NodeHeader = smr::EraReclaimable;  // the lifespan the sweep reads
   using DomainBase::DomainBase;
 
   void begin_op() { attach(); }
@@ -59,9 +60,10 @@ class HazardEraPopDomain : public smr::DomainBase<HazardEraPopDomain> {
   // all prefill-born nodes — so the list length legitimately sits above
   // the threshold: the shared retire tick, never a length trigger, keeps
   // this from pinging on every retire.
-  void retire(smr::Reclaimable* n) {
+  void retire(smr::EraReclaimable* n) {
     const int tid = runtime::my_tid();
-    core_.retire(tid, n, era_.now(), [&](bool) { reclaim(tid); });
+    n->retire_era = era_.now();
+    core_.retire(tid, n, 0, [&](bool) { reclaim(tid); });
     engine_.on_retired(core_, tid, freeable);
   }
 
@@ -78,7 +80,8 @@ class HazardEraPopDomain : public smr::DomainBase<HazardEraPopDomain> {
   // Free every retired node whose lifespan no published era intersects.
   static bool freeable(const smr::Reservations& published,
                        smr::Reclaimable* node) {
-    return !published.intersects(node);
+    return !published.intersects(
+        static_cast<const smr::EraReclaimable*>(node));
   }
 
   // The era advances once the ticket is taken (Property 6 above).

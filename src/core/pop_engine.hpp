@@ -27,7 +27,7 @@
 // serve every thread's retire list. Each handshake takes a ticket from a
 // per-engine counter on entry (before its own publish and the counter
 // snapshot); on completion it raises `certified` to that ticket. Each
-// thread seals its open retire segment every seal_every retires under the
+// thread seals its open retire segments every seal_every retires under the
 // ticket count it reads after a fence, and on a later retire, once
 // `certified` is above a sealed stamp, sweeps those segments against the
 // shared table with no handshake of its own (on_retired, the lazy
@@ -386,7 +386,7 @@ class PopEngine final : public runtime::SignalClient {
 
   // Runs after each retire of a POP scheme, once DomainCore::retire has
   // pushed the node (and run the scheme's own pass, if due). Seals the
-  // open segment every seal_every retires; then, if a completed handshake
+  // open segments every seal_every retires; then, if a completed handshake
   // (any thread's) covers a sealed segment, sweeps the covered segments
   // against the shared table, with the caller's own reservations
   // published first. Returns the number freed. The fast path reads
@@ -396,7 +396,7 @@ class PopEngine final : public runtime::SignalClient {
   uint64_t on_retired(smr::DomainCore& core, int tid, Freeable&& freeable) {
     auto& rl = core.retire_list(tid);
     if (rl.open_length() >= seal_every(core.config())) {
-      // seq_cst fence: every unlink of the open segment's nodes precedes
+      // seq_cst fence: every unlink of the open segments' nodes precedes
       // it, and the ticket load after it then precedes, in S, any
       // handshake whose ticket it did not see (header, Property 2).
       std::atomic_thread_fence(std::memory_order_seq_cst);

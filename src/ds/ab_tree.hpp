@@ -135,7 +135,7 @@ class AbTree {
   AbTree& operator=(const AbTree&) = delete;
 
  private:
-  struct NodeBase : smr::Reclaimable {
+  struct NodeBase : Smr::NodeHeader {
     explicit NodeBase(bool is_leaf) : leaf(is_leaf) {}
     const bool leaf;
   };

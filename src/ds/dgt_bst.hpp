@@ -168,7 +168,7 @@ class DgtBst {
   DgtBst& operator=(const DgtBst&) = delete;
 
  private:
-  struct Node : smr::Reclaimable {
+  struct Node : Smr::NodeHeader {
     Node(uint64_t k, bool is_leaf, uint64_t v = 0)
         : key(k), val(v), leaf(is_leaf) {}
     uint64_t key;
@@ -180,9 +180,12 @@ class DgtBst {
     bool leaf;  // packed with lock and marked into the last word
   };
   // The pool's size classes are fitted to the node: it wastes under 16 B.
-  // The size pin makes a field that crosses a size class fail here.
+  // The size pin makes a field that crosses a size class fail here. The
+  // block is 48 B under the 8-B node header, 64 B under an era scheme's
+  // 24-B one.
   static_assert(runtime::detail::pool_class_slack(sizeof(Node)) < 16);
-  static_assert(sizeof(Node) == 64);
+  static_assert(runtime::detail::pool_block_bytes(sizeof(Node)) ==
+                (smr::kEraHeader<Smr> ? 64 : 48));
 
   static constexpr int kSlotGp = 0;
   static constexpr int kSlotP = 1;

@@ -42,16 +42,19 @@ namespace pop::ds {
 
 template <class Smr>
 struct HmOps {
-  struct Node : smr::Reclaimable {
+  struct Node : Smr::NodeHeader {
     explicit Node(uint64_t k, uint64_t v = 0) : key(k), val(v) {}
     uint64_t key;
     uint64_t val;  // immutable after publication (replace swaps nodes)
     std::atomic<Node*> next{nullptr};
   };
   // The pool's size classes are fitted to the node: it wastes under 16 B.
-  // The size pin makes a field that crosses a size class fail here.
+  // The size pin makes a field that crosses a size class fail here. The
+  // block is 32 B under the 8-B node header, 48 B under an era scheme's
+  // 24-B one.
   static_assert(runtime::detail::pool_class_slack(sizeof(Node)) < 16);
-  static_assert(sizeof(Node) == 48);
+  static_assert(runtime::detail::pool_block_bytes(sizeof(Node)) ==
+                (smr::kEraHeader<Smr> ? 48 : 32));
 
   static constexpr int kSlotPrev = 0;
   static constexpr int kSlotCurr = 1;

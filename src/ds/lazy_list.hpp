@@ -187,7 +187,7 @@ class LazyList {
   LazyList& operator=(const LazyList&) = delete;
 
  private:
-  struct Node : smr::Reclaimable {
+  struct Node : Smr::NodeHeader {
     explicit Node(uint64_t k, uint64_t v = 0) : key(k), val(v) {}
     uint64_t key;
     uint64_t val;  // immutable after publication (replace swaps nodes)
@@ -199,7 +199,12 @@ class LazyList {
     std::atomic<bool> replaced{false};
   };
   // The pool's size classes are fitted to the node: it wastes under 16 B.
+  // The size pin makes a field that crosses a size class fail here. The
+  // block is 48 B under the 8-B node header, 64 B under an era scheme's
+  // 24-B one.
   static_assert(runtime::detail::pool_class_slack(sizeof(Node)) < 16);
+  static_assert(runtime::detail::pool_block_bytes(sizeof(Node)) ==
+                (smr::kEraHeader<Smr> ? 64 : 48));
 
   static constexpr int kSlotPred = 0;
   static constexpr int kSlotCurr = 1;

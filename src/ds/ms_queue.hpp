@@ -117,13 +117,18 @@ class MsQueue {
   MsQueue& operator=(const MsQueue&) = delete;
 
  private:
-  struct Node : smr::Reclaimable {
+  struct Node : Smr::NodeHeader {
     explicit Node(uint64_t v) : value(v) {}
     uint64_t value;
     std::atomic<Node*> next{nullptr};
   };
   // The pool's size classes are fitted to the node: it wastes under 16 B.
+  // The size pin makes a field that crosses a size class fail here. The
+  // block is 32 B under the 8-B node header, 48 B under an era scheme's
+  // 24-B one.
   static_assert(runtime::detail::pool_class_slack(sizeof(Node)) < 16);
+  static_assert(runtime::detail::pool_block_bytes(sizeof(Node)) ==
+                (smr::kEraHeader<Smr> ? 48 : 32));
 
   Smr smr_;  // destroyed last
   std::atomic<Node*> head_;

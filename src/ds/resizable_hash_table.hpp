@@ -103,7 +103,7 @@ inline uint64_t pow2_at_least(uint64_t v) {
 template <class Smr>
 class ResizableHashTable {
  public:
-  struct Node : smr::Reclaimable {
+  struct Node : Smr::NodeHeader {
     Node(uint64_t so_, uint64_t k, uint64_t v) : so(so_), key(k), val(v) {}
     uint64_t so;   // split-order key; even = dummy (key holds the bucket)
     uint64_t key;
@@ -111,13 +111,18 @@ class ResizableHashTable {
     std::atomic<Node*> next{nullptr};
   };
   // The pool's size classes are fitted to the node: it wastes under 16 B.
+  // The size pin makes a field that crosses a size class fail here. The
+  // block is 48 B under the 8-B node header, 64 B under an era scheme's
+  // 24-B one.
   static_assert(runtime::detail::pool_class_slack(sizeof(Node)) < 16);
+  static_assert(runtime::detail::pool_block_bytes(sizeof(Node)) ==
+                (smr::kEraHeader<Smr> ? 64 : 48));
 
   // The CAS-published descriptor. Its cells array (write-once: null ->
   // dummy, never back) lives in the trailing bytes of the same pool
   // block, so retiring a table retires the whole bucket array as one
   // large Reclaimable, one block in the allocated == freed accounting.
-  struct Table : smr::Reclaimable {
+  struct Table : Smr::NodeHeader {
     explicit Table(uint64_t n) : nbuckets(n) {
       for (uint64_t i = 0; i < n; ++i) {
         new (&cells()[i]) std::atomic<Node*>(nullptr);

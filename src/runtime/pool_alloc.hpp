@@ -86,9 +86,12 @@ constexpr std::size_t pool_class_bytes(int c) {
   return base + base / 4 * static_cast<std::size_t>((c - 8) % 4 + 1);
 }
 
-// Bytes a `size`-byte request leaves unused in its size class.
+// The block a `size`-byte request takes, and the bytes it leaves unused.
+constexpr std::size_t pool_block_bytes(std::size_t size) {
+  return pool_class_bytes(pool_class_of(size));
+}
 constexpr std::size_t pool_class_slack(std::size_t size) {
-  return pool_class_bytes(pool_class_of(size)) - size;
+  return pool_block_bytes(size) - size;
 }
 
 static_assert(pool_class_bytes(kPoolNumClasses - 1) == kPoolMaxBlock);

@@ -1,7 +1,7 @@
 // What every reclamation scheme shares. DomainCore is the bookkeeping —
 // per-thread retire lists, statistics, attach/detach ownership, the
 // zombie reaper, the retire cadence with its memory-pressure backstop,
-// node construction with era stamping, and teardown draining.
+// node construction with birth-era stamping, and teardown draining.
 // DomainBase<Scheme> is the CRTP base that turns it into the surface the
 // data structures call (Guard, attach/detach, create, stats), so a scheme
 // file holds only its algorithm.
@@ -42,6 +42,12 @@ class DomainBase;
 template <class T>
 concept ManagedNode = std::is_base_of_v<Reclaimable, T> &&
                       std::is_trivially_destructible_v<T>;
+
+// True when Smr's nodes carry the 24-B era header rather than the 8-B one
+// (reclaimable.hpp): what a data structure's node-size pin depends on.
+template <class Smr>
+inline constexpr bool kEraHeader =
+    std::is_base_of_v<EraReclaimable, typename Smr::NodeHeader>;
 
 // Trailing storage for DomainBase::create: a node that owns an array keeps
 // it in the same pool block, past sizeof(T).
@@ -169,25 +175,26 @@ class DomainCore {
 
   // ---- retire cadence ------------------------------------------------------
   //
-  // Appends `n`, stamped with `retire_era`, to the caller's retire list and
-  // runs the scheme's reclamation pass once every retire_threshold
-  // retires, counted by a monotonic per-thread tick. Schemes whose pass is
-  // expensive (the POP handshake, NBR's ack round) or whose sweeps can
-  // legitimately keep nodes pinned (era schemes: any long-lived node's
-  // lifespan intersects every current reservation) must trigger on this
-  // tick rather than on list length: a length trigger re-runs the full
-  // pass on *every* retire once the pinned population alone reaches the
-  // threshold, a reclamation storm that degrades era-based
-  // publish-on-ping into a livelock.
+  // Appends `n`, retired at `epoch`, to the caller's retire list and runs
+  // the scheme's reclamation pass once every retire_threshold retires,
+  // counted by a monotonic per-thread tick. EBR and EpochPOP pass the
+  // epoch their sweeps free by, which RetireList keeps per segment; every
+  // other scheme passes 0. Schemes whose pass is expensive (the POP
+  // handshake, NBR's ack round) or whose sweeps can legitimately keep
+  // nodes pinned (era schemes: any long-lived node's lifespan intersects
+  // every current reservation) must trigger on this tick rather than on
+  // list length: a length trigger re-runs the full pass on *every* retire
+  // once the pinned population alone reaches the threshold, a reclamation
+  // storm that degrades era-based publish-on-ping into a livelock.
   //
   // Off-cadence, the memory-pressure backstop may force the pass (see
   // pressure_check). `pass(forced)` runs it; a pass that cannot run here
   // (BRC inside its critical section, NBR in a read phase) returns false
   // and the scheme later calls run_deferred from where it can.
   template <class Pass>
-  void retire(int tid, Reclaimable* n, uint64_t retire_era, Pass&& pass) {
+  void retire(int tid, Reclaimable* n, uint64_t epoch, Pass&& pass) {
     retire(
-        tid, n, retire_era,
+        tid, n, epoch,
         [&](uint64_t) {
           return ++pt_[tid]->retire_count % cfg_.retire_threshold == 0;
         },
@@ -199,9 +206,9 @@ class DomainCore {
   // from begin_op and keeps only Algorithm 3's list-length escalation to
   // the POP pass here.
   template <class Due, class Pass>
-  void retire(int tid, Reclaimable* n, uint64_t retire_era, Due&& due,
+  void retire(int tid, Reclaimable* n, uint64_t epoch, Due&& due,
               Pass&& pass) {
-    if (due(push(tid, n, retire_era))) {
+    if (due(push(tid, n, epoch))) {
       run_pass(tid, false, pass);
     } else if (pressure_check(tid)) {
       run_pass(tid, true, pass);
@@ -223,10 +230,10 @@ class DomainCore {
   }
 
   // Allocates a pool block of sizeof(T) + `tail` bytes, constructs T at
-  // its front and stamps the birth era. A sweep frees the block by its
-  // Reclaimable address with no per-type dispatch (reclaimable.hpp), so T
-  // must be trivially destructible with the base at offset 0; the tail
-  // holds any array T owns.
+  // its front and, for an era header, stamps the birth era. A sweep frees
+  // the block by its Reclaimable address with no per-type dispatch
+  // (reclaimable.hpp), so T must be trivially destructible with the base
+  // at offset 0; the tail holds any array T owns.
   template <class T, class... Args>
   T* create_node(uint64_t birth_era, std::size_t tail, Args&&... args) {
     static_assert(ManagedNode<T>,
@@ -240,7 +247,9 @@ class DomainCore {
                  stderr);  // a layout check that folds away when it holds
       std::abort();
     }
-    n->birth_era = birth_era;
+    if constexpr (std::is_base_of_v<EraReclaimable, T>) {
+      n->birth_era = birth_era;
+    }
     return n;
   }
 
@@ -253,36 +262,24 @@ class DomainCore {
   template <class Pred>
   uint64_t sweep_retired(int tid, Pred&& can_free,
                          uint64_t below = RetireList::kWhole) {
-    const bool obs_timing = obs::latency_on() || obs::trace_on();
-    const uint64_t obs_t0 = obs_timing ? obs::now_ns() : 0;
-    runtime::PoolAllocator::FreeBatch batch;
-    uint64_t freed;
-    if (audit::on()) {
-      // Audit wrapper: every block the sweep decides to free leaves the
-      // shadow set here, so a recycled allocation retired again later is
-      // a fresh insert, not a false double-retire.
-      freed = pt_[tid]->retire.sweep_batch(
+    return counted_sweep(tid, [&](auto& batch, auto& on_free) {
+      return pt_[tid]->retire.sweep_batch(
           [&](Reclaimable* node) {
-            const bool f = can_free(node);
-            if (f) shadow_.on_free(scheme_, tid, node);
-            return f;
+            if (!can_free(node)) return false;
+            on_free(node);
+            return true;
           },
           batch, below);
-    } else {
-      freed = pt_[tid]->retire.sweep_batch(std::forward<Pred>(can_free), batch,
-                                           below);
-    }
-    if (obs_timing) {
-      const uint64_t dt = obs::now_ns() - obs_t0;
-      obs::record_latency(obs::LatOp::kSweep, dt);
-      obs::trace_event(obs::TraceKind::kSweep, obs_t0, dt,
-                       static_cast<uint32_t>(
-                           freed > UINT32_MAX ? UINT32_MAX : freed));
-    }
-    auto& st = pt_[tid]->stats;
-    st.scans += 1;
-    st.freed += freed;
-    return freed;
+    });
+  }
+
+  // The epoch sweep of EBR and EpochPOP, counted the same way: frees the
+  // retire-list segments whose retire epoch is below `min_epoch` whole,
+  // without visiting a node of the others (RetireList::sweep_epochs).
+  uint64_t sweep_epochs(int tid, uint64_t min_epoch) {
+    return counted_sweep(tid, [&](auto& batch, auto& on_free) {
+      return pt_[tid]->retire.sweep_epochs(min_epoch, batch, on_free);
+    });
   }
 
   RetireList& retire_list(int tid) { return pt_[tid]->retire; }
@@ -393,12 +390,45 @@ class DomainCore {
     return true;
   }
 
+  // Runs `sweep(batch, on_free)` — one pass over the caller's retire
+  // list that chains what it frees into `batch` and calls on_free(node)
+  // on each — timed, traced and counted in the stats (scans, freed).
+  template <class Sweep>
+  uint64_t counted_sweep(int tid, Sweep&& sweep) {
+    const bool obs_timing = obs::latency_on() || obs::trace_on();
+    const uint64_t obs_t0 = obs_timing ? obs::now_ns() : 0;
+    runtime::PoolAllocator::FreeBatch batch;
+    uint64_t freed;
+    if (audit::on()) {
+      // Audit wrapper: every block the sweep decides to free leaves the
+      // shadow set here, so a recycled allocation retired again later is
+      // a fresh insert, not a false double-retire.
+      auto on_free = [&](Reclaimable* node) {
+        shadow_.on_free(scheme_, tid, node);
+      };
+      freed = sweep(batch, on_free);
+    } else {
+      auto on_free = [](Reclaimable*) {};
+      freed = sweep(batch, on_free);
+    }
+    if (obs_timing) {
+      const uint64_t dt = obs::now_ns() - obs_t0;
+      obs::record_latency(obs::LatOp::kSweep, dt);
+      obs::trace_event(obs::TraceKind::kSweep, obs_t0, dt,
+                       static_cast<uint32_t>(
+                           freed > UINT32_MAX ? UINT32_MAX : freed));
+    }
+    auto& st = pt_[tid]->stats;
+    st.scans += 1;
+    st.freed += freed;
+    return freed;
+  }
+
   // Appends to the caller's retire list; returns the new length.
-  uint64_t push(int tid, Reclaimable* n, uint64_t retire_era) {
+  uint64_t push(int tid, Reclaimable* n, uint64_t epoch) {
     auto& pt = *pt_[tid];
     if (audit::on()) shadow_.on_retire(scheme_, tid, n);
-    n->retire_era = retire_era;
-    pt.retire.push(n);
+    pt.retire.push(n, epoch);
     pt.stats.retired += 1;
     if (obs::trace_on()) {  // guard keeps the clock read off the hot path
       obs::trace_event(obs::TraceKind::kRetire, obs::now_ns(), 0, 0);
@@ -576,6 +606,10 @@ class DomainBase {
  public:
   static constexpr bool kNeutralizes = false;  // NBR overrides
   using Guard = OpGuard<Scheme>;
+  // The header the scheme's sweeps read (reclaimable.hpp): a data
+  // structure derives its nodes from Smr::NodeHeader. Era schemes (HE,
+  // IBR, HazardEraPOP) override it with EraReclaimable.
+  using NodeHeader = Reclaimable;
 
   explicit DomainBase(const SmrConfig& cfg = {}) : core_(cfg, Scheme::kName) {}
 
@@ -596,12 +630,14 @@ class DomainBase {
 
   template <ManagedNode T, class... Args>
   T* create(Args&&... args) {
-    return core_.create_node<T>(self().birth_era(), 0,
-                                std::forward<Args>(args)...);
+    return create<T>(TailBytes{0}, std::forward<Args>(args)...);
   }
   // The same with `tail.bytes` of trailing storage in the node's block.
   template <ManagedNode T, class... Args>
   T* create(TailBytes tail, Args&&... args) {
+    static_assert(std::is_base_of_v<typename Scheme::NodeHeader, T>,
+                  "derive the node from Smr::NodeHeader: an era "
+                  "scheme's sweeps read the lifespan it holds");
     return core_.create_node<T>(self().birth_era(), tail.bytes,
                                 std::forward<Args>(args)...);
   }

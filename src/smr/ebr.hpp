@@ -8,14 +8,18 @@
 // the minimum epoch and stops all reclamation — the failure mode EpochPOP
 // exists to fix (and which tests/smr/test_robustness.cpp demonstrates).
 //
-// Sweep cadence: every retire_threshold retires, as Algorithm 6 reads,
-// walking the whole list. EpochPOP's fast path instead sweeps when a
-// thread's own tick moves the epoch and skips walks a pinned minimum
-// makes useless (epoch_pop.hpp). EBR does not take that cadence: with it,
-// a parked reader no longer slows EBR's workers with ~100k-node walks, so
-// they retire more nodes per stall, all pinned, and the stalled-tree
-// benchmark's peak RSS, which the EBR cell sets, rose 13.5% (53.6 -> 60.8
-// MiB, medians of 6 alternating pairs, every pair worse; 4-core x86 guest).
+// Sweep cadence: every retire_threshold retires, as Algorithm 6 reads.
+// The sweep frees whole the retire-list segments retired before the
+// minimum announced epoch and visits no node of the others
+// (RetireList::sweep_epochs), so a parked reader costs each sweep one
+// min_announced() scan, not a walk of every node it pins. EpochPOP's fast
+// path instead sweeps when a thread's own tick moves the epoch
+// (epoch_pop.hpp). Either way, a parked reader pins every node retired
+// while it parks, and EBR's workers, no longer slowed by walks, retire
+// more of them per park: on the stalled-tree benchmark EBR's sweep p99
+// fell from ~4.6 ms to ~64 us while its peak unreclaimed count rose
+// ~2.2x (5 traced pairs; 4-core x86 guest). That garbage sets the
+// benchmark's peak RSS.
 #pragma once
 
 #include <atomic>
@@ -60,14 +64,12 @@ class EbrDomain : public DomainBase<EbrDomain> {
   // A corpse that died inside an operation pins the minimum epoch forever;
   // the reaper parks it at quiescent.
   void neutralize(int tid) { epochs_.quiesce(tid); }
-  uint64_t birth_era() const { return epochs_.now(); }
 
+  // Frees every retire-list segment retired before the minimum announced
+  // epoch; the segments it pins are not walked.
   void scan(int tid) {
     reap(tid);
-    const uint64_t min_announced = epochs_.min_announced();
-    core_.sweep_retired(tid, [&](Reclaimable* node) {
-      return node->retire_era < min_announced;
-    });
+    core_.sweep_epochs(tid, epochs_.min_announced());
   }
 
   EpochAnnouncements epochs_;

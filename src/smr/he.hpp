@@ -20,6 +20,7 @@ namespace pop::smr {
 class HeDomain : public DomainBase<HeDomain> {
  public:
   static constexpr const char* kName = "HE";
+  using NodeHeader = EraReclaimable;  // the lifespan the sweep reads
   using DomainBase::DomainBase;
 
   void begin_op() { attach(); }
@@ -44,9 +45,10 @@ class HeDomain : public DomainBase<HeDomain> {
 
   void clear() { neutralize(runtime::my_tid()); }
 
-  void retire(Reclaimable* n) {
+  void retire(EraReclaimable* n) {
     const int tid = runtime::my_tid();
-    core_.retire(tid, n, era_.now(), [&](bool) {
+    n->retire_era = era_.now();
+    core_.retire(tid, n, 0, [&](bool) {
       era_.advance();  // Alg. 4 line 21
       scan(tid);
     });
@@ -62,8 +64,9 @@ class HeDomain : public DomainBase<HeDomain> {
     reap(tid);
     const Reservations eras =
         slots_.collect(config().num_slots, core_.scan_scratch(tid));
-    core_.sweep_retired(
-        tid, [&](Reclaimable* node) { return !eras.intersects(node); });
+    core_.sweep_retired(tid, [&](Reclaimable* node) {
+      return !eras.intersects(static_cast<const EraReclaimable*>(node));
+    });
   }
 
   SlotTable slots_;  // slot values are eras

@@ -27,7 +27,7 @@ struct Reservations {
   }
   // Era schemes: a reserved era falls in the node's lifespan
   // [birth_era, retire_era], which pins it.
-  bool intersects(const Reclaimable* node) const {
+  bool intersects(const EraReclaimable* node) const {
     const uintptr_t* e = std::lower_bound(v, v + n, node->birth_era);
     return e != v + n && *e <= node->retire_era;
   }

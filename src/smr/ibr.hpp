@@ -20,6 +20,7 @@ namespace pop::smr {
 class IbrDomain : public DomainBase<IbrDomain> {
  public:
   static constexpr const char* kName = "IBR";
+  using NodeHeader = EraReclaimable;  // the lifespan the sweep reads
   using DomainBase::DomainBase;
 
   // lo is the announced epoch; a quiescent thread's interval is empty
@@ -47,9 +48,10 @@ class IbrDomain : public DomainBase<IbrDomain> {
   void copy_slot(int /*dst*/, int /*src*/) {}
   void clear() {}
 
-  void retire(Reclaimable* n) {
+  void retire(EraReclaimable* n) {
     const int tid = runtime::my_tid();
-    core_.retire(tid, n, epochs_.now(), [&](bool forced) {
+    n->retire_era = epochs_.now();
+    core_.retire(tid, n, 0, [&](bool forced) {
       if (forced) epochs_.advance();
       scan(tid);
     });
@@ -83,7 +85,8 @@ class IbrDomain : public DomainBase<IbrDomain> {
       const uint64_t h = hi_[t]->load(std::memory_order_acquire);
       if (lo <= h) rs[n++] = {lo, h};
     }
-    core_.sweep_retired(tid, [&](Reclaimable* node) {
+    core_.sweep_retired(tid, [&](Reclaimable* r) {
+      const auto* node = static_cast<const EraReclaimable*>(r);
       for (int i = 0; i < n; ++i) {
         if (node->birth_era <= rs[i].hi && rs[i].lo <= node->retire_era) {
           return false;  // lifespan intersects a reserved interval

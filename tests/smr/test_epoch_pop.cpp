@@ -5,9 +5,11 @@
 
 #include <atomic>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/epoch_pop.hpp"
+#include "smr/ebr.hpp"
 #include "../support/test_util.hpp"
 
 namespace pop::core {
@@ -93,6 +95,60 @@ TEST(EpochPop, ParkedReaderCostsNoEpochWalksOnlyFallbackPasses) {
   EXPECT_EQ(s.max_retire_len, fallback_len);
   release.store(true);
   reader.join();
+  d.detach();
+}
+
+// Retire epochs are kept per retire-list segment, not per node, and that
+// must not delay a free: a node retired at epoch e goes at the first
+// epoch sweep whose minimum announced epoch exceeds e, though nodes
+// retired later, at higher epochs, follow it in the same thread's list.
+// Reader A pins every retire below; reader B, entering after the first
+// retire, pins the later ones once A leaves. EBR sweeps on every retire
+// (threshold 1), EpochPOP at the start of every op (epoch_freq 1).
+template <class D>
+class EpochGranularity : public ::testing::Test {};
+using EpochSchemes = ::testing::Types<smr::EbrDomain, EpochPopDomain>;
+TYPED_TEST_SUITE(EpochGranularity, EpochSchemes);
+
+TYPED_TEST(EpochGranularity, NodeFreedByFirstSweepPastItsEpoch) {
+  smr::SmrConfig cfg;
+  cfg.epoch_freq = 1;
+  cfg.retire_threshold = std::is_same_v<TypeParam, smr::EbrDomain> ? 1 : 64;
+  TypeParam d(cfg);
+  struct Reader {
+    std::atomic<bool> in{false}, release{false};
+    std::thread t;
+    void enter(TypeParam& dom) {
+      t = std::thread([this, &dom] {
+        dom.begin_op();
+        in.store(true);
+        while (!release.load()) std::this_thread::yield();
+        dom.end_op();
+        dom.detach();
+      });
+      while (!in.load()) std::this_thread::yield();
+    }
+    void leave() {
+      release.store(true);
+      t.join();
+    }
+  } a, b;
+  auto retire_one = [&](uint64_t key) {
+    typename TypeParam::Guard g(d);
+    d.retire(d.template create<TNode>(key));
+  };
+  a.enter(d);
+  retire_one(0);  // the early node, at epoch e
+  b.enter(d);     // its tick moves the clock past e
+  constexpr uint64_t kLater = 4;
+  for (uint64_t i = 1; i <= kLater; ++i) retire_one(i);
+  EXPECT_EQ(d.stats().freed, 0u) << "reader A pins every retire";
+  a.leave();
+  retire_one(kLater + 1);  // sweeps with B's epoch as the minimum
+  const auto s = d.stats();
+  EXPECT_EQ(s.freed, 1u) << "the early node alone is below B's epoch";
+  EXPECT_EQ(s.unreclaimed(), kLater + 1);
+  b.leave();
   d.detach();
 }
 

@@ -65,10 +65,11 @@ TYPED_TEST(ProtectSemantics, ProtectTracksLatestValueAcrossChanges) {
   smr::destroy_unpublished(b);
 }
 
-// create stamps the scheme's clock over whatever the constructor wrote,
-// and the clock never runs backwards.
+// create stamps an era header with the scheme's clock (0 for a scheme
+// without eras) over whatever the constructor wrote, and the clock never
+// runs backwards.
 TYPED_TEST(ProtectSemantics, CreateStampsBirthEra) {
-  struct Unstamped : smr::Reclaimable {
+  struct Unstamped : smr::EraReclaimable {
     Unstamped() { birth_era = UINT64_MAX; }
   };
   TypeParam d(this->small_cfg());

@@ -11,8 +11,9 @@
 
 namespace pop::test {
 
-// The SMR suites' node: a key behind the Reclaimable header.
-struct TNode : smr::Reclaimable {
+// The SMR suites' node: a key behind the era header, which every scheme
+// accepts (an era scheme needs it, the others ignore the lifespan).
+struct TNode : smr::EraReclaimable {
   explicit TNode(uint64_t k = 0) : key(k) {}
   uint64_t key;
 };
