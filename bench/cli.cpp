@@ -22,7 +22,7 @@ void usage(const char* prog, int exit_code) {
       stderr,
       "usage: %s [--threads N,N,..] [--smr NAME,..] [--ds NAME,..]\n"
       "          [--shards N,N,..] [--shard-hash splitmix|modulo]\n"
-      "          [--pct-put N,N,..] [--duration-ms N] [--json PATH]\n"
+      "          [--duration-ms N] [--json PATH]\n"
       "          [--latency] [--hw-counters] [--trace PATH]\n"
       "          [--host ADDR] [--port N] [--connections N] [--pipeline N]\n"
       "          [--net-workers N]\n"
@@ -150,9 +150,6 @@ CliOptions apply_bench_cli(int argc, char** argv) {
       seed_env("POPSMR_SHARD_HASH",
                checked_ident(flag_value(argc, argv, &i, "--shard-hash", prog),
                              "--shard-hash", prog, ""));
-    } else if (matches(arg, "--pct-put")) {
-      seed_env("POPSMR_BENCH_PCT_PUT",
-               flag_value(argc, argv, &i, "--pct-put", prog));
     } else if (matches(arg, "--duration-ms")) {
       seed_env("POPSMR_BENCH_DURATION_MS",
                flag_value(argc, argv, &i, "--duration-ms", prog));
@@ -231,11 +228,9 @@ std::vector<std::string> split_csv(const std::string& raw) {
   return out;
 }
 
-// Tokens without a number (after optional whitespace and sign) are
-// dropped; values outside [lo, hi] are clamped into range when `clamp` is
-// set and dropped otherwise.
-std::vector<int> parse_int_list(const std::string& raw, int lo, int hi,
-                                bool clamp) {
+// Counts (threads, shards): tokens without a number (after optional
+// whitespace and sign) and values below 1 are dropped.
+std::vector<int> parse_count_list(const std::string& raw) {
   std::vector<int> out;
   for (const auto& tok : split_csv(raw)) {
     const std::size_t i = tok.find_first_not_of(" \t");
@@ -245,30 +240,20 @@ std::vector<int> parse_int_list(const std::string& raw, int lo, int hi,
     if (d >= tok.size() || !std::isdigit(static_cast<unsigned char>(tok[d]))) {
       continue;  // no number: drop, don't parse to a silent 0
     }
-    // strtol, not atoi: out-of-int-range input must saturate into the
-    // range filter below instead of being undefined behavior.
-    long v = std::strtol(tok.c_str() + i, nullptr, 10);
-    if (v > INT_MAX) v = INT_MAX;
-    if (v < INT_MIN) v = INT_MIN;
-    if (v < lo) {
-      if (!clamp) continue;
-      v = lo;
-    }
-    if (v > hi) {
-      if (!clamp) continue;
-      v = hi;
-    }
-    out.push_back(static_cast<int>(v));
+    // strtol, not atoi: out-of-int-range input must saturate instead of
+    // being undefined behavior.
+    const long v = std::strtol(tok.c_str() + i, nullptr, 10);
+    if (v < 1) continue;
+    out.push_back(v > INT_MAX ? INT_MAX : static_cast<int>(v));
   }
   return out;
 }
 
-// The one parser behind every POPSMR_BENCH_* integer-list knob; a value
+// The one parser behind every POPSMR_BENCH_* count-list knob; a value
 // that leaves nothing falls back to `fallback`.
-std::vector<int> env_int_list(const char* var, const std::string& fallback,
-                              int lo, int hi, bool clamp) {
-  auto out = parse_int_list(runtime::env_str(var, fallback), lo, hi, clamp);
-  return out.empty() ? parse_int_list(fallback, lo, hi, clamp) : out;
+std::vector<int> env_count_list(const char* var, const std::string& fallback) {
+  auto out = parse_count_list(runtime::env_str(var, fallback));
+  return out.empty() ? parse_count_list(fallback) : out;
 }
 
 // A name list checked against the catalogue before any cell runs: a typo
@@ -294,8 +279,7 @@ std::vector<std::string> env_name_list(const char* var,
 }  // namespace
 
 std::vector<int> bench_thread_list(const std::string& fallback) {
-  return env_int_list("POPSMR_BENCH_THREADS", fallback, 1, INT_MAX,
-                      /*clamp=*/false);
+  return env_count_list("POPSMR_BENCH_THREADS", fallback);
 }
 
 std::vector<std::string> bench_smr_list(const std::string& fallback) {
@@ -309,20 +293,7 @@ std::vector<std::string> bench_ds_list(const std::string& fallback) {
 }
 
 std::vector<int> bench_shard_list(const std::string& fallback) {
-  return env_int_list("POPSMR_BENCH_SHARDS", fallback, 1, INT_MAX,
-                      /*clamp=*/false);
-}
-
-std::vector<int> bench_pct_put_list(const std::string& fallback) {
-  // Clamped rather than dropped: 0 is a legitimate sweep point and an
-  // out-of-range ratio still names a nearest meaningful cell.
-  return env_int_list("POPSMR_BENCH_PCT_PUT", fallback, 0, 100,
-                      /*clamp=*/true);
-}
-
-std::vector<int> bench_deficit_list(const std::string& fallback) {
-  return env_int_list("POPSMR_BENCH_DEFICITS", fallback, 1, INT_MAX,
-                      /*clamp=*/false);
+  return env_count_list("POPSMR_BENCH_SHARDS", fallback);
 }
 
 uint64_t bench_duration_ms(uint64_t fallback) {

@@ -6,10 +6,9 @@
 //
 //   --threads 1,2,4        -> POPSMR_BENCH_THREADS
 //   --smr EBR,EpochPOP     -> POPSMR_BENCH_SMRS
-//   --ds HML,HMHT          -> POPSMR_BENCH_DS      (bench_scenarios)
-//   --shards 1,2,4,8       -> POPSMR_BENCH_SHARDS  (bench_sharded)
-//   --shard-hash modulo    -> POPSMR_SHARD_HASH    (bench_sharded)
-//   --pct-put 0,10,50,90   -> POPSMR_BENCH_PCT_PUT (bench_kv)
+//   --ds HML,HMHT          -> POPSMR_BENCH_DS
+//   --shards 1,2,4,8       -> POPSMR_BENCH_SHARDS
+//   --shard-hash modulo    -> POPSMR_SHARD_HASH    (bench_scenarios)
 //   --duration-ms 200      -> POPSMR_BENCH_DURATION_MS
 //   --json out.jsonl       -> POPSMR_BENCH_JSON
 //   --latency              -> POPSMR_OBS_LATENCY=1 (per-op histograms)
@@ -57,9 +56,10 @@ CliOptions apply_bench_cli(int argc, char** argv);
 
 // ---- env knobs --------------------------------------------------------
 // Each reader takes the binary's default as `fallback`; the flags above
-// seed the env only when unset, so an exported value wins. Integer lists
-// share one parser: tokens without a number are dropped, out-of-int-range
-// values saturate, and a list that leaves nothing falls back.
+// seed the env only when unset, so an exported value wins. The thread and
+// shard lists share one parser: tokens without a number and values below
+// 1 are dropped, out-of-int-range values saturate, and a list that leaves
+// nothing falls back.
 std::vector<int> bench_thread_list(const std::string& fallback);
 // Scheme and structure lists are checked against ds::all_smr_names() /
 // ds::all_ds_names(): an unknown name is one stderr line and exit(2),
@@ -67,10 +67,6 @@ std::vector<int> bench_thread_list(const std::string& fallback);
 std::vector<std::string> bench_smr_list(const std::string& fallback = "");
 std::vector<std::string> bench_ds_list(const std::string& fallback);
 std::vector<int> bench_shard_list(const std::string& fallback);
-// Put ratios are clamped to [0, 100].
-std::vector<int> bench_pct_put_list(const std::string& fallback);
-// POPSMR_BENCH_DEFICITS (bench_resize): values below 1 are dropped.
-std::vector<int> bench_deficit_list(const std::string& fallback);
 uint64_t bench_duration_ms(uint64_t fallback);
 
 // ---- networked front-end knobs (bench_loadgen / popsmr_server) ------------

@@ -69,6 +69,20 @@ void scenario_row(RowVisitor& v, const ScenarioSpec& spec,
      {"stall_resumed_at_ms", r.stall_resumed_at_ms}, {"grows", r.grows},
      {"shrinks", r.shrinks}, {"buckets_final", r.buckets_final}});
   per_op_fields(v, r);
+  v({{"key_range", spec.key_range},
+     {"initial_capacity",
+      spec.initial_capacity > 0 ? spec.initial_capacity : spec.key_range},
+     {"shard_hash", spec.shard_hash},
+     {"pool_live_blocks", r.service.pool_live_blocks},
+     {"pressure_bound", spec.smr_cfg.pressure_bound},
+     {"pressure_events", r.smr.pressure_events},
+     {"forced_handshakes", r.smr.forced_handshakes}, {"kills", r.kills},
+     {"first_kill_at_ms", r.first_kill_at_ms},
+     {"recovered_at_ms", r.recovered_at_ms},
+     {"tids_reaped", r.smr.tids_reaped},
+     {"orphans_adopted", r.smr.orphans_adopted},
+     {"signals_suppressed", r.signals_suppressed},
+     {"waves_timed_out", r.smr.waves_timed_out}});
 }
 
 void phase_row(RowVisitor& v, const ScenarioSpec& spec, std::size_t idx,
@@ -127,88 +141,6 @@ void shard_row(RowVisitor& v, const ScenarioSpec& spec,
      {"forced_handshakes", s.smr.forced_handshakes}});
 }
 
-void kv_row(RowVisitor& v, const ScenarioSpec& spec, uint32_t pct_put,
-            const ScenarioResult& r) {
-  v.kind("kv");
-  latency_fields(v, r.latency_all);
-  cell_fields(v, spec);
-  v({{"threads", spec.threads}, {"shards", spec.shards}, {"pct_put", pct_put},
-     {"seconds", r.seconds}, {"mops", r.mops}, {"read_mops", r.read_mops}});
-  per_op_fields(v, r);
-  v({{"retired", r.smr.retired}, {"freed", r.smr.freed},
-     {"signals_sent", r.smr.signals_sent},
-     {"final_unreclaimed", r.final_unreclaimed},
-     {"vm_hwm_kib", r.vm_hwm_kib}});
-}
-
-void resize_row(RowVisitor& v, const ScenarioSpec& spec, uint64_t deficit,
-                double storm_mops, double steady_mops, double recovery_pct,
-                const ScenarioResult& r) {
-  v.kind("resize");
-  cell_fields(v, spec);
-  v({{"threads", spec.threads}, {"deficit", deficit},
-     {"initial_capacity",
-      spec.initial_capacity > 0 ? spec.initial_capacity : spec.key_range},
-     {"key_range", spec.key_range}, {"seconds", r.seconds}, {"mops", r.mops},
-     {"storm_mops", storm_mops}, {"steady_mops", steady_mops},
-     {"recovery_pct", recovery_pct}, {"grows", r.grows},
-     {"shrinks", r.shrinks}, {"buckets_final", r.buckets_final},
-     {"retired", r.smr.retired}, {"freed", r.smr.freed},
-     {"final_unreclaimed", r.final_unreclaimed}});
-}
-
-void fault_row(RowVisitor& v, const ScenarioSpec& spec,
-               const std::string& fault, const ScenarioResult& r) {
-  v.kind("fault");
-  audit_field(v, r);
-  latency_fields(v, r.latency_all);
-  cell_fields(v, spec);
-  v({{"threads", spec.threads}, {"fault", fault}, {"seconds", r.seconds},
-     {"mops", r.mops}, {"kills", r.kills},
-     {"signals_suppressed", r.signals_suppressed},
-     {"first_kill_at_ms", r.first_kill_at_ms},
-     {"recovered_at_ms", r.recovered_at_ms},
-     {"waves_timed_out", r.smr.waves_timed_out},
-     {"tids_reaped", r.smr.tids_reaped},
-     {"orphans_adopted", r.smr.orphans_adopted},
-     {"pressure_events", r.smr.pressure_events},
-     {"forced_handshakes", r.smr.forced_handshakes},
-     {"signals_sent", r.smr.signals_sent}, {"retired", r.smr.retired},
-     {"freed", r.smr.freed}, {"peak_unreclaimed", r.stall_peak_unreclaimed},
-     {"final_unreclaimed", r.final_unreclaimed}});
-}
-
-void pressure_row(RowVisitor& v, const ScenarioSpec& spec,
-                  const ScenarioResult& r) {
-  v.kind("pressure");
-  cell_fields(v, spec);
-  v({{"threads", spec.threads},
-     {"pressure_bound", spec.smr_cfg.pressure_bound},
-     {"pressure_events", r.smr.pressure_events},
-     {"forced_handshakes", r.smr.forced_handshakes},
-     {"baseline_unreclaimed", r.baseline_unreclaimed},
-     {"peak_unreclaimed", r.stall_peak_unreclaimed},
-     {"final_unreclaimed", r.final_unreclaimed},
-     {"stall_parked_at_ms", r.stall_parked_at_ms},
-     {"stall_resumed_at_ms", r.stall_resumed_at_ms},
-     {"retired", r.smr.retired}, {"freed", r.smr.freed}});
-}
-
-void sharded_row(RowVisitor& v, const ScenarioSpec& spec,
-                 const ScenarioResult& r) {
-  v.kind("sharded");
-  cell_fields(v, spec);
-  v({{"threads", spec.threads}, {"shards", spec.shards},
-     {"shard_hash", spec.shard_hash}, {"seconds", r.seconds},
-     {"mops", r.mops}, {"read_mops", r.read_mops},
-     {"retired", r.smr.retired}, {"freed", r.smr.freed},
-     {"signals_sent", r.smr.signals_sent},
-     {"final_unreclaimed", r.final_unreclaimed},
-     {"pool_live_blocks", r.service.pool_live_blocks},
-     {"shard_ops_max", r.service.ops_max_shard()},
-     {"shard_ops_min", r.service.ops_min_shard()}});
-}
-
 void net_row(RowVisitor& v, const NetCellRow& cell) {
   v.kind("net");
   latency_fields(v, cell.latency);
@@ -233,15 +165,6 @@ void conn_row(RowVisitor& v, const NetCellRow& cell, const ConnRow& c) {
   percentile_fields(v, c.latency);
 }
 
-void micro_row(RowVisitor& v, const FreeBatchRow& m) {
-  v.kind("micro");
-  v({{"bench", "micro_free_batch"}, {"threads", m.threads},
-     {"per_node_mfrees", m.per_node_mfrees},
-     {"batched_mfrees", m.batched_mfrees}, {"speedup", m.speedup},
-     {"batched_remote_frees", m.batched_remote_frees},
-     {"batched_remote_splices", m.batched_remote_splices}});
-}
-
 std::string row_schema() {
   obs::SchemaWriter s;
   const ScenarioSpec spec;
@@ -252,14 +175,8 @@ std::string row_schema() {
   mem_sample_row(s, spec, MemSample{});
   latency_row(s, spec, ScenarioResult::OpLatency{});
   shard_row(s, spec, service::ShardStats{});
-  kv_row(s, spec, 0, r);
-  resize_row(s, spec, 0, 0, 0, 0, r);
-  fault_row(s, spec, "", r);
-  pressure_row(s, spec, r);
-  sharded_row(s, spec, r);
   net_row(s, cell);
   conn_row(s, cell, ConnRow{});
-  micro_row(s, FreeBatchRow{});
   return s.json();
 }
 

@@ -4,12 +4,13 @@
 // tools/check_bench_jsonl.py validates artifacts against.
 //
 //   scenario, phase, mem_sample, latency, shard   bench_scenarios
-//   kv                                            bench_kv
-//   resize                                        bench_resize
-//   fault, pressure                               bench_faults
-//   sharded                                       bench_sharded
 //   net, conn                                     bench_loadgen
-//   micro                                         bench_micro_free_batch
+//
+// A sweep axis is a registry entry or a cell column, not a kind: the
+// put ratio and resize deficit are in the entry name (kv-put-50,
+// grow-storm-64), the shard count and hash, the provisioned capacity and
+// the fault and backstop counters are scenario columns, and a storm or
+// steady phase's Mops is its phase row.
 //
 // Values are numbers and [A-Za-z0-9_-] identifiers. Rows that summarize
 // a workload run carry the lat_* percentile block (zero-filled when the
@@ -46,16 +47,6 @@ struct ConnRow {
   obs::LatencySummary latency;
 };
 
-// One bench_micro_free_batch thread count: per-node vs batched frees.
-struct FreeBatchRow {
-  int threads = 0;
-  double per_node_mfrees = 0;
-  double batched_mfrees = 0;
-  double speedup = 0;
-  uint64_t batched_remote_frees = 0;
-  uint64_t batched_remote_splices = 0;
-};
-
 using obs::RowVisitor;
 
 void scenario_row(RowVisitor& v, const ScenarioSpec& spec,
@@ -70,22 +61,8 @@ void latency_row(RowVisitor& v, const ScenarioSpec& spec,
 // Per shard of a sharded run, fault-recovery counters included.
 void shard_row(RowVisitor& v, const ScenarioSpec& spec,
                const service::ShardStats& s);
-void kv_row(RowVisitor& v, const ScenarioSpec& spec, uint32_t pct_put,
-            const ScenarioResult& r);
-// recovery_pct is steady-phase Mops as a percentage of the correctly
-// provisioned fixed-table reference in the same (smr, threads) cell.
-void resize_row(RowVisitor& v, const ScenarioSpec& spec, uint64_t deficit,
-                double storm_mops, double steady_mops, double recovery_pct,
-                const ScenarioResult& r);
-void fault_row(RowVisitor& v, const ScenarioSpec& spec,
-               const std::string& fault, const ScenarioResult& r);
-void pressure_row(RowVisitor& v, const ScenarioSpec& spec,
-                  const ScenarioResult& r);
-void sharded_row(RowVisitor& v, const ScenarioSpec& spec,
-                 const ScenarioResult& r);
 void net_row(RowVisitor& v, const NetCellRow& cell);
 void conn_row(RowVisitor& v, const NetCellRow& cell, const ConnRow& c);
-void micro_row(RowVisitor& v, const FreeBatchRow& m);
 
 // The JSON schema of every kind above (SchemaWriter format).
 std::string row_schema();

@@ -141,8 +141,8 @@ struct ScenarioSpec {
   // different from key_range (0 = provision for key_range, the legacy
   // behaviour). Under-provisioning a resizable table (initial_capacity
   // << key_range) forces a grow storm; a fixed HMHT just runs with long
-  // buckets. The deficit key_range / initial_capacity is what
-  // bench_resize sweeps.
+  // buckets. The deficit key_range / initial_capacity is what the
+  // grow-storm-D registry entries vary.
   uint64_t initial_capacity = 0;
   smr::SmrConfig smr_cfg;
   std::vector<PhaseSpec> phases;  // empty => one default phase

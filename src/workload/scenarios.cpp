@@ -31,11 +31,12 @@ PhaseSpec phase(const char* name, uint64_t dur_ms, uint32_t ins, uint32_t ers,
 }
 
 // A figure panel or ablation value: one uniform "main" phase over a fixed
-// key range with the panel's SMR knobs. Paper setup: DGT 200K, HMHT 6M,
-// ABT 20M keys, 1..288 threads, 5 s runs, retire threshold 24K, on a
-// 144-thread machine. The defaults here are scaled to a few cores (sizes
-// /~25, threads {1,2,4}, 150-300 ms cells, threshold 512): compare
-// shapes — who wins, who pays fences, whose retire lists stay small.
+// key range (0: the cell's default range) with the panel's SMR knobs.
+// Paper setup: DGT 200K, HMHT 6M, ABT 20M keys, 1..288 threads, 5 s
+// runs, retire threshold 24K, on a 144-thread machine. The defaults here
+// are scaled to a few cores (sizes /~25, threads {1,2,4}, 150-300 ms
+// cells, threshold 512): compare shapes — who wins, who pays fences,
+// whose retire lists stay small.
 struct Figure {
   uint64_t key_range;
   PhaseSpec mix;
@@ -100,28 +101,30 @@ std::vector<ScenarioEntry> build_registry() {
         s.mem_sample_every_ms = scaled_ms(10, sc);
       });
 
+  const auto stall_recovery = [](ScenarioSpec& s, const ScenarioBuild&,
+                                 double sc) {
+    // Equal mixed phases; the victim parks for all of phase "stalled".
+    // Zipfian keys keep old (pre-stall-born) nodes churning, which is
+    // what an era-publishing stalled thread pins.
+    const uint64_t warm = 150, stall = 250, recover = 250;
+    for (auto [nm, dur] : {std::pair{"warmup", warm},
+                           std::pair{"stalled", stall},
+                           std::pair{"recovery", recover}}) {
+      PhaseSpec p = phase(nm, dur, 30, 30, sc);
+      p.keys.kind = KeyDist::kZipfian;
+      p.keys.zipf_theta = 0.8;
+      s.phases.push_back(p);
+    }
+    s.stall.enabled = true;
+    s.stall.victim = 0;
+    s.stall.park_after_ms = scaled_ms(warm, sc);
+    s.stall.park_for_ms = scaled_ms(stall, sc);
+    s.mem_sample_every_ms = std::max<uint64_t>(1, scaled_ms(8, sc));
+  };
   add("stall-recovery",
       "a victim worker parks mid-operation holding its reservation; "
       "the timeline shows unreclaimed memory grow and recover",
-      [](ScenarioSpec& s, const ScenarioBuild&, double sc) {
-        // Equal mixed phases; the victim parks for all of phase "stalled".
-        // Zipfian keys keep old (pre-stall-born) nodes churning, which is
-        // what an era-publishing stalled thread pins.
-        const uint64_t warm = 150, stall = 250, recover = 250;
-        for (auto [nm, dur] : {std::pair{"warmup", warm},
-                               std::pair{"stalled", stall},
-                               std::pair{"recovery", recover}}) {
-          PhaseSpec p = phase(nm, dur, 30, 30, sc);
-          p.keys.kind = KeyDist::kZipfian;
-          p.keys.zipf_theta = 0.8;
-          s.phases.push_back(p);
-        }
-        s.stall.enabled = true;
-        s.stall.victim = 0;
-        s.stall.park_after_ms = scaled_ms(warm, sc);
-        s.stall.park_for_ms = scaled_ms(stall, sc);
-        s.mem_sample_every_ms = std::max<uint64_t>(1, scaled_ms(8, sc));
-      });
+      stall_recovery);
 
   add("oversubscribed-burst",
       "4x thread burst (past the core count) -> read-mostly -> "
@@ -140,16 +143,15 @@ std::vector<ScenarioEntry> build_registry() {
   add("sharded-uniform",
       "key space partitioned over N shards (one SMR domain each), "
       "uniform keys: the domain-contention split scale axis",
-      [](ScenarioSpec& s, const ScenarioBuild& b, double sc) {
-        if (b.shards <= 0) s.shards = 4;
+      [](ScenarioSpec& s, const ScenarioBuild&, double sc) {
         s.phases.push_back(phase("mixed", 200, 30, 30, sc));
-      });
+      })
+      .shards = 4;
 
   add("sharded-hotspot",
       "sharded map under Zipfian keys: the head keys concentrate on "
       "one hot shard while the rest idle (skewed service traffic)",
-      [](ScenarioSpec& s, const ScenarioBuild& b, double sc) {
-        if (b.shards <= 0) s.shards = 4;
+      [](ScenarioSpec& s, const ScenarioBuild&, double sc) {
         PhaseSpec p = phase("zipf", 250, 30, 30, sc);
         // theta 0.99 (YCSB default): the top handful of keys carry most of
         // the mass, so whichever shards they hash to run hot while the rest
@@ -158,7 +160,8 @@ std::vector<ScenarioEntry> build_registry() {
         p.keys.zipf_theta = 0.99;
         s.phases.push_back(p);
         s.mem_sample_every_ms = scaled_ms(10, sc);
-      });
+      })
+      .shards = 4;
 
   add("kv-update-heavy",
       "value-carrying map traffic: a put-heavy phase (replaces retire "
@@ -275,6 +278,30 @@ std::vector<ScenarioEntry> build_registry() {
         s.mem_sample_every_ms = std::max<uint64_t>(1, scaled_ms(8, sc));
       });
 
+  // Outside the `all` matrix: bench_scenarios seeds a 20-ms watchdog
+  // deadline (POPSMR_PING_TIMEOUT_MS) only when it runs this entry.
+  add("signal-loss",
+      "stall-recovery with every ping to the parked victim dropped until "
+      "it resumes: the POP watchdog must time the wave out, defer, and "
+      "recover once delivery is restored",
+      [stall_recovery](ScenarioSpec& s, const ScenarioBuild& b, double sc) {
+        // A POP reclaimer's wave genuinely cannot complete: the watchdog
+        // must expire, classify the victim live-but-mute, and defer;
+        // delivery is restored when the victim resumes so the tail of the
+        // run measures recovery.
+        stall_recovery(s, b, sc);
+        s.faults.signal_loss = true;
+        s.faults.signal_loss_pct = 100;
+        s.faults.signal_loss_stop_after_ms =
+            s.stall.park_after_ms + s.stall.park_for_ms;
+        // A low threshold keeps retire backlogs crossing the POP trigger
+        // during the park window even in slow sanitizer builds — without
+        // waves there is nothing for the loss injector to eat or the
+        // watchdog to time out.
+        s.smr_cfg.retire_threshold = 64;
+      })
+      .in_all = false;
+
   // The paper's figures and ablations (§5), outside the `all` matrix.
   auto figure = [&add](std::string name, std::string description,
                        const char* ds, const char* threads, const char* smrs,
@@ -282,7 +309,7 @@ std::vector<ScenarioEntry> build_registry() {
     ScenarioEntry& e = add(
         std::move(name), std::move(description),
         [f](ScenarioSpec& s, const ScenarioBuild& b, double sc) {
-          if (b.key_range == 0) s.key_range = f.key_range;
+          if (b.key_range == 0 && f.key_range != 0) s.key_range = f.key_range;
           s.smr_cfg = f.smr_cfg;
           s.phases.push_back(f.mix);
           s.phases.back().duration_ms =
@@ -396,6 +423,49 @@ std::vector<ScenarioEntry> build_registry() {
                ", EBR vs EpochPOP, DGT 8K update-heavy",
            "DGT", "4", "EBR,EpochPOP", {8192, update, 150, cfg});
   }
+
+  // Put-ratio sweep: put is insert-or-replace and every replace retires
+  // the displaced node, so raising the ratio dials up the short-lived-node
+  // reclamation traffic set-only mixes never produce. A fixed 5/5
+  // insert/erase background keeps membership churning, so puts keep
+  // splitting into inserts and replaces; the rest is get.
+  for (const uint32_t pct : {0, 10, 50, 90}) {
+    PhaseSpec kv = phase("kv", 0, 5, 5, 1.0);
+    kv.pct_put = pct;
+    figure("kv-put-" + std::to_string(pct),
+           "KV put ratio " + std::to_string(pct) +
+               "%: 5i/5d, put = insert-or-replace (each replace retires "
+               "the displaced node), rest get",
+           "HML,HMHT", "4", "", {0, kv, 200, smr::SmrConfig{}});
+  }
+
+  // Resize deficit: a "storm" that fills the key range from a cold table,
+  // then mixed "steady" traffic. RHHT is provisioned for key_range / D
+  // (D = 64 forces ~6 doublings mid-storm); the fixed HMHT, provisioned
+  // for the full range, is the reference: bench_scenarios prints RHHT's
+  // steady-phase Mops as a ratio to HMHT's, its recovery from the storm.
+  for (const uint64_t d : {1, 16, 64}) {
+    ScenarioEntry& e = add(
+        "grow-storm-" + std::to_string(d),
+        "Resize deficit " + std::to_string(d) +
+            ": RHHT provisioned for key_range/" + std::to_string(d) +
+            " fills under 70i/20p, then 10i/10d/20p steady; fixed HMHT "
+            "provisioned for the full range is the reference",
+        [d](ScenarioSpec& s, const ScenarioBuild& b, double sc) {
+          s.prefill = 0;  // the storm is the fill: growth happens under load
+          s.initial_capacity = s.ds == "RHHT"
+                                   ? std::max<uint64_t>(2, s.key_range / d)
+                                   : s.key_range;
+          for (PhaseSpec p : {phase("storm", 200, 70, 0, sc),
+                              phase("steady", 200, 10, 10, sc)}) {
+            p.pct_put = 20;
+            if (b.duration_ms) p.duration_ms = b.duration_ms;
+            s.phases.push_back(p);
+          }
+        });
+    e.ds = "HMHT,RHHT";
+    e.in_all = false;
+  }
   return r;
 }
 
@@ -407,9 +477,9 @@ ScenarioSpec build_cell(const ScenarioEntry& e, const ScenarioBuild& b,
   s.smr = b.smr;
   s.threads = std::max(1, b.threads);
   s.key_range = b.key_range ? b.key_range : default_range(b.ds);
-  // Any scenario can run sharded (bench_sharded sweeps the axis); only
+  // Any scenario can run sharded (bench_scenarios sweeps the axis); only
   // the sharded-* scenarios default it above 1.
-  s.shards = b.shards > 0 ? b.shards : 1;
+  s.shards = b.shards > 0 ? b.shards : e.shards;
   e.build(s, b, sc);
   return s;
 }

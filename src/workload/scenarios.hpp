@@ -1,9 +1,11 @@
 // Named scenario registry: one table of entries, each mapping a cell
-// (ds, smr, threads, time scale) onto a full ScenarioSpec. It holds the
-// robustness scenarios bench_scenarios sweeps by default (the README's
-// "scenario cookbook") and the paper's figure panels and ablation values
-// (fig1-dgt, fig4-long-reads-10k, ablation-threshold-512, ...), which
-// bench_scenarios selects by name or glob.
+// (ds, smr, threads, shards, time scale) onto a full ScenarioSpec. It
+// holds the robustness scenarios bench_scenarios sweeps by default (the
+// README's "scenario cookbook"), the paper's figure panels and ablation
+// values (fig1-dgt, fig4-long-reads-10k, ablation-threshold-512, ...),
+// and the put-ratio, resize-deficit and signal-loss sweeps (kv-put-50,
+// grow-storm-64, signal-loss), which bench_scenarios selects by name or
+// glob.
 #pragma once
 
 #include <functional>
@@ -25,13 +27,13 @@ struct ScenarioBuild {
   // scenario-smoke job (bench_scenarios --short) runs at 0.25 with a
   // shrunken key range.
   double time_scale = 1.0;
-  // Figure and ablation entries only: 0 = the entry's own length,
-  // otherwise the cell's length (overriding time_scale).
+  // Figure, ablation, kv-put and grow-storm entries only: 0 = the
+  // entry's own length, otherwise each phase's length (overriding
+  // time_scale).
   uint64_t duration_ms = 0;
   // 0 = the scenario's own default range; smoke mode passes a small one.
   uint64_t key_range = 0;
-  // Service-layer shard count for the sharded-* scenarios; 0 = the
-  // scenario's own default (4 for sharded scenarios, 1 elsewhere).
+  // Service-layer shard count; 0 = the entry's own (ScenarioEntry::shards).
   int shards = 0;
 };
 
@@ -39,12 +41,14 @@ struct ScenarioEntry {
   std::string name;
   std::string description;  // one line, for --list and table headers
   // Sweep axes when the caller names none (POPSMR_BENCH_DS / _THREADS /
-  // _SMRS and their flags): comma lists; an empty smrs means every scheme.
+  // _SMRS / _SHARDS and their flags): comma lists; an empty smrs means
+  // every scheme.
   std::string ds = "HML";
   std::string threads = "4";
   std::string smrs;
-  // In the `--scenario all` matrix. The figure and ablation entries are
-  // not; select them by name or glob (`fig2-*`).
+  int shards = 1;
+  // In the `--scenario all` matrix. The figure, ablation and sweep
+  // entries are not; select them by name or glob (`fig2-*`).
   bool in_all = true;
   // Fills the scenario-specific part of `s`, whose cell fields (name, ds,
   // smr, threads, default key_range, shards) are already set; `sc` is the

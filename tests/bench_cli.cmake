@@ -1,7 +1,7 @@
 # The bench binaries end to end, run by ctest (see CMakeLists.txt):
 #
-#   MODE=roundtrip  bench_scenarios --emit-schema, then a --short figure
-#                   cell, bench_micro_free_batch and a bench_loadgen
+#   MODE=roundtrip  bench_scenarios --emit-schema, then --short figure,
+#                   kv-put-50 and signal-loss cells and a bench_loadgen
 #                   --short cell, every row validated by
 #                   tools/check_bench_jsonl.py against the exported schema.
 #   MODE=bad-name   an unknown scheme or structure name, from the flag or
@@ -32,21 +32,24 @@ if(MODE STREQUAL "roundtrip")
   endif()
   run(0 ${BIN_DIR}/bench_scenarios --scenario fig2-hml --short
         --threads 2 --smr NR,EpochPOP --duration-ms 40 --json ${rows})
-  run(0 ${CMAKE_COMMAND} -E env POPSMR_MICRO_ROUNDS=2 POPSMR_MICRO_BLOCKS=512
-        ${BIN_DIR}/bench_micro_free_batch --threads 2 --json ${rows})
+  run(0 ${BIN_DIR}/bench_scenarios --scenario kv-put-50 --short
+        --ds HMHT --threads 2 --smr EBR,EpochPOP --json ${rows})
+  run(0 ${BIN_DIR}/bench_scenarios --scenario signal-loss --short
+        --threads 3 --smr EpochPOP --json ${rows})
   run(0 ${BIN_DIR}/bench_loadgen --short --ds HMHT --smr EBR
         --connections 2 --pipeline 4 --json ${rows})
   run(0 ${PYTHON} ${SRC_DIR}/tools/check_bench_jsonl.py
         --schema ${OUT_DIR}/schema.json ${rows}
-        --require-kind scenario --require-kind phase --require-kind micro
+        --require-kind scenario --require-kind phase --require-kind mem_sample
         --require-kind net --require-kind conn --summary)
 elseif(MODE STREQUAL "bad-name")
   run(2 ${BIN_DIR}/bench_scenarios --scenario fig2-hml --smr EBR,Bogus
         --json ${rows})
   run(2 ${CMAKE_COMMAND} -E env POPSMR_BENCH_DS=HML,Bogus
-        ${BIN_DIR}/bench_kv --short --json ${rows})
+        ${BIN_DIR}/bench_scenarios --scenario kv-put-50 --short --json ${rows})
   run(2 ${CMAKE_COMMAND} -E env POPSMR_BENCH_SMRS=Bogus
-        ${BIN_DIR}/bench_faults --short --json ${rows})
+        ${BIN_DIR}/bench_scenarios --scenario signal-loss --short
+        --json ${rows})
   if(EXISTS ${rows})
     message(FATAL_ERROR "a rejected run left ${rows} behind")
   endif()

@@ -10,6 +10,7 @@
 #include "../../bench/cli.hpp"
 #include "ds/iset.hpp"
 #include "workload/scenario_engine.hpp"
+#include "workload/scenarios.hpp"
 
 namespace pop::bench {
 namespace {
@@ -125,19 +126,6 @@ TEST(Workloads, PutMixReportsTheKvBreakdown) {
   EXPECT_GE(r.smr.retired, r.put_replaced);
 }
 
-TEST(Workloads, PctPutListHelperParses) {
-  setenv("POPSMR_BENCH_PCT_PUT", "0,10,50,90,150", 1);
-  const auto ratios = bench_pct_put_list("50");
-  ASSERT_EQ(ratios.size(), 5u);
-  EXPECT_EQ(ratios[0], 0);
-  EXPECT_EQ(ratios[3], 90);
-  EXPECT_EQ(ratios[4], 100);  // clamped
-  unsetenv("POPSMR_BENCH_PCT_PUT");
-  const auto fallback = bench_pct_put_list("0,90");
-  ASSERT_EQ(fallback.size(), 2u);
-  EXPECT_EQ(fallback[1], 90);
-}
-
 TEST(Workloads, EnvListHelpersParse) {
   setenv("POPSMR_BENCH_THREADS", "1,3,5", 1);
   const auto ts = bench_thread_list("2,4");
@@ -151,16 +139,30 @@ TEST(Workloads, EnvListHelpersParse) {
   EXPECT_FALSE(bench_smr_list().empty());
 }
 
-TEST(Workloads, DeficitListDropsBelowOneAndSaturates) {
-  unsetenv("POPSMR_BENCH_DEFICITS");
-  EXPECT_EQ(bench_deficit_list("1,16,64"), (std::vector<int>{1, 16, 64}));
+TEST(Workloads, CountListDropsBelowOneAndSaturates) {
+  unsetenv("POPSMR_BENCH_SHARDS");
+  EXPECT_EQ(bench_shard_list("1,4"), (std::vector<int>{1, 4}));
   // A 20-digit value saturates instead of wrapping; 0 and negatives drop.
-  setenv("POPSMR_BENCH_DEFICITS", "0,-4,16,99999999999999999999", 1);
-  EXPECT_EQ(bench_deficit_list("1,16,64"), (std::vector<int>{16, INT_MAX}));
+  setenv("POPSMR_BENCH_SHARDS", "0,-4,16,99999999999999999999", 1);
+  EXPECT_EQ(bench_shard_list("1,4"), (std::vector<int>{16, INT_MAX}));
   // Nothing usable left: the default list, not a single stand-in value.
-  setenv("POPSMR_BENCH_DEFICITS", "0,x", 1);
-  EXPECT_EQ(bench_deficit_list("1,16,64"), (std::vector<int>{1, 16, 64}));
-  unsetenv("POPSMR_BENCH_DEFICITS");
+  setenv("POPSMR_BENCH_SHARDS", "0,x", 1);
+  EXPECT_EQ(bench_shard_list("1,4"), (std::vector<int>{1, 4}));
+  unsetenv("POPSMR_BENCH_SHARDS");
+}
+
+TEST(Workloads, ShardListReachesTheSpec) {
+  // bench_scenarios' fourth axis: each --shards / POPSMR_BENCH_SHARDS
+  // value is one cell's shard count, over the entry's own default.
+  setenv("POPSMR_BENCH_SHARDS", "1,2,8", 1);
+  std::vector<int> shards;
+  for (const int n : bench_shard_list("4")) {
+    workload::ScenarioBuild b;
+    b.shards = n;
+    shards.push_back(workload::make_scenario("kv-put-50", b)->shards);
+  }
+  unsetenv("POPSMR_BENCH_SHARDS");
+  EXPECT_EQ(shards, (std::vector<int>{1, 2, 8}));
 }
 
 TEST(Workloads, NameListsDefaultToTheCallersList) {

@@ -59,14 +59,14 @@ TEST(Rows, WrittenRowsMatchTheirSchema) {
     obs::JsonlFile out(path);
     out.write(scenario_row, spec, r);
     out.write(phase_row, spec, 0, PhaseResult{});
-    out.write(kv_row, spec, 10, r);
-    out.write(micro_row, FreeBatchRow{});
-    obs::JsonlFile("").write(micro_row, FreeBatchRow{});  // inert
+    out.write(shard_row, spec, service::ShardStats{});
+    out.write(conn_row, NetCellRow{}, ConnRow{});
+    obs::JsonlFile("").write(conn_row, NetCellRow{}, ConnRow{});  // inert
   }
   const auto rows = read_lines(path);
   ASSERT_EQ(rows.size(), 4u);
   const auto schema = schema_fields();
-  const char* kinds[] = {"scenario", "phase", "kv", "micro"};
+  const char* kinds[] = {"scenario", "phase", "shard", "conn"};
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i].rfind(std::string("{\"kind\":\"") + kinds[i], 0), 0u);
     std::vector<std::string> names;
@@ -81,44 +81,50 @@ TEST(Rows, WrittenRowsMatchTheirSchema) {
 TEST(Rows, ValuesEncodeAsJson) {
   const std::string path = "rows_" + std::to_string(::getpid()) + ".jsonl";
   std::remove(path.c_str());
-  FreeBatchRow m;
-  m.threads = 8;
-  m.per_node_mfrees = 12.5;
-  m.speedup = std::nan("");  // not JSON: written as null, which fails checks
-  m.batched_remote_frees = UINT64_MAX;
   ScenarioSpec spec;
   spec.name = "a\"b";
+  spec.threads = 8;
+  ScenarioResult r;
+  r.mops = 12.5;
+  r.read_mops = std::nan("");  // not JSON: written as null, failing checks
+  r.kills = UINT64_MAX;
   {
     obs::JsonlFile out(path);
-    out.write(micro_row, m);
-    out.write(fault_row, spec, "thread-kill", ScenarioResult{});
+    out.write(scenario_row, spec, r);
   }
   const auto rows = read_lines(path);
-  ASSERT_EQ(rows.size(), 2u);
+  ASSERT_EQ(rows.size(), 1u);
   for (const char* s :
-       {"\"bench\":\"micro_free_batch\",\"threads\":8,",
-        "\"per_node_mfrees\":12.5,", "\"speedup\":null,",
-        "\"batched_remote_frees\":18446744073709551615,"}) {
+       {"\"scenario\":\"a\\\"b\",", "\"threads\":8,", "\"mops\":12.5,",
+        "\"read_mops\":null,", "\"kills\":18446744073709551615,"}) {
     EXPECT_NE(rows[0].find(s), std::string::npos) << s << " in " << rows[0];
   }
   // An unaudited run omits the sanitizer column instead of writing 0.
-  EXPECT_EQ(rows[1].find("audit_violations"), std::string::npos);
-  EXPECT_NE(rows[1].find("\"scenario\":\"a\\\"b\""), std::string::npos);
+  EXPECT_EQ(rows[0].find("audit_violations"), std::string::npos);
 }
 
 TEST(Rows, SchemaCarriesTheCheckerFacts) {
   std::map<std::string, std::string> line;
   const auto schema = schema_fields(&line);
-  ASSERT_EQ(schema.size(), 13u);
+  EXPECT_EQ(schema.size(), 7u);
+  for (const char* gone :
+       {"kv", "resize", "fault", "pressure", "sharded", "micro"}) {
+    EXPECT_EQ(schema.count(gone), 0u) << gone;
+  }
   for (const auto& [kind, fields] : schema) {
     EXPECT_EQ(fields.at(0), "run_id") << kind;
     EXPECT_EQ(fields.at(1), "ts") << kind;
   }
-  for (const char* kind : {"scenario", "fault"}) {
-    EXPECT_EQ(line.at(std::string(kind) + ".audit_violations"),
-              "{\"name\": \"audit_violations\", \"type\": \"int\", "
-              "\"optional\": true, \"equals\": 0}");
+  // The one kind with the sanitizer column (the fault cells are scenario
+  // rows now).
+  std::vector<std::string> audited;
+  for (const auto& [f, l] : line) {
+    if (f.find(".audit_violations") != std::string::npos) audited.push_back(f);
   }
+  EXPECT_EQ(audited, std::vector<std::string>{"scenario.audit_violations"});
+  EXPECT_EQ(line.at("scenario.audit_violations"),
+            "{\"name\": \"audit_violations\", \"type\": \"int\", "
+            "\"optional\": true, \"equals\": 0}");
   for (const char* f : {"net.connections", "net.pipeline_depth",
                         "conn.connections", "conn.pipeline_depth"}) {
     EXPECT_NE(line.at(f).find("\"type\": \"int\", \"min\": 1}"),
@@ -134,7 +140,7 @@ TEST(Rows, SchemaCarriesTheCheckerFacts) {
                        "mem_sample.victim_parked", "phase.hw_valid",
                        "scenario.hw_valid"}));
   // Every kind that records latency carries the whole lat_* block.
-  for (const char* kind : {"scenario", "phase", "kv", "fault", "net"}) {
+  for (const char* kind : {"scenario", "phase", "net"}) {
     const std::string k = std::string(kind) + ".";
     EXPECT_NE(line.at(k + "lat_ops").find("\"int\""), std::string::npos)
         << kind;
@@ -147,13 +153,19 @@ TEST(Rows, SchemaCarriesTheCheckerFacts) {
                         "phase.ipc", "conn.p999_us"}) {
     EXPECT_NE(line.at(f).find("\"num\""), std::string::npos) << f;
   }
+  // The columns the sweep kinds carried, now on the scenario row.
   for (const char* f :
-       {"shard.forced_handshakes", "shard.retired", "pressure.pressure_bound",
-        "resize.deficit", "fault.tids_reaped", "net.errors"}) {
+       {"shard.forced_handshakes", "shard.retired", "net.errors",
+        "scenario.key_range", "scenario.initial_capacity",
+        "scenario.pool_live_blocks", "scenario.pressure_bound",
+        "scenario.pressure_events", "scenario.forced_handshakes",
+        "scenario.kills", "scenario.first_kill_at_ms",
+        "scenario.recovered_at_ms", "scenario.tids_reaped",
+        "scenario.orphans_adopted", "scenario.signals_suppressed",
+        "scenario.waves_timed_out"}) {
     EXPECT_NE(line.at(f).find("\"int\""), std::string::npos) << f;
   }
-  EXPECT_NE(line.at("resize.recovery_pct").find("\"num\""), std::string::npos);
-  for (const char* f : {"latency.op", "fault.fault"}) {
+  for (const char* f : {"latency.op", "scenario.shard_hash"}) {
     EXPECT_NE(line.at(f).find("\"str\""), std::string::npos) << f;
   }
 }

@@ -166,9 +166,74 @@ TEST(Scenarios, FigureEntriesKeepTheirCellIdentity) {
     EXPECT_EQ(spec->prefill, UINT64_MAX) << f.name;
     EXPECT_EQ(spec->mem_sample_every_ms, 0u) << f.name;
   }
-  size_t figures = 0;  // every figure and ablation entry is pinned above
-  for (const auto& e : scenario_registry()) figures += e.in_all ? 0 : 1;
-  EXPECT_EQ(figures, std::size(kFigures));
+  // Every figure and ablation entry is pinned above; the rest outside
+  // `all` are the sweeps: kv-put-{0,10,50,90}, grow-storm-{1,16,64} and
+  // signal-loss.
+  size_t outside_all = 0;
+  for (const auto& e : scenario_registry()) outside_all += e.in_all ? 0 : 1;
+  EXPECT_EQ(outside_all, std::size(kFigures) + 4 + 3 + 1);
+}
+
+TEST(Scenarios, KvPutEntriesSetTheirPutRatio) {
+  for (const uint32_t pct : {0u, 10u, 50u, 90u}) {
+    const std::string name = "kv-put-" + std::to_string(pct);
+    const ScenarioEntry* e = find_scenario(name);
+    ASSERT_NE(e, nullptr) << name;
+    EXPECT_EQ(e->ds, "HML,HMHT");
+    EXPECT_FALSE(e->in_all);
+    for (const char* ds : {"HML", "HMHT"}) {
+      ScenarioBuild b;
+      b.ds = ds;
+      const auto spec = make_scenario(name, b);
+      // A 5/5 insert/erase background over the cell's default range.
+      EXPECT_EQ(identity(*spec), std::string(ds) +
+                                     (b.ds == "HML" ? " 2048" : " 16384") +
+                                     " 5/5/" + std::to_string(pct) +
+                                     " 200 512 2 64")
+          << name;
+    }
+  }
+}
+
+TEST(Scenarios, GrowStormProvisionsRhhtShortAndHmhtFull) {
+  for (const uint64_t d : {1u, 16u, 64u}) {
+    const std::string name = "grow-storm-" + std::to_string(d);
+    const ScenarioEntry* e = find_scenario(name);
+    ASSERT_NE(e, nullptr) << name;
+    EXPECT_EQ(e->ds, "HMHT,RHHT");
+    EXPECT_FALSE(e->in_all);
+    ScenarioBuild b;
+    b.key_range = 2048;
+    b.ds = "RHHT";
+    const auto rhht = make_scenario(name, b);
+    b.ds = "HMHT";
+    const auto hmht = make_scenario(name, b);
+    EXPECT_EQ(rhht->initial_capacity, 2048 / d) << name;
+    EXPECT_EQ(hmht->initial_capacity, 2048u) << name;
+    for (const auto* spec : {&*rhht, &*hmht}) {
+      EXPECT_EQ(spec->prefill, 0u) << name;
+      ASSERT_EQ(spec->phases.size(), 2u) << name;
+      EXPECT_EQ(spec->phases[0].name, "storm");
+      EXPECT_EQ(spec->phases[1].name, "steady");
+    }
+  }
+}
+
+TEST(Scenarios, SignalLossDropsPingsUntilTheParkEnds) {
+  const auto spec = make_scenario("signal-loss", ScenarioBuild{});
+  const auto stall = make_scenario("stall-recovery", ScenarioBuild{});
+  ASSERT_TRUE(spec.has_value() && stall.has_value());
+  EXPECT_FALSE(find_scenario("signal-loss")->in_all);
+  EXPECT_TRUE(spec->faults.signal_loss);
+  EXPECT_EQ(spec->faults.signal_loss_pct, 100);
+  EXPECT_EQ(spec->faults.signal_loss_stop_after_ms,
+            spec->stall.park_after_ms + spec->stall.park_for_ms);
+  EXPECT_EQ(spec->smr_cfg.retire_threshold, 64u);
+  // stall-recovery's schedule, unchanged.
+  ASSERT_TRUE(spec->stall.enabled);
+  EXPECT_EQ(spec->stall.park_for_ms, stall->stall.park_for_ms);
+  EXPECT_EQ(spec->phases.size(), stall->phases.size());
+  EXPECT_FALSE(stall->faults.signal_loss);
 }
 
 TEST(Scenarios, SelectionByAllAndGlob) {
@@ -187,6 +252,8 @@ TEST(Scenarios, SelectionByAllAndGlob) {
   // ablation_thresholds' three sweeps, without the oversubscription one.
   EXPECT_EQ(select_scenarios("ablation-[tpe]*").size(), 12u);
   EXPECT_EQ(select_scenarios("stall-recovery").size(), 1u);
+  EXPECT_EQ(select_scenarios("kv-put-*").size(), 4u);
+  EXPECT_EQ(select_scenarios("grow-storm-*").size(), 3u);
 }
 
 TEST(Scenarios, DurationSetsTheCellLength) {
@@ -216,6 +283,7 @@ TEST(Scenarios, BuildKnobsPropagate) {
   b.smr = "NBR";
   b.threads = 6;
   b.key_range = 1024;
+  b.shards = 2;
   b.time_scale = 0.5;
   auto full = make_scenario("stall-recovery", ScenarioBuild{});
   auto spec = make_scenario("stall-recovery", b);
@@ -224,6 +292,10 @@ TEST(Scenarios, BuildKnobsPropagate) {
   EXPECT_EQ(spec->smr, "NBR");
   EXPECT_EQ(spec->threads, 6);
   EXPECT_EQ(spec->key_range, 1024u);
+  EXPECT_EQ(spec->shards, 2);
+  // No shard count in the cell: the entry's own (4 for sharded-*).
+  EXPECT_EQ(full->shards, 1);
+  EXPECT_EQ(make_scenario("sharded-hotspot", ScenarioBuild{})->shards, 4);
   EXPECT_TRUE(spec->stall.enabled);
   EXPECT_GT(spec->mem_sample_every_ms, 0u);
   // Half time scale shrinks the schedule.
