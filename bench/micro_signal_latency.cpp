@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
         // Busy loop with changing local reservations, like a traversal.
         uintptr_t v = 0x1000;
         while (!stop.load(std::memory_order_relaxed)) {
-          engine.reserve_local(tid, 0, v);
+          engine.local_slot(tid, 0).store(v, std::memory_order_relaxed);
           v += 16;
         }
         engine.detach(tid);

@@ -24,15 +24,21 @@
 // phase's length; the robustness entries keep their own schedules. After
 // an entry's cells, ratio lines give each scheme's read Mops against NR's
 // (Figure 4) and RHHT's last-phase Mops against the fixed HMHT's
-// (grow-storm's recovery). With POPSMR_BENCH_JSON (or --json) set, every
-// cell appends kind-tagged JSON Lines: one "scenario" summary, one
-// "phase" row per phase, one "mem_sample" row per timeline point, plus
-// "latency" and "shard" rows when recorded — enough to plot unreclaimed
-// memory over time across the park/resume window.
+// (grow-storm's recovery). A cell whose spec (entry name aside) an
+// earlier entry already ran in this invocation — the fixed HMHT of every
+// grow-storm-D, fig10-hml-update's cells and fig2-hml's — is not run
+// again: a line says so, and the earlier result is printed, written and
+// ratioed under this entry's name. With POPSMR_BENCH_JSON (or --json)
+// set, every cell appends kind-tagged JSON Lines: one "scenario" summary,
+// one "phase" row per phase, one "mem_sample" row per timeline point,
+// plus "latency" and "shard" rows when recorded — enough to plot
+// unreclaimed memory over time across the park/resume window.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli.hpp"
@@ -189,6 +195,14 @@ int main(int argc, char** argv) {
       runtime::env_str("POPSMR_SHARD_HASH", "splitmix");
   obs::JsonlFile out(runtime::env_str("POPSMR_BENCH_JSON", ""));
 
+  // Every cell run so far, keyed by its spec with the entry name cleared.
+  struct Ran {
+    ScenarioSpec key;
+    std::string entry;
+    ScenarioResult result;
+  };
+  std::vector<Ran> ran;
+
   for (const Sweep& sw : sweeps) {
     print_header(*sw.entry);
     std::vector<Cell> cells;
@@ -216,7 +230,20 @@ int main(int argc, char** argv) {
               std::fprintf(stderr, "bench_scenarios %s: %s\n",
                            sw.entry->name.c_str(), w.c_str());
             }
-            const auto r = run_scenario(*spec);
+            ScenarioSpec key = *spec;
+            key.name.clear();
+            auto same = std::find_if(ran.begin(), ran.end(), [&](const Ran& o) {
+              return o.key == key;
+            });
+            if (same == ran.end()) {
+              ran.push_back({std::move(key), spec->name, run_scenario(*spec)});
+              same = std::prev(ran.end());
+            } else {
+              std::printf("%-5s %-13s %3d %6d (same cell as %s: not rerun)\n",
+                          ds.c_str(), smr.c_str(), spec->threads,
+                          spec->shards, same->entry.c_str());
+            }
+            const ScenarioResult& r = same->result;
             print_cell(*spec, r);
             write_rows(out, *spec, r);
             cells.push_back({ds, smr, spec->threads, spec->shards, r.read_mops,

@@ -39,13 +39,13 @@ class HazardEraPopDomain : public smr::DomainBase<HazardEraPopDomain> {
   // Algorithm 5 read(): era reservation without the publish fence.
   template <class T>
   T* protect(int slot, const std::atomic<T*>& src) {
-    const int tid = runtime::my_tid();
-    uintptr_t prev = engine_.local_value(tid, slot);
+    std::atomic<uintptr_t>& r = engine_.local_slot(runtime::my_tid(), slot);
+    uintptr_t prev = r.load(std::memory_order_relaxed);
     for (;;) {
       T* p = src.load(std::memory_order_acquire);
       const uint64_t e = era_.now();
       if (e == prev) return p;
-      engine_.reserve_local(tid, slot, e);  // no store-load fence needed
+      r.store(e, std::memory_order_relaxed);  // no store-load fence needed
       prev = e;
     }
   }

@@ -43,11 +43,11 @@ class HazardPtrPopDomain : public smr::DomainBase<HazardPtrPopDomain> {
   // fence ("no store load fence needed", Alg. 1 line 12).
   template <class T>
   T* protect(int slot, const std::atomic<T*>& src) {
-    const int tid = runtime::my_tid();
+    std::atomic<uintptr_t>& r = engine_.local_slot(runtime::my_tid(), slot);
     T* p = src.load(std::memory_order_acquire);
     for (;;) {
-      engine_.reserve_local(
-          tid, slot, reinterpret_cast<uintptr_t>(smr::strip_mark(p)));
+      r.store(reinterpret_cast<uintptr_t>(smr::strip_mark(p)),
+              std::memory_order_relaxed);  // private: no fence
       T* q = src.load(std::memory_order_acquire);
       if (q == p) return p;
       p = q;

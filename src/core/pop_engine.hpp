@@ -52,6 +52,14 @@
 // ordering — plain machine stores, and the only data shared with the
 // (same-thread, asynchronous) signal handler, which makes the handler
 // async-signal-safe by [intro.execution]/support.signal rules.
+//
+// Per-thread state (private slots, publish counter, attach flag) and the
+// shared slots live in runtime::TidRows, allocated on a thread's first
+// touch. attach() fills both rows before it sets the attach flag, so a
+// handshake that finds no row for a tid treats it exactly as an
+// unattached one: it neither pings nor waits for it (tid_rows.hpp). The
+// handler only find()s rows: a ping that reaches a thread this engine has
+// no row for (attached to another engine) returns without allocating.
 #pragma once
 
 #include <atomic>
@@ -65,6 +73,7 @@
 #include "runtime/padded.hpp"
 #include "runtime/signal_bus.hpp"
 #include "runtime/thread_registry.hpp"
+#include "runtime/tid_rows.hpp"
 #include "smr/domain_base.hpp"
 #include "smr/hp_slots.hpp"
 
@@ -97,15 +106,15 @@ class PopEngine final : public runtime::SignalClient {
 
   void attach(int tid) {
     clear_slots(tid);
+    PerThread& pt = pt_.get(tid);
     // Relaxed atomic: a reclaimer that raced an attach on a recycled tid
     // may read either epoch — it only uses the value for staleness
     // detection against the registry, where both answers are safe.
-    pt_[tid]->registry_epoch.store(
-        runtime::ThreadRegistry::instance().slot_epoch(tid),
-        std::memory_order_relaxed);
+    pt.registry_epoch.store(runtime::ThreadRegistry::instance().slot_epoch(tid),
+                            std::memory_order_relaxed);
     // seq_cst: attached must be ordered before the SignalBus registration
     // so a reclaimer whose ping reaches this thread never reads false.
-    pt_[tid]->attached.store(true, std::memory_order_seq_cst);
+    pt.attached.store(true, std::memory_order_seq_cst);
     runtime::SignalBus::instance().attach(this);
   }
 
@@ -125,56 +134,58 @@ class PopEngine final : public runtime::SignalClient {
   // can still touch.
   void reap(int tid) {
     clear_slots(tid);
-    pt_[tid]->publish_counter.fetch_add(1, std::memory_order_release);
-    pt_[tid]->attached.store(false, std::memory_order_release);
+    PerThread& pt = pt_.get(tid);
+    pt.publish_counter.fetch_add(1, std::memory_order_release);
+    pt.attached.store(false, std::memory_order_release);
   }
 
   bool attached(int tid) const {
-    return pt_[tid]->attached.load(std::memory_order_acquire);
+    const PerThread* pt = pt_.find(tid);
+    return pt != nullptr && pt->attached.load(std::memory_order_acquire);
   }
 
   // ---- reader fast path ----------------------------------------------------
 
-  // Private reservation: a plain store. The paper's read() loop lives in
-  // the domain (it also revalidates the source pointer).
-  void reserve_local(int tid, int slot, uintptr_t v) {
-    local(tid, slot).store(v, std::memory_order_relaxed);
-  }
-
-  uintptr_t local_value(int tid, int slot) const {
-    return local(tid, slot).load(std::memory_order_relaxed);
+  // The private slot: a reservation is a plain relaxed store to it. The
+  // paper's read() loop lives in the domain (it also revalidates the
+  // source pointer) and finds the row once per read, not once per retry.
+  std::atomic<uintptr_t>& local_slot(int tid, int slot) {
+    return pt_.get(tid).local_slots[slot];
   }
 
   void copy_local(int tid, int dst, int src) {
-    reserve_local(tid, dst, local_value(tid, src));
+    PerThread& pt = pt_.get(tid);
+    pt.local_slots[dst].store(
+        pt.local_slots[src].load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
   }
 
   void clear_local(int tid) {
+    PerThread& pt = pt_.get(tid);
     for (int s = 0; s < num_slots_; ++s) {
-      local(tid, s).store(0, std::memory_order_relaxed);
+      pt.local_slots[s].store(0, std::memory_order_relaxed);
     }
   }
 
   // ---- signal handler (publish) -------------------------------------------
 
+  // A tid with no row here never attached to this engine (the ping was
+  // for another one): nothing to publish, and nothing may be allocated.
   void on_ping(int tid) noexcept override {
-    if (!pt_[tid]->attached.load(std::memory_order_relaxed)) return;
-    publish(tid);
-    pt_[tid]->pings.fetch_add(1, std::memory_order_relaxed);
+    PerThread* pt = pt_.find(tid);
+    if (pt == nullptr || !pt->attached.load(std::memory_order_relaxed)) return;
+    std::atomic<uintptr_t>* shared = shared_.find(tid);
+    if (shared == nullptr) return;  // unreachable: attach fills it first
+    // Counted before the publish, whose release bump then carries it: a
+    // reclaimer that saw this publish also sees the ping counted.
+    pt->pings.fetch_add(1, std::memory_order_relaxed);
+    publish(*pt, shared);
   }
 
-  // publishReservations() of Algorithm 2; also callable synchronously by
-  // the reclaimer on itself.
+  // publishReservations() of Algorithm 2, run synchronously by the
+  // reclaimer on itself.
   void publish(int tid) noexcept {
-    for (int s = 0; s < num_slots_; ++s) {
-      shared_.at(tid, s).store(local(tid, s).load(std::memory_order_relaxed),
-                               std::memory_order_release);
-    }
-    // seq_cst fence: the slot stores above must be visible before the
-    // counter bump — a reclaimer that observes the new counter value must
-    // also observe every published reservation.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    pt_[tid]->publish_counter.fetch_add(1, std::memory_order_release);
+    publish(pt_.get(tid), &shared_.at(tid, 0));
   }
 
   // ---- reclaimer handshake --------------------------------------------------
@@ -214,13 +225,14 @@ class PopEngine final : public runtime::SignalClient {
     Waited waited[runtime::kMaxThreads];
     int nwait = 0;
     auto& reg = runtime::ThreadRegistry::instance();
-    const int hi = reg.max_tid();
-    for (int t = 0; t <= hi; ++t) {
-      if (t == self_tid || !attached(t)) continue;
-      waited[nwait++] = {
-          t, pt_[t]->publish_counter.load(std::memory_order_acquire),
-          pt_[t]->registry_epoch.load(std::memory_order_relaxed)};
-    }
+    pt_.for_each([&](int t, const PerThread& pt) {
+      if (t == self_tid || !pt.attached.load(std::memory_order_acquire)) {
+        return;
+      }
+      waited[nwait++] = {t, &pt,
+                         pt.publish_counter.load(std::memory_order_acquire),
+                         pt.registry_epoch.load(std::memory_order_relaxed)};
+    });
 
     // pingAllToPublish(), coalesced: lead a wave only if none is open.
     // Every publish a wave triggers lands after its leader's broadcast,
@@ -282,9 +294,9 @@ class PopEngine final : public runtime::SignalClient {
       for (int i = 0; i < nwait; ++i) {
         if (done[i]) continue;
         const auto& w = waited[i];
-        if (pt_[w.tid]->publish_counter.load(std::memory_order_acquire) !=
+        if (w.row->publish_counter.load(std::memory_order_acquire) !=
                 w.counter_before ||                       // published
-            !attached(w.tid) ||                           // detached: no refs
+            !w.row->attached.load(std::memory_order_acquire) ||  // detached
             reg.slot_epoch(w.tid) != w.registry_epoch) {  // slot recycled
           done[i] = true;
           --remaining;
@@ -412,17 +424,24 @@ class PopEngine final : public runtime::SignalClient {
 
   // ---- shared-table queries (reclaimer side) ---------------------------------
 
-  // Appends every non-zero published value into `out` (sorted); returns n.
-  int collect_shared(uintptr_t* out) const {
-    return shared_.collect(num_slots_, out).n;
+  // Every non-zero published value, sorted, in `buf`.
+  smr::Reservations collect_shared(smr::ScanBuffer& buf) const {
+    return shared_.collect(num_slots_, buf);
   }
 
   uint64_t pings_received(int tid) const {
-    return pt_[tid]->pings.load(std::memory_order_relaxed);
+    const PerThread* pt = pt_.find(tid);
+    return pt == nullptr ? 0 : pt->pings.load(std::memory_order_relaxed);
   }
   uint64_t publish_count(int tid) const {
-    return pt_[tid]->publish_counter.load(std::memory_order_acquire);
+    const PerThread* pt = pt_.find(tid);
+    return pt == nullptr
+               ? 0
+               : pt->publish_counter.load(std::memory_order_acquire);
   }
+
+  // Threads this engine has allocated per-thread state for.
+  int thread_rows() const { return pt_.count(); }
 
   // Completed ping waves (the round parity protocol above) — PROCESS-WIDE
   // across every PopEngine, since the round is shared; exposed for tests
@@ -465,8 +484,10 @@ class PopEngine final : public runtime::SignalClient {
     return v == 0 ? 1 : v;
   }
 
+  struct PerThread;
   struct Waited {
     int tid;
+    const PerThread* row;  // exists: the snapshot found tid attached
     uint64_t counter_before;
     uint64_t registry_epoch;
   };
@@ -536,18 +557,23 @@ class PopEngine final : public runtime::SignalClient {
     }
   }
 
-  void clear_slots(int tid) {
+  // Copies the private slots to the shared ones, then bumps the publish
+  // counter; what the handler and the reclaimer's own publish run.
+  void publish(PerThread& pt, std::atomic<uintptr_t>* shared) noexcept {
     for (int s = 0; s < num_slots_; ++s) {
-      local(tid, s).store(0, std::memory_order_relaxed);
-      shared_.at(tid, s).store(0, std::memory_order_release);
+      shared[s].store(pt.local_slots[s].load(std::memory_order_relaxed),
+                      std::memory_order_release);
     }
+    // seq_cst fence: the slot stores above must be visible before the
+    // counter bump — a reclaimer that observes the new counter value must
+    // also observe every published reservation.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    pt.publish_counter.fetch_add(1, std::memory_order_release);
   }
 
-  std::atomic<uintptr_t>& local(int tid, int s) {
-    return pt_[tid]->local_slots[s];
-  }
-  const std::atomic<uintptr_t>& local(int tid, int s) const {
-    return pt_[tid]->local_slots[s];
+  void clear_slots(int tid) {
+    clear_local(tid);
+    shared_.clear_row(tid, num_slots_);
   }
 
   struct PerThread {
@@ -579,7 +605,7 @@ class PopEngine final : public runtime::SignalClient {
 
   int num_slots_;
   runtime::Padded<Tickets> tickets_;
-  runtime::Padded<PerThread> pt_[runtime::kMaxThreads];
+  runtime::TidRows<PerThread> pt_;
   smr::SlotTable shared_;
   std::atomic<uint64_t> waves_led_{0};
   std::atomic<uint64_t> waves_joined_{0};

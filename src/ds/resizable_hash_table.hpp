@@ -58,9 +58,9 @@
 
 #include "ds/kv.hpp"
 #include "obs/obs.hpp"
-#include "runtime/padded.hpp"
 #include "runtime/pool_alloc.hpp"
 #include "runtime/thread_registry.hpp"
+#include "runtime/tid_rows.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/domain_base.hpp"
 #include "smr/smr_config.hpp"
@@ -440,10 +440,9 @@ class ResizableHashTable {
 
   int64_t approx_size() const {
     int64_t n = 0;
-    const int hi = runtime::ThreadRegistry::instance().max_tid();
-    for (int t = 0; t <= hi && t < runtime::kMaxThreads; ++t) {
-      n += stripe_[t]->size.load(std::memory_order_relaxed);
-    }
+    stripe_.for_each([&n](int, const Stripe& s) {
+      n += s.size.load(std::memory_order_relaxed);
+    });
     return n > 0 ? n : 0;
   }
 
@@ -451,7 +450,7 @@ class ResizableHashTable {
   // open: the stripe bump is unconditional, the policy check runs every
   // kResizeCheckEvery updates per thread.
   void after_update(Table* t, int64_t delta) {
-    Stripe& s = *stripe_[runtime::my_tid()];
+    Stripe& s = stripe_.get(runtime::my_tid());
     if (delta != 0) {
       s.size.store(s.size.load(std::memory_order_relaxed) + delta,
                    std::memory_order_relaxed);
@@ -528,7 +527,7 @@ class ResizableHashTable {
   std::atomic<uint64_t> grows_{0};
   std::atomic<uint64_t> shrinks_{0};
   std::atomic<uint32_t> shrink_streak_{0};
-  runtime::Padded<Stripe> stripe_[runtime::kMaxThreads];
+  runtime::TidRows<Stripe> stripe_;  // a thread's row: its first update
 };
 
 }  // namespace pop::ds

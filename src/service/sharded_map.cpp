@@ -23,13 +23,7 @@ uint64_t mix_key(uint64_t key) {
 ShardedMap::ShardedMap(std::vector<std::unique_ptr<ds::IKV>> shards,
                        ShardHash hash)
     : shards_(std::move(shards)),
-      // One row of counters per registry tid, strided to a whole number
-      // of cache lines so no two threads' rows share a line (stride is in
-      // shards; each shard cell is kLanes u64s, and 8 shards x 5 lanes =
-      // 40 u64s = 5 full lines).
-      ops_stride_((shards_.size() + 7) / 8 * 8),
-      ops_(new std::atomic<uint64_t>[static_cast<std::size_t>(
-          runtime::kMaxThreads) * ops_stride_ * kLanes]()),
+      ops_(shards_.size() * kLanes),
       hash_(hash) {}
 
 std::unique_ptr<ShardedMap> ShardedMap::create(const std::string& ds,
@@ -85,19 +79,16 @@ uint64_t ShardedMap::size_slow() const {
 }
 
 void ShardedMap::sum_lanes(std::size_t shard, uint64_t (&lanes)[kLanes]) const {
-  // One pass over the counter rows, all lanes at once, bounded by the
-  // registry's high-water tid — slots past it were never written (the
-  // mem-timeline sampler snapshots at cadence, so this runs on a timer).
+  // One pass over the rows that exist, all lanes at once: a thread that
+  // never routed an op has no row (the mem-timeline sampler snapshots at
+  // cadence, so this runs on a timer).
   for (int l = 0; l < kLanes; ++l) lanes[l] = 0;
-  const int hi = runtime::ThreadRegistry::instance().max_tid();
-  for (int t = 0; t <= hi; ++t) {
-    const std::size_t row =
-        (static_cast<std::size_t>(t) * ops_stride_ + shard) * kLanes;
+  ops_.for_each([&](int, const std::atomic<uint64_t>& row) {
+    const std::atomic<uint64_t>* cell = &row + shard * kLanes;
     for (int l = 0; l < kLanes; ++l) {
-      lanes[l] += ops_[row + static_cast<std::size_t>(l)].load(
-          std::memory_order_relaxed);
+      lanes[l] += cell[l].load(std::memory_order_relaxed);
     }
-  }
+  });
 }
 
 ServiceStats ShardedMap::service_stats() const {

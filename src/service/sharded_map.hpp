@@ -25,6 +25,7 @@
 
 #include "ds/iset.hpp"
 #include "runtime/thread_registry.hpp"
+#include "runtime/tid_rows.hpp"
 #include "service/service_stats.hpp"
 
 namespace pop::service {
@@ -146,19 +147,17 @@ class ShardedMap final : public ds::IKV {
   // increment), so routing adds no shared-line write — a shared per-shard
   // counter would ping-pong its cache line between every core hitting a
   // hot shard and skew the very scaling the layer exists to measure.
-  // Rows are cacheline-multiple strided so threads never share a line.
+  // A thread's row (kLanes cells per shard) is allocated on its first
+  // routed op, on cache lines of its own.
   void count_op(int s, Lane lane) {
-    auto& c = ops_[(static_cast<std::size_t>(runtime::my_tid()) * ops_stride_ +
-                    static_cast<std::size_t>(s)) * kLanes +
-                   static_cast<std::size_t>(lane)];
+    auto& c = (&ops_.get(runtime::my_tid()))[s * kLanes + lane];
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   }
 
   void sum_lanes(std::size_t shard, uint64_t (&lanes)[kLanes]) const;
 
   std::vector<std::unique_ptr<ds::IKV>> shards_;
-  std::size_t ops_stride_;  // shards rounded up so rows are line-aligned
-  std::unique_ptr<std::atomic<uint64_t>[]> ops_;
+  runtime::TidRows<std::atomic<uint64_t>> ops_;
   ShardHash hash_;
 };
 

@@ -33,7 +33,7 @@ class BrcDomain : public DomainBase<BrcDomain> {
   void begin_op() {
     attach();
     const int tid = runtime::my_tid();
-    auto& pt = *pt_[tid];
+    auto& pt = pt_.get(tid);
     // Announce-and-revalidate (the classic SRCU entry subtlety): between
     // reading the phase and announcing, a reclaimer can flip that phase
     // and run its drain — the drain balances before our announcement
@@ -69,7 +69,7 @@ class BrcDomain : public DomainBase<BrcDomain> {
 
   void end_op() {
     const int tid = runtime::my_tid();
-    auto& pt = *pt_[tid];
+    auto& pt = pt_.get(tid);
     const uint32_t p = pt.my_phase;
     pt.exits[p].store(pt.exits[p].load(std::memory_order_relaxed) + 1,
                       std::memory_order_release);
@@ -110,10 +110,11 @@ class BrcDomain : public DomainBase<BrcDomain> {
     core_.sweep_retired(tid, [](Reclaimable*) { return true; });
   }
 
+  // A tid with no row never announced: its shards read as balanced, and
+  // its first announce follows its row's publication (tid_rows.hpp), so
+  // it revalidates against this flip like any late entrant.
   void drain(uint32_t p, int self) {
-    const int hi = runtime::ThreadRegistry::instance().max_tid();
-    for (int t = 0; t <= hi; ++t) {
-      auto& pt = *pt_[t];
+    pt_.for_each([&](int t, PerThread& pt) {
       runtime::SpinThenYield waiter;
       uint32_t spins = 0;
       // Late entries into phase p (threads that read the phase just before
@@ -135,7 +136,7 @@ class BrcDomain : public DomainBase<BrcDomain> {
         }
         waiter.wait();
       }
-    }
+    });
   }
 
   // Balances both phase shards of the slot. A corpse can never run its
@@ -146,7 +147,7 @@ class BrcDomain : public DomainBase<BrcDomain> {
   // thread is outside any critical section, so there its enters already
   // equal its exits.
   void neutralize(int t) {
-    auto& pt = *pt_[t];
+    auto& pt = pt_.get(t);
     for (int p = 0; p < 2; ++p) {
       pt.exits[p].store(pt.enters[p].load(std::memory_order_relaxed),
                         std::memory_order_release);
@@ -162,7 +163,7 @@ class BrcDomain : public DomainBase<BrcDomain> {
   // u64: the entry revalidation compares full counter values, so wrap
   // (the parity-ABA at 2^32 flips) is out of reach in practice.
   std::atomic<uint64_t> phase_{0};
-  runtime::Padded<PerThread> pt_[runtime::kMaxThreads];
+  runtime::TidRows<PerThread> pt_;
 };
 
 }  // namespace pop::smr

@@ -8,7 +8,12 @@
 //
 // A *domain* is one reclamation instance; a data structure owns exactly
 // one. Threads attach lazily on their first operation. All per-thread
-// state is indexed by the dense runtime::my_tid().
+// state is indexed by the dense runtime::my_tid() and kept in
+// runtime::TidRows: a row is allocated when its thread first touches the
+// domain, so a domain costs a table of row pointers plus one row per
+// thread that used it (not kMaxThreads rows), and a scan reads a tid with
+// no row as one that never attached. tid_rows.hpp argues why such a null
+// read cannot hide a reservation.
 #pragma once
 
 #include <atomic>
@@ -16,16 +21,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 #include "obs/obs.hpp"
 #include "runtime/env.hpp"
-#include "runtime/padded.hpp"
 #include "runtime/pool_alloc.hpp"
 #include "runtime/thread_registry.hpp"
+#include "runtime/tid_rows.hpp"
 #include "smr/audit.hpp"
 #include "smr/hp_slots.hpp"
 #include "smr/retire_list.hpp"
@@ -71,28 +75,29 @@ class DomainCore {
     // must not outlive the domain and report those drains as violations.
     if (audit::on()) shadow_.clear();
     // The owning data structure has been (or is being) destroyed: nothing
-    // can still hold references, so drain every retire list. Only slots a
-    // thread ever attached covers every retire list (threads attach on
-    // their first operation, before any retire): a sharded service tears
-    // down N short-lived domains per map, and an unconditional
-    // kMaxThreads sweep per domain was the dominant teardown cost.
-    const int hi = hi_tid_.load(std::memory_order_acquire);
-    for (int t = 0; t <= hi; ++t) {
-      auto& pt = *pt_[t];
-      pt.stats.freed += pt.retire.drain();
-    }
+    // can still hold references, so drain every retire list. Only the
+    // rows that exist hold one (a retire list lives in its thread's row).
+    pt_.for_each(
+        [](int, PerThread& pt) { pt.stats.freed += pt.retire.drain(); });
   }
 
   const SmrConfig& config() const { return cfg_; }
 
   bool attached(int tid) const {
-    return pt_[tid]->attached.load(std::memory_order_acquire);
+    const PerThread* pt = pt_.find(tid);
+    return pt != nullptr && pt->attached.load(std::memory_order_acquire);
   }
 
-  // Registry epoch recorded for the thread that owns `tid`'s state here.
+  // Registry epoch recorded for the thread that owns `tid`'s state here
+  // (0 for a tid that never attached).
   uint64_t owner_epoch(int tid) const {
-    return pt_[tid]->owner_epoch.load(std::memory_order_relaxed);
+    const PerThread* pt = pt_.find(tid);
+    return pt == nullptr ? 0
+                         : pt->owner_epoch.load(std::memory_order_relaxed);
   }
+
+  // Per-thread rows allocated so far: the threads this domain pays for.
+  int thread_rows() const { return pt_.count(); }
 
   // True iff `tid` is attached but its recorded owner is certified gone
   // (exited without detaching, or kernel-dead). Cheap enough for wait
@@ -128,31 +133,30 @@ class DomainCore {
     const uint64_t obs_t0 = obs_timing ? obs::now_ns() : 0;
     uint64_t obs_reaped = 0;
     auto& reg = runtime::ThreadRegistry::instance();
-    const int hi = hi_tid_.load(std::memory_order_acquire);
-    for (int t = 0; t <= hi; ++t) {
-      if (t == self_tid) continue;
-      auto& pt = *pt_[t];
-      if (!pt.attached.load(std::memory_order_acquire)) continue;
+    PerThread& self = pt_.get(self_tid);
+    pt_.for_each([&](int t, PerThread& pt) {
+      if (t == self_tid) return;
+      if (!pt.attached.load(std::memory_order_acquire)) return;
       const uint64_t owner = pt.owner_epoch.load(std::memory_order_relaxed);
       bool departed = reg.slot_epoch(t) != owner || !reg.alive(t);
       if (!departed) {
         // Same owner, still registered: suspicion requires a frozen
         // heartbeat across passes before the kernel probe is spent.
         const uint64_t hb = reg.heartbeat(t);
-        if (hb != reap_hb_[t]) {
-          reap_hb_[t] = hb;
-          reap_stale_[t] = 0;
-          continue;
+        if (hb != pt.reap_hb) {
+          pt.reap_hb = hb;
+          pt.reap_stale = 0;
+          return;
         }
-        if (++reap_stale_[t] < kStaleScansBeforeProbe) continue;
-        reap_stale_[t] = 0;
-        if (!reg.certify_zombie(t, owner)) continue;
+        if (++pt.reap_stale < kStaleScansBeforeProbe) return;
+        pt.reap_stale = 0;
+        if (!reg.certify_zombie(t, owner)) return;
         departed = true;
       }
       neutralize(t);
-      const uint64_t adopted = pt_[self_tid]->retire.adopt(pt.retire);
+      const uint64_t adopted = self.retire.adopt(pt.retire);
       pt.attached.store(false, std::memory_order_release);
-      auto& st = pt_[self_tid]->stats;
+      auto& st = self.stats;
       st.tids_reaped += 1;
       st.orphans_adopted += adopted;
       ++obs_reaped;
@@ -164,7 +168,7 @@ class DomainCore {
                    "popsmr: reaped dead tid %d (adopted %llu orphaned "
                    "retires)\n",
                    t, static_cast<unsigned long long>(adopted));
-    }
+    });
     reap_mu_.store(false, std::memory_order_release);
     // Reap certification duration only when the pass actually certified
     // someone — the common empty scan would otherwise drown the signal.
@@ -196,7 +200,7 @@ class DomainCore {
     retire(
         tid, n, epoch,
         [&](uint64_t) {
-          return ++pt_[tid]->retire_count % cfg_.retire_threshold == 0;
+          return ++pt_.get(tid).retire_count % cfg_.retire_threshold == 0;
         },
         pass);
   }
@@ -221,7 +225,7 @@ class DomainCore {
   // Runs the pass an earlier retire deferred, if any.
   template <class Pass>
   void run_deferred(int tid, Pass&& pass) {
-    auto& pt = *pt_[tid];
+    auto& pt = pt_.get(tid);
     if (pt.deferred == 0) return;
     const bool forced = (pt.deferred & kForcedPass) != 0;
     pt.deferred = 0;
@@ -263,7 +267,7 @@ class DomainCore {
   uint64_t sweep_retired(int tid, Pred&& can_free,
                          uint64_t below = RetireList::kWhole) {
     return counted_sweep(tid, [&](auto& batch, auto& on_free) {
-      return pt_[tid]->retire.sweep_batch(
+      return pt_.get(tid).retire.sweep_batch(
           [&](Reclaimable* node) {
             if (!can_free(node)) return false;
             on_free(node);
@@ -278,33 +282,25 @@ class DomainCore {
   // without visiting a node of the others (RetireList::sweep_epochs).
   uint64_t sweep_epochs(int tid, uint64_t min_epoch) {
     return counted_sweep(tid, [&](auto& batch, auto& on_free) {
-      return pt_[tid]->retire.sweep_epochs(min_epoch, batch, on_free);
+      return pt_.get(tid).retire.sweep_epochs(min_epoch, batch, on_free);
     });
   }
 
-  RetireList& retire_list(int tid) { return pt_[tid]->retire; }
-  ThreadStats& stats(int tid) { return pt_[tid]->stats; }
+  RetireList& retire_list(int tid) { return pt_.get(tid).retire; }
+  ThreadStats& stats(int tid) { return pt_.get(tid).stats; }
 
-  // Per-thread scratch for reservation scans (kMaxThreads * kMaxSlots
-  // words ≈ 9 KiB). Owner-thread only; lazily allocated on the first
-  // reclamation pass so idle (thread, domain) pairs cost nothing — and
-  // every scheme's reclaim stops re-declaring it on the stack.
-  uintptr_t* scan_scratch(int tid) {
-    auto& pt = *pt_[tid];
-    if (!pt.scan_scratch) {
-      pt.scan_scratch = std::make_unique<uintptr_t[]>(
-          static_cast<std::size_t>(runtime::kMaxThreads) * kMaxSlots);
-    }
-    return pt.scan_scratch.get();
-  }
+  // The caller's buffer for reservation scans (SlotTable::collect grows
+  // it to the registry's tid high-water mark). Owner-thread only; empty
+  // until the thread's first reclamation pass, so idle (thread, domain)
+  // pairs cost nothing.
+  ScanBuffer& scan_scratch(int tid) { return pt_.get(tid).scan_scratch; }
 
   StatsSnapshot stats_snapshot() const {
     StatsSnapshot s;
-    // Same bound as teardown: slots past the attach high-water have never
-    // been written (the mem-timeline sampler calls this at cadence, and a
-    // sharded service multiplies it by the shard count).
-    const int hi = hi_tid_.load(std::memory_order_acquire);
-    for (int t = 0; t <= hi; ++t) s.absorb(pt_[t]->stats);
+    // Rows that were never allocated hold no counts (the mem-timeline
+    // sampler calls this at cadence, and a sharded service multiplies it
+    // by the shard count).
+    pt_.for_each([&s](int, const PerThread& pt) { s.absorb(pt.stats); });
     return s;
   }
 
@@ -319,7 +315,7 @@ class DomainCore {
   // same-epoch registered laggard.
   static constexpr uint8_t kStaleScansBeforeProbe = 2;
   // Retires between domain-wide unreclaimed snapshots for the pressure
-  // backstop (the snapshot walks hi_tid_ slots).
+  // backstop (the snapshot walks every row).
   static constexpr uint64_t kPressureCheckEvery = 32;
   // PerThread::deferred bits.
   static constexpr uint8_t kPassDue = 1;
@@ -332,8 +328,12 @@ class DomainCore {
     uint64_t pressure_tick = 0;  // owner-thread only
     bool pressure_warned = false;  // owner-thread only
     uint8_t deferred = 0;  // owner-thread only: a pass awaits run_deferred
-    std::unique_ptr<uintptr_t[]> scan_scratch;  // owner-thread only
+    ScanBuffer scan_scratch;  // owner-thread only
     std::atomic<bool> attached{false};
+    // Reaper bookkeeping, guarded by reap_mu_: the heartbeat the last
+    // reap pass saw and how many passes it has stayed frozen.
+    uint8_t reap_stale = 0;
+    uint64_t reap_hb = 0;
     // Registry epoch of the thread this slot's state belongs to; lets the
     // reaper (and a recycled-tid attacher) tell a live owner from a
     // corpse. Relaxed everywhere: change-detection only.
@@ -351,7 +351,7 @@ class DomainCore {
   bool attach_if_new(int tid) {
     auto& reg = runtime::ThreadRegistry::instance();
     reg.heartbeat_bump(tid);
-    auto& pt = *pt_[tid];
+    auto& pt = pt_.get(tid);
     if (pt.attached.load(std::memory_order_relaxed) &&
         pt.owner_epoch.load(std::memory_order_relaxed) == reg.slot_epoch(tid)) {
       return false;
@@ -364,7 +364,7 @@ class DomainCore {
     // depth it checks is the right one (the reaper clears `attached`
     // directly, never through here — a corpse's depth is unreachable).
     if (audit::on()) audit::check_detach(scheme_, tid);
-    pt_[tid]->attached.store(false, std::memory_order_release);
+    pt_.get(tid).attached.store(false, std::memory_order_release);
   }
 
   // Slow path of attach_if_new: first attach, or takeover of a slot whose
@@ -377,13 +377,7 @@ class DomainCore {
       while (reap_mu_.load(std::memory_order_relaxed)) {
       }
     }
-    auto& pt = *pt_[tid];
-    // High-water mark of attached tids, raised before the attach flag so
-    // teardown/snapshot sweeps bounded by it can never miss this slot.
-    int hw = hi_tid_.load(std::memory_order_relaxed);
-    while (hw < tid &&
-           !hi_tid_.compare_exchange_weak(hw, tid, std::memory_order_acq_rel)) {
-    }
+    auto& pt = pt_.get(tid);
     pt.owner_epoch.store(reg.slot_epoch(tid), std::memory_order_relaxed);
     pt.attached.store(true, std::memory_order_release);
     reap_mu_.store(false, std::memory_order_release);
@@ -418,7 +412,7 @@ class DomainCore {
                        static_cast<uint32_t>(
                            freed > UINT32_MAX ? UINT32_MAX : freed));
     }
-    auto& st = pt_[tid]->stats;
+    auto& st = pt_.get(tid).stats;
     st.scans += 1;
     st.freed += freed;
     return freed;
@@ -426,7 +420,7 @@ class DomainCore {
 
   // Appends to the caller's retire list; returns the new length.
   uint64_t push(int tid, Reclaimable* n, uint64_t epoch) {
-    auto& pt = *pt_[tid];
+    auto& pt = pt_.get(tid);
     if (audit::on()) shadow_.on_retire(scheme_, tid, n);
     pt.retire.push(n, epoch);
     pt.stats.retired += 1;
@@ -446,7 +440,7 @@ class DomainCore {
     if constexpr (std::is_void_v<decltype(pass(forced))>) {
       pass(forced);
     } else if (!pass(forced)) {
-      pt_[tid]->deferred |= forced ? (kPassDue | kForcedPass) : kPassDue;
+      pt_.get(tid).deferred |= forced ? (kPassDue | kForcedPass) : kPassDue;
       return;
     }
     if (forced) pressure_relieved_or_warn(tid);
@@ -463,7 +457,7 @@ class DomainCore {
   // degrades to defer-and-warn rather than blocking or looping.
   bool pressure_check(int tid) {
     if (pressure_bound_ == 0) return false;
-    auto& pt = *pt_[tid];
+    auto& pt = pt_.get(tid);
     if ((++pt.pressure_tick % kPressureCheckEvery) != 0) return false;
     if (stats_snapshot().unreclaimed() <= pressure_bound_) {
       pt.pressure_warned = false;
@@ -478,7 +472,7 @@ class DomainCore {
   }
 
   void pressure_relieved_or_warn(int tid) {
-    auto& pt = *pt_[tid];
+    auto& pt = pt_.get(tid);
     pt.stats.forced_handshakes += 1;
     const uint64_t now = stats_snapshot().unreclaimed();
     if (now <= pressure_bound_) {
@@ -499,12 +493,8 @@ class DomainCore {
   const char* scheme_;
   audit::DomainShadow shadow_;
   uint64_t pressure_bound_;
-  std::atomic<int> hi_tid_{-1};
   std::atomic<bool> reap_mu_{false};
-  // Reaper bookkeeping, guarded by reap_mu_ (no atomics needed).
-  uint64_t reap_hb_[runtime::kMaxThreads] = {};
-  uint8_t reap_stale_[runtime::kMaxThreads] = {};
-  runtime::Padded<PerThread> pt_[runtime::kMaxThreads];
+  runtime::TidRows<PerThread> pt_;
 };
 
 // Frees a node no other thread can reach: one created but never published
@@ -648,6 +638,8 @@ class DomainBase {
 
   StatsSnapshot stats() const { return core_.stats_snapshot(); }
   const SmrConfig& config() const { return core_.config(); }
+  // Threads this domain has allocated per-thread state for.
+  int thread_rows() const { return core_.thread_rows(); }
 
  protected:
   void on_attach(int /*tid*/) {}

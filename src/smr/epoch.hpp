@@ -8,8 +8,7 @@
 #include <atomic>
 #include <cstdint>
 
-#include "runtime/padded.hpp"
-#include "runtime/thread_registry.hpp"
+#include "runtime/tid_rows.hpp"
 
 namespace pop::smr {
 
@@ -35,7 +34,7 @@ class EpochAnnouncements : public EpochClock {
   // sweep then, so each thread sweeps once per `freq` of its own
   // operations, however many threads share the clock.
   bool tick(int tid, uint64_t freq) {
-    if (++slots_[tid]->ticks % freq != 0) return false;
+    if (++slots_.get(tid).ticks % freq != 0) return false;
     advance();
     return true;
   }
@@ -44,34 +43,36 @@ class EpochAnnouncements : public EpochClock {
   // ping spares its quiescent readers.
   void announce(int tid, uint64_t epoch) {
     // seq_cst: the announcement is globally visible before the op's reads.
-    slots_[tid]->announced.store(epoch, std::memory_order_seq_cst);
+    slots_.get(tid).announced.store(epoch, std::memory_order_seq_cst);
   }
   void quiesce(int tid) {
-    slots_[tid]->announced.store(kQuiescent, std::memory_order_release);
+    slots_.get(tid).announced.store(kQuiescent, std::memory_order_release);
   }
+  // A tid with no slot here never announced: quiescent.
   uint64_t announced(int tid) const {
-    return slots_[tid]->announced.load(std::memory_order_acquire);
+    const Slot* slot = slots_.find(tid);
+    return slot == nullptr
+               ? kQuiescent
+               : slot->announced.load(std::memory_order_acquire);
   }
 
   uint64_t min_announced() const {
     uint64_t m = kQuiescent;
-    const int hi = runtime::ThreadRegistry::instance().max_tid();
-    for (int t = 0; t <= hi; ++t) {
-      const uint64_t e = announced(t);
+    slots_.for_each([&m](int, const Slot& slot) {
+      const uint64_t e = slot.announced.load(std::memory_order_acquire);
       if (e < m) m = e;
-    }
+    });
     return m;
   }
 
  private:
   // Starts quiescent: a zero-initialized slot would read as "announced at
-  // epoch 0" for registry tids that never attached to this domain and pin
-  // every retired node forever.
+  // epoch 0" and pin every retired node forever.
   struct Slot {
     std::atomic<uint64_t> announced{kQuiescent};
     uint64_t ticks = 0;  // owner-thread only
   };
-  runtime::Padded<Slot> slots_[runtime::kMaxThreads];
+  runtime::TidRows<Slot> slots_;
 };
 
 }  // namespace pop::smr

@@ -28,13 +28,13 @@ class HeDomain : public DomainBase<HeDomain> {
 
   template <class T>
   T* protect(int slot, const std::atomic<T*>& src) {
-    const int tid = runtime::my_tid();
-    uintptr_t prev = slots_.at(tid, slot).load(std::memory_order_relaxed);
+    std::atomic<uintptr_t>& r = slots_.at(runtime::my_tid(), slot);
+    uintptr_t prev = r.load(std::memory_order_relaxed);
     for (;;) {
       T* p = src.load(std::memory_order_acquire);
       const uint64_t e = era_.now();
       if (e == prev) return p;  // era unchanged: reservation already covers p
-      slots_.at(tid, slot).store(e, std::memory_order_seq_cst);  // seq_cst fence
+      r.store(e, std::memory_order_seq_cst);  // seq_cst fence
       prev = e;
     }
   }

@@ -26,13 +26,12 @@ class HpDomain : public DomainBase<HpDomain> {
 
   template <class T>
   T* protect(int slot, const std::atomic<T*>& src) {
-    const int tid = runtime::my_tid();
+    std::atomic<uintptr_t>& r = slots_.at(runtime::my_tid(), slot);
     T* p = src.load(std::memory_order_acquire);
     for (;;) {
       // seq_cst store: publish + StoreLoad fence in one instruction.
-      slots_.at(tid, slot).store(
-          reinterpret_cast<uintptr_t>(strip_mark(p)),
-          std::memory_order_seq_cst);
+      r.store(reinterpret_cast<uintptr_t>(strip_mark(p)),
+              std::memory_order_seq_cst);
       T* q = src.load(std::memory_order_acquire);
       if (q == p) return p;
       p = q;

@@ -29,12 +29,11 @@ class HpAsymDomain : public DomainBase<HpAsymDomain> {
 
   template <class T>
   T* protect(int slot, const std::atomic<T*>& src) {
-    const int tid = runtime::my_tid();
+    std::atomic<uintptr_t>& r = slots_.at(runtime::my_tid(), slot);
     T* p = src.load(std::memory_order_acquire);
     for (;;) {
-      slots_.at(tid, slot).store(
-          reinterpret_cast<uintptr_t>(strip_mark(p)),
-          std::memory_order_release);
+      r.store(reinterpret_cast<uintptr_t>(strip_mark(p)),
+              std::memory_order_release);
       runtime::AsymFence::light_fence();  // compiler barrier only
       T* q = src.load(std::memory_order_acquire);
       if (q == p) return p;

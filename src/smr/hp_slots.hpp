@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 
-#include "runtime/padded.hpp"
 #include "runtime/thread_registry.hpp"
+#include "runtime/tid_rows.hpp"
 #include "smr/reclaimable.hpp"
 
 namespace pop::smr {
@@ -33,13 +35,39 @@ struct Reservations {
   }
 };
 
+// A reservation scan's buffer, owned by one thread: grown before a
+// collect to the (max_tid() + 1) * nslots words that collect may fill,
+// so its size follows the tids the registry has handed out, not
+// kMaxThreads.
+class ScanBuffer {
+ public:
+  uintptr_t* reserve(std::size_t words) {
+    if (words > cap_) {
+      buf_ = std::make_unique_for_overwrite<uintptr_t[]>(words);
+      cap_ = words;
+    }
+    return buf_.get();
+  }
+  std::size_t capacity() const { return cap_; }
+
+ private:
+  std::unique_ptr<uintptr_t[]> buf_;
+  std::size_t cap_ = 0;
+};
+
+// One row of kMaxSlots slots per tid, allocated on the tid's first write
+// (runtime::TidRows). A scan reads a tid with no row as all-zero slots.
 class SlotTable {
  public:
   std::atomic<uintptr_t>& at(int tid, int slot) {
-    return rows_[tid]->s[slot];
+    return rows_.get(tid).s[slot];
   }
-  const std::atomic<uintptr_t>& at(int tid, int slot) const {
-    return rows_[tid]->s[slot];
+
+  // tid's slots, or nullptr if it has none yet; never allocates (the POP
+  // ping handler publishes through it).
+  std::atomic<uintptr_t>* find(int tid) {
+    Row* row = rows_.find(tid);
+    return row == nullptr ? nullptr : row->s;
   }
 
   void copy(int tid, int dst, int src) {
@@ -48,19 +76,24 @@ class SlotTable {
   }
 
   void clear_row(int tid, int nslots) {
+    Row& row = rows_.get(tid);
     for (int s = 0; s < nslots; ++s) {
-      rows_[tid]->s[s].store(0, std::memory_order_release);
+      row.s[s].store(0, std::memory_order_release);
     }
   }
 
-  // Gathers every non-zero value into `out` (caller-provided buffer of at
-  // least kMaxThreads*nslots entries), sorted.
-  Reservations collect(int nslots, uintptr_t* out) const {
-    int n = 0;
+  // Gathers every non-zero value, sorted, into `buf`, grown first to fit
+  // every tid up to the registry's high-water mark.
+  Reservations collect(int nslots, ScanBuffer& buf) const {
     const int hi = runtime::ThreadRegistry::instance().max_tid();
+    uintptr_t* out = buf.reserve(static_cast<std::size_t>(hi + 1) *
+                                 static_cast<std::size_t>(nslots));
+    int n = 0;
     for (int t = 0; t <= hi; ++t) {
+      const Row* row = rows_.find(t);
+      if (row == nullptr) continue;
       for (int s = 0; s < nslots; ++s) {
-        const uintptr_t v = rows_[t]->s[s].load(std::memory_order_acquire);
+        const uintptr_t v = row->s[s].load(std::memory_order_acquire);
         if (v != 0) out[n++] = v;
       }
     }
@@ -72,7 +105,8 @@ class SlotTable {
   struct Row {
     std::atomic<uintptr_t> s[kMaxSlots] = {};
   };
-  runtime::Padded<Row> rows_[runtime::kMaxThreads];
+
+  runtime::TidRows<Row> rows_;
 };
 
 }  // namespace pop::smr

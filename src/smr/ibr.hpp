@@ -29,7 +29,7 @@ class IbrDomain : public DomainBase<IbrDomain> {
     attach();
     const int tid = runtime::my_tid();
     const uint64_t e = epochs_.now();
-    hi_[tid]->store(e, std::memory_order_relaxed);
+    hi_.get(tid).store(e, std::memory_order_relaxed);
     epochs_.announce(tid, e);
   }
 
@@ -37,12 +37,12 @@ class IbrDomain : public DomainBase<IbrDomain> {
 
   template <class T>
   T* protect(int /*slot*/, const std::atomic<T*>& src) {
-    const int tid = runtime::my_tid();
+    std::atomic<uint64_t>& hi = hi_.get(runtime::my_tid());
     for (;;) {
       T* p = src.load(std::memory_order_acquire);
       const uint64_t e = epochs_.now();
-      if (hi_[tid]->load(std::memory_order_relaxed) == e) return p;
-      hi_[tid]->store(e, std::memory_order_seq_cst);  // seq_cst refresh fence
+      if (hi.load(std::memory_order_relaxed) == e) return p;
+      hi.store(e, std::memory_order_seq_cst);  // seq_cst refresh fence
     }
   }
   void copy_slot(int /*dst*/, int /*src*/) {}
@@ -63,10 +63,12 @@ class IbrDomain : public DomainBase<IbrDomain> {
   // Empties the interval; the reaper uses it on a corpse that died
   // mid-operation and would otherwise hold its interval open forever.
   void neutralize(int tid) {
-    hi_[tid]->store(0, std::memory_order_relaxed);
+    hi_.get(tid).store(0, std::memory_order_relaxed);
     epochs_.quiesce(tid);
   }
 
+  // Ticks on allocation, which may come outside any operation (a table's
+  // constructor creating its sentinels): tick() allocates the row.
   uint64_t birth_era() {
     epochs_.tick(runtime::my_tid(), config().epoch_freq);
     return epochs_.now();
@@ -78,13 +80,13 @@ class IbrDomain : public DomainBase<IbrDomain> {
       uint64_t lo, hi;
     };
     Range rs[runtime::kMaxThreads];
-    const int hi_tid = runtime::ThreadRegistry::instance().max_tid();
     int n = 0;
-    for (int t = 0; t <= hi_tid; ++t) {
+    // A tid with no hi row holds the empty interval (h = 0 < lo).
+    hi_.for_each([&](int t, const std::atomic<uint64_t>& hi) {
       const uint64_t lo = epochs_.announced(t);
-      const uint64_t h = hi_[t]->load(std::memory_order_acquire);
+      const uint64_t h = hi.load(std::memory_order_acquire);
       if (lo <= h) rs[n++] = {lo, h};
-    }
+    });
     core_.sweep_retired(tid, [&](Reclaimable* r) {
       const auto* node = static_cast<const EraReclaimable*>(r);
       for (int i = 0; i < n; ++i) {
@@ -97,7 +99,7 @@ class IbrDomain : public DomainBase<IbrDomain> {
   }
 
   EpochAnnouncements epochs_;
-  runtime::Padded<std::atomic<uint64_t>> hi_[runtime::kMaxThreads];
+  runtime::TidRows<std::atomic<uint64_t>> hi_;
 };
 
 }  // namespace pop::smr

@@ -44,7 +44,7 @@ class NbrDomain final : public DomainBase<NbrDomain>,
 
   void end_op() {
     const int tid = runtime::my_tid();
-    auto& pt = *pt_[tid];
+    auto& pt = pt_.get(tid);
     pt.read_phase.store(false, std::memory_order_relaxed);
     if (pt.write_phase.load(std::memory_order_relaxed)) {
       pt.write_phase.store(false, std::memory_order_relaxed);
@@ -57,19 +57,20 @@ class NbrDomain final : public DomainBase<NbrDomain>,
 
   // ---- checkpoint protocol (used via POPSMR_CHECKPOINT) -------------------
 
-  sigjmp_buf& jmp_env() { return pt_[runtime::my_tid()]->env; }
+  sigjmp_buf& jmp_env() { return pt_.get(runtime::my_tid()).env; }
 
   // Runs after a neutralization longjmp, before the traversal restarts.
   void on_restart() {
     const int tid = runtime::my_tid();
-    auto& pt = *pt_[tid];
+    auto& pt = pt_.get(tid);
     pt.write_phase.store(false, std::memory_order_relaxed);
     slots_.clear_row(tid, config().num_slots);
     core_.stats(tid).neutralized += 1;
   }
 
   void arm_read_phase() {
-    pt_[runtime::my_tid()]->read_phase.store(true, std::memory_order_relaxed);
+    pt_.get(runtime::my_tid()).read_phase.store(true,
+                                                std::memory_order_relaxed);
   }
 
   // ---- reads ----------------------------------------------------------------
@@ -102,7 +103,7 @@ class NbrDomain final : public DomainBase<NbrDomain>,
     // this same thread, so the slot stores above just must not sink past
     // the phase change the handler inspects.
     std::atomic_signal_fence(std::memory_order_seq_cst);
-    auto& pt = *pt_[tid];
+    auto& pt = pt_.get(tid);
     pt.write_phase.store(true, std::memory_order_relaxed);
     pt.read_phase.store(false, std::memory_order_relaxed);
   }
@@ -114,7 +115,7 @@ class NbrDomain final : public DomainBase<NbrDomain>,
   // neutralization.
   void exit_write_phase() {
     const int tid = runtime::my_tid();
-    auto& pt = *pt_[tid];
+    auto& pt = pt_.get(tid);
     pt.write_phase.store(false, std::memory_order_relaxed);
     slots_.clear_row(tid, config().num_slots);
     pt.read_phase.store(true, std::memory_order_relaxed);
@@ -127,7 +128,9 @@ class NbrDomain final : public DomainBase<NbrDomain>,
   void retire(Reclaimable* n) {
     const int tid = runtime::my_tid();
     core_.retire(tid, n, 0, [&](bool) {
-      if (pt_[tid]->read_phase.load(std::memory_order_relaxed)) return false;
+      if (pt_.get(tid).read_phase.load(std::memory_order_relaxed)) {
+        return false;
+      }
       reclaim(tid);
       return true;
     });
@@ -135,9 +138,12 @@ class NbrDomain final : public DomainBase<NbrDomain>,
 
   // ---- signal handler ------------------------------------------------------------
 
+  // No row: the ping came for another domain, or this thread is still
+  // attaching (its read phase is not armed). Never allocates.
   void on_ping(int tid) noexcept override {
-    auto& pt = *pt_[tid];
-    if (!core_.attached(tid)) return;
+    PerThread* row = pt_.find(tid);
+    if (row == nullptr || !core_.attached(tid)) return;
+    auto& pt = *row;
     // seq_cst fence: everything this thread did before taking the signal
     // must be visible before the ack the reclaimer is waiting on.
     std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -163,7 +169,7 @@ class NbrDomain final : public DomainBase<NbrDomain>,
   // nothing, a corpse can never acknowledge, and a thread taking over a
   // recycled tid must not inherit a read phase its handler would act on.
   void neutralize(int tid) {
-    auto& pt = *pt_[tid];
+    auto& pt = pt_.get(tid);
     pt.read_phase.store(false, std::memory_order_relaxed);
     pt.write_phase.store(false, std::memory_order_relaxed);
     slots_.clear_row(tid, config().num_slots);
@@ -177,20 +183,22 @@ class NbrDomain final : public DomainBase<NbrDomain>,
     reap(tid);
     // Snapshot acks, ping everyone, wait for all to acknowledge (either by
     // restarting out of a read phase or by fencing through the handler).
+    // A tid with no row here holds no pointer yet: it attaches before
+    // its first read phase, and its row exists before that (tid_rows.hpp).
     struct Waited {
       int tid;
+      const PerThread* row;
       uint64_t ack_before;
       uint64_t registry_epoch;
     };
     Waited waited[runtime::kMaxThreads];
     int nwait = 0;
     auto& reg = runtime::ThreadRegistry::instance();
-    const int hi = reg.max_tid();
-    for (int t = 0; t <= hi; ++t) {
-      if (t == tid || !core_.attached(t)) continue;
-      waited[nwait++] = {t, pt_[t]->ack.load(std::memory_order_acquire),
+    pt_.for_each([&](int t, const PerThread& pt) {
+      if (t == tid || !core_.attached(t)) return;
+      waited[nwait++] = {t, &pt, pt.ack.load(std::memory_order_acquire),
                          core_.owner_epoch(t)};
-    }
+    });
     st.signals_sent += static_cast<uint64_t>(reg.ping_others(
         runtime::kPingSignal, [this](int t) { return core_.attached(t); },
         [](int, uint64_t) {}));
@@ -198,8 +206,7 @@ class NbrDomain final : public DomainBase<NbrDomain>,
       const auto& w = waited[i];
       runtime::SpinThenYield waiter;
       uint32_t spins = 0;
-      while (pt_[w.tid]->ack.load(std::memory_order_acquire) ==
-                 w.ack_before &&
+      while (w.row->ack.load(std::memory_order_acquire) == w.ack_before &&
              core_.attached(w.tid) &&
              reg.slot_epoch(w.tid) == w.registry_epoch) {
         // Periodic kernel-liveness probe: a thread that died mid-phase
@@ -216,7 +223,7 @@ class NbrDomain final : public DomainBase<NbrDomain>,
         slots_.collect(config().num_slots, core_.scan_scratch(tid));
     core_.sweep_retired(
         tid, [&](Reclaimable* node) { return !reserved.names(node); });
-    st.pings_received = pt_[tid]->pings;
+    st.pings_received = pt_.get(tid).pings;
   }
 
   struct PerThread {
@@ -228,7 +235,7 @@ class NbrDomain final : public DomainBase<NbrDomain>,
   };
 
   SlotTable slots_;
-  runtime::Padded<PerThread> pt_[runtime::kMaxThreads];
+  runtime::TidRows<PerThread> pt_;
 };
 
 }  // namespace pop::smr

@@ -33,6 +33,8 @@ struct SmrConfig {
   // reservation can legitimately hold nodes). 0 = use the
   // POPSMR_PRESSURE_BOUND environment override, or no bound if unset.
   uint64_t pressure_bound = 0;
+
+  bool operator==(const SmrConfig&) const = default;
 };
 
 // Per-thread counters, and (summed with absorb) the domain-wide snapshot

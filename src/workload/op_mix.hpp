@@ -14,6 +14,8 @@ struct OpMix {
   uint32_t pct_insert = 25;
   uint32_t pct_erase = 25;
   uint32_t pct_put = 0;
+
+  bool operator==(const OpMix&) const = default;
 };
 
 // Per-op counters accumulated by a run (a phase, or a whole scenario).

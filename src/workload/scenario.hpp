@@ -41,6 +41,8 @@ struct KeyDistSpec {
   double hot_fraction = 0.10;
   uint32_t hot_op_pct = 90;
   uint64_t hot_move_every_ms = 0;
+
+  bool operator==(const KeyDistSpec&) const = default;
 };
 
 // The op mix (pct_insert / pct_erase / pct_put, remainder get) is the
@@ -67,6 +69,8 @@ struct PhaseSpec : OpMix {
   // roles fix both the mix and the distribution; normalize() warns).
   bool split_readers_writers = false;
   uint64_t writer_key_range = 64;
+
+  bool operator==(const PhaseSpec&) const = default;
 };
 
 struct ChurnSpec {
@@ -75,6 +79,8 @@ struct ChurnSpec {
   // thread is spawned into its slot, re-registering — the recycled-tid
   // path reclaimers' ping waves must survive.
   uint64_t interval_ms = 25;
+
+  bool operator==(const ChurnSpec&) const = default;
 };
 
 struct StallSpec {
@@ -82,6 +88,8 @@ struct StallSpec {
   int victim = 0;              // worker slot to park
   uint64_t park_after_ms = 0;  // measured from the start of phase 0
   uint64_t park_for_ms = 50;
+
+  bool operator==(const StallSpec&) const = default;
 };
 
 // Crash-fault injectors (the failure modes the zombie reaper, handshake
@@ -108,6 +116,8 @@ struct FaultSpec {
   // reclaim the tid — the hard zombie, vs. the default departed-worker.
   bool kill_zombie = false;
   bool respawn = true;  // spawn a fresh worker into the killed slot
+
+  bool operator==(const FaultSpec&) const = default;
 };
 
 // Observability toggles, OR-ed with the process-wide env/CLI channels
@@ -119,6 +129,8 @@ struct FaultSpec {
 struct ObsSpec {
   bool latency = false;
   bool hw = false;
+
+  bool operator==(const ObsSpec&) const = default;
 };
 
 struct ScenarioSpec {
@@ -152,6 +164,8 @@ struct ScenarioSpec {
   // Background sampler cadence; 0 disables the timeline.
   uint64_t mem_sample_every_ms = 0;
   ObsSpec obs;
+
+  bool operator==(const ScenarioSpec&) const = default;
 };
 
 // Validates and clamps `spec` in place: fills defaulted fields (empty

@@ -7,6 +7,10 @@
 #   MODE=bad-name   an unknown scheme or structure name, from the flag or
 #                   the env knob, exits 2 before any cell runs and leaves
 #                   no artifact behind.
+#   MODE=reuse      --scenario 'grow-storm-*' --short runs the fixed-HMHT
+#                   reference cell, the same spec in every grow-storm-D,
+#                   once: the later entries print "not rerun" and write
+#                   its rows again under their own names.
 #
 # cmake -DMODE=... -DBIN_DIR=<binaries> -DSRC_DIR=<repo> -DOUT_DIR=<scratch>
 #       -DPYTHON=<python3> -P tests/bench_cli.cmake
@@ -52,6 +56,39 @@ elseif(MODE STREQUAL "bad-name")
         --json ${rows})
   if(EXISTS ${rows})
     message(FATAL_ERROR "a rejected run left ${rows} behind")
+  endif()
+elseif(MODE STREQUAL "reuse")
+  execute_process(COMMAND ${BIN_DIR}/bench_scenarios --scenario grow-storm-*
+                          --short --threads 2 --smr EpochPOP --json ${rows}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "grow-storm-* exited ${rc}\n${out}\n${err}")
+  endif()
+  string(REGEX MATCHALL "\\(same cell as grow-storm-1: not rerun\\)"
+         reused "${out}")
+  list(LENGTH reused n)
+  if(NOT n EQUAL 2)
+    message(FATAL_ERROR "expected 2 reused HMHT cells, saw ${n}:\n${out}")
+  endif()
+  # One HMHT scenario row per entry, each the first run's numbers: equal
+  # once the entry name and the write-time fields are dropped.
+  file(STRINGS ${rows} lines REGEX "\"kind\":\"scenario\".*\"ds\":\"HMHT\"")
+  set(names)
+  set(first)
+  foreach(line IN LISTS lines)
+    string(JSON name GET "${line}" scenario)
+    list(APPEND names ${name})
+    string(JSON body REMOVE "${line}" scenario)
+    string(JSON body REMOVE "${body}" ts)
+    if(NOT first)
+      set(first "${body}")
+    elseif(NOT body STREQUAL first)
+      message(FATAL_ERROR "${name}'s HMHT row differs from grow-storm-1's:\n"
+                          "${body}\n${first}")
+    endif()
+  endforeach()
+  if(NOT names STREQUAL "grow-storm-1;grow-storm-16;grow-storm-64")
+    message(FATAL_ERROR "HMHT scenario rows for '${names}'")
   endif()
 else()
   message(FATAL_ERROR "unknown MODE '${MODE}'")

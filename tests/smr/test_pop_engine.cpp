@@ -24,26 +24,26 @@ TEST(PopEngine, LocalReservationIsPrivateUntilPing) {
   std::thread reader([&] {
     const int tid = runtime::my_tid();
     e.attach(tid);
-    e.reserve_local(tid, 0, 0xABCD0);
+    e.local_slot(tid, 0).store(0xABCD0, std::memory_order_relaxed);
     reserved.store(true);
     while (!release.load()) std::this_thread::yield();
     e.detach(tid);
   });
   while (!reserved.load()) std::this_thread::yield();
 
-  uintptr_t shared[runtime::kMaxThreads * smr::kMaxSlots];
-  int n = e.collect_shared(shared);
+  smr::ScanBuffer buf;
+  smr::Reservations shared = e.collect_shared(buf);
   bool found = false;
-  for (int i = 0; i < n; ++i) found = found || shared[i] == 0xABCD0;
+  for (int i = 0; i < shared.n; ++i) found = found || shared.v[i] == 0xABCD0;
   EXPECT_FALSE(found) << "reservation leaked to shared slots without a ping";
 
   const int self = runtime::my_tid();
   e.attach(self);
   e.ping_all_and_wait(self);
 
-  n = e.collect_shared(shared);
+  shared = e.collect_shared(buf);
   found = false;
-  for (int i = 0; i < n; ++i) found = found || shared[i] == 0xABCD0;
+  for (int i = 0; i < shared.n; ++i) found = found || shared.v[i] == 0xABCD0;
   EXPECT_TRUE(found) << "reservation not published after the handshake";
 
   release.store(true);
@@ -78,12 +78,12 @@ TEST(PopEngine, HandshakeCompletesWithNoOtherThreads) {
   PopEngine e(4);
   const int self = runtime::my_tid();
   e.attach(self);
-  e.reserve_local(self, 0, 0x1234560);
+  e.local_slot(self, 0).store(0x1234560, std::memory_order_relaxed);
   e.ping_all_and_wait(self);  // must self-publish and return promptly
-  uintptr_t shared[runtime::kMaxThreads * smr::kMaxSlots];
-  const int n = e.collect_shared(shared);
+  smr::ScanBuffer buf;
+  const smr::Reservations shared = e.collect_shared(buf);
   bool found = false;
-  for (int i = 0; i < n; ++i) found = found || shared[i] == 0x1234560;
+  for (int i = 0; i < shared.n; ++i) found = found || shared.v[i] == 0x1234560;
   EXPECT_TRUE(found);
   e.detach(self);
 }
@@ -94,15 +94,15 @@ TEST(PopEngine, DetachedThreadDoesNotBlockHandshake) {
   test::run_threads(1, [&](int) {
     const int tid = runtime::my_tid();
     e.attach(tid);
-    e.reserve_local(tid, 0, 0xF00D0);
+    e.local_slot(tid, 0).store(0xF00D0, std::memory_order_relaxed);
     e.detach(tid);
   });
   const int self = runtime::my_tid();
   e.attach(self);
   e.ping_all_and_wait(self);  // must not spin on the departed thread
-  uintptr_t shared[runtime::kMaxThreads * smr::kMaxSlots];
-  const int n = e.collect_shared(shared);
-  for (int i = 0; i < n; ++i) EXPECT_NE(shared[i], 0xF00D0u);
+  smr::ScanBuffer buf;
+  const smr::Reservations shared = e.collect_shared(buf);
+  for (int i = 0; i < shared.n; ++i) EXPECT_NE(shared.v[i], 0xF00D0u);
   e.detach(self);
 }
 
@@ -110,12 +110,12 @@ TEST(PopEngine, ClearLocalDropsReservations) {
   PopEngine e(4);
   const int self = runtime::my_tid();
   e.attach(self);
-  e.reserve_local(self, 0, 0xBEEF0);
+  e.local_slot(self, 0).store(0xBEEF0, std::memory_order_relaxed);
   e.clear_local(self);
   e.ping_all_and_wait(self);
-  uintptr_t shared[runtime::kMaxThreads * smr::kMaxSlots];
-  const int n = e.collect_shared(shared);
-  for (int i = 0; i < n; ++i) EXPECT_NE(shared[i], 0xBEEF0u);
+  smr::ScanBuffer buf;
+  const smr::Reservations shared = e.collect_shared(buf);
+  for (int i = 0; i < shared.n; ++i) EXPECT_NE(shared.v[i], 0xBEEF0u);
   e.detach(self);
 }
 
@@ -128,7 +128,8 @@ TEST(PopEngine, ConcurrentReclaimersCoalesce) {
     readers.emplace_back([&] {
       const int tid = runtime::my_tid();
       e.attach(tid);
-      e.reserve_local(tid, 0, 0x5150 + 16 * static_cast<uintptr_t>(tid));
+      e.local_slot(tid, 0).store(0x5150 + 16 * static_cast<uintptr_t>(tid),
+                                 std::memory_order_relaxed);
       up.fetch_add(1);
       while (!release.load()) std::this_thread::yield();
       e.detach(tid);
@@ -316,8 +317,8 @@ TEST(PopEngine, CrossEngineWavesCoalesce) {
       eb.attach(tid);
       const auto va = 0xA0000 + 16 * static_cast<uintptr_t>(tid);
       const auto vb = 0xB0000 + 16 * static_cast<uintptr_t>(tid);
-      ea.reserve_local(tid, 0, va);
-      eb.reserve_local(tid, 0, vb);
+      ea.local_slot(tid, 0).store(va, std::memory_order_relaxed);
+      eb.local_slot(tid, 0).store(vb, std::memory_order_relaxed);
       expect_a[i].store(va);
       expect_b[i].store(vb);
       up.fetch_add(1);
@@ -357,22 +358,26 @@ TEST(PopEngine, CrossEngineWavesCoalesce) {
 
   // Every handshake completed (we got here), and the reservations of
   // both domains are visible after the storm.
-  uintptr_t shared[runtime::kMaxThreads * smr::kMaxSlots];
+  smr::ScanBuffer buf;
   const int self = runtime::my_tid();
   ea.attach(self);
   eb.attach(self);
   ea.ping_all_and_wait(self);
-  int n = ea.collect_shared(shared);
+  smr::Reservations shared = ea.collect_shared(buf);
   for (int i = 0; i < kReaders; ++i) {
     bool found = false;
-    for (int j = 0; j < n; ++j) found = found || shared[j] == expect_a[i].load();
+    for (int j = 0; j < shared.n; ++j) {
+      found = found || shared.v[j] == expect_a[i].load();
+    }
     EXPECT_TRUE(found) << "engine A reservation of reader " << i << " missing";
   }
   eb.ping_all_and_wait(self);
-  n = eb.collect_shared(shared);
+  shared = eb.collect_shared(buf);
   for (int i = 0; i < kReaders; ++i) {
     bool found = false;
-    for (int j = 0; j < n; ++j) found = found || shared[j] == expect_b[i].load();
+    for (int j = 0; j < shared.n; ++j) {
+      found = found || shared.v[j] == expect_b[i].load();
+    }
     EXPECT_TRUE(found) << "engine B reservation of reader " << i << " missing";
   }
   ea.detach(self);

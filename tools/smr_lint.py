@@ -38,6 +38,14 @@ Rules (each individually suppressible — see SUPPRESSION below):
       a symbol present under src/ (dead suppressions silently mask future
       races), and must sit under a `# ---` documentation block explaining
       why it is benign.
+  R6  no kMaxThreads-sized data member (src/smr/, src/core/, src/ds/,
+      src/service/): an array indexed by tid outside a function body
+      makes every instance pay for every tid the registry could hand out.
+      Per-thread state goes in runtime::TidRows, whose rows are allocated
+      by the threads that touch the object. Stack locals in function
+      bodies (a handshake's `waited[]`) are exempt, and so are the
+      process singletons under src/runtime/ and src/obs/, which R6 does
+      not scan.
 
 SUPPRESSION: append `// smr-lint: allow(R1)` (or `allow(R1,R3)`) to the
 offending line, or place it on a comment line immediately above. In
@@ -69,6 +77,8 @@ RULES = {
     "R4": "direct delete in src/smr/ or src/core/ outside retire_list.hpp",
     "R5": "tsan.supp suppression that is stale (symbol gone from src/) or "
           "undocumented (no preceding '# ---' block)",
+    "R6": "kMaxThreads-sized data member in src/smr/, src/core/, src/ds/ "
+          "or src/service/ (per-thread state goes in runtime::TidRows)",
 }
 
 CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "return",
@@ -279,6 +289,13 @@ def function_bodies(code):
     introduced by a control keyword. Nested blocks stay inside the
     enclosing body; bodies are yielded outermost-only.
     """
+    for start, end in function_body_spans(code):
+        yield line_of(code, start), code[start:end]
+
+
+def function_body_spans(code):
+    """The (start, end) character span of each body function_bodies
+    yields, from its '{' to just past its '}'."""
     depth = 0
     fn_start = None   # char pos of the function's '{'
     fn_depth = 0
@@ -293,7 +310,7 @@ def function_bodies(code):
         elif c == "}":
             depth -= 1
             if fn_start is not None and depth == fn_depth:
-                yield line_of(code, fn_start), code[fn_start:i + 1]
+                yield fn_start, i + 1
                 fn_start = None
         i += 1
 
@@ -380,6 +397,26 @@ def rule_r4(path, code, comments, allowed, findings):
                 path, idx + 1, "R4",
                 "direct `delete` in scheme code — a Reclaimable dies as a "
                 "pool block, swept into a FreeBatch or destroy_unpublished"))
+
+
+# ---- R6 --------------------------------------------------------------------
+
+R6_SIZED = re.compile(r"\[[^\[\];]*\bkMaxThreads\b[^\[\];]*\]"
+                      r"|\barray\s*<[^;>]*\bkMaxThreads\b")
+
+
+def rule_r6(path, code, comments, allowed, findings):
+    bodies = list(function_body_spans(code))
+    for m in R6_SIZED.finditer(code):
+        if any(start < m.start() < end for start, end in bodies):
+            continue  # a stack local
+        idx = line_of(code, m.start())
+        if is_allowed(allowed, idx, "R6"):
+            continue
+        findings.append(Finding(
+            path, idx + 1, "R6",
+            "kMaxThreads-sized data member — every instance pays for "
+            "every tid; keep per-thread state in runtime::TidRows"))
 
 
 # ---- R5 --------------------------------------------------------------------
@@ -473,6 +510,7 @@ def scan_tree(root, rules):
         in_ds = rel.startswith(os.path.join("src", "ds") + os.sep)
         in_smr = rel.startswith(os.path.join("src", "smr") + os.sep)
         in_core = rel.startswith(os.path.join("src", "core") + os.sep)
+        in_service = rel.startswith(os.path.join("src", "service") + os.sep)
         if "R1" in rules and in_ds:
             rule_r1(rel, code, comments, allowed, findings)
         if "R2" in rules and (in_ds or in_smr or in_core):
@@ -482,6 +520,8 @@ def scan_tree(root, rules):
         if "R4" in rules and (in_smr or in_core) and \
                 os.path.basename(path) != "retire_list.hpp":
             rule_r4(rel, code, comments, allowed, findings)
+        if "R6" in rules and (in_ds or in_smr or in_core or in_service):
+            rule_r6(rel, code, comments, allowed, findings)
     if "R5" in rules:
         supp = os.path.join(root, "tsan.supp")
         if os.path.exists(supp):
@@ -508,6 +548,8 @@ def run_rules_on(text, rules, path="fixture.hpp"):
         rule_r3(path, code, comments, allowed, findings)
     if "R4" in rules:
         rule_r4(path, code, comments, allowed, findings)
+    if "R6" in rules:
+        rule_r6(path, code, comments, allowed, findings)
     return findings
 
 
@@ -569,6 +611,22 @@ void sweep(Reclaimable* n) {
 }
 """
 
+FIXTURE_R6 = """\
+struct Domain {
+  Row rows_[runtime::kMaxThreads];          // line 2: R6 per-tid member
+  uint64_t hb_[kMaxThreads] = {};           // line 3: R6
+  std::array<Slot, runtime::kMaxThreads> s_;  // line 4: R6
+  runtime::TidRows<Row> pt_;
+  void scan() {
+    Waited waited[runtime::kMaxThreads];    // stack local: exempt
+    bool done[kMaxThreads] = {};
+  }
+  Row spare_[kMaxThreads];  // smr-lint: allow(R6) fixture exemption
+};
+Map::Map(int n)
+    : ops_(new std::atomic<uint64_t>[kMaxThreads * n]()) {}  // line 13: R6
+"""
+
 FIXTURE_SUPP = """\
 # header prose, not a doc block
 race:pop::smr::LiveSymbol::method
@@ -603,6 +661,10 @@ def self_test():
            run_rules_on(FIXTURE_R4, {"R4"}, path="src/smr/fixture.hpp"),
            [("R4", 2)])
 
+    expect("R6 seeded violations",
+           run_rules_on(FIXTURE_R6, {"R6"}, path="src/smr/fixture.hpp"),
+           [("R6", 2), ("R6", 3), ("R6", 4), ("R6", 13)])
+
     r5 = []
     rule_r5("tsan.supp", FIXTURE_SUPP,
             lambda sym: sym == "LiveSymbol" or sym == "method", r5)
@@ -613,13 +675,13 @@ def self_test():
     immune = '// new delete malloc free begin_op(\n'\
              'const char* s = "delete new malloc(x)";\n'
     expect("comment/string immunity",
-           run_rules_on(immune, {"R1", "R2", "R3", "R4"}), [])
+           run_rules_on(immune, {"R1", "R2", "R3", "R4", "R6"}), [])
 
     if failures:
         for f in failures:
             print(f"smr_lint: self-test FAIL: {f}", file=sys.stderr)
         return 1
-    print("smr_lint: self-test OK — 6 fixtures, all seeded findings "
+    print("smr_lint: self-test OK — 7 fixtures, all seeded findings "
           "caught, exemptions honored")
     return 0
 
