@@ -16,11 +16,9 @@
 // snapshot, all reservations that existed before the ping are visible,
 // and the reclaimer may free any retired node not found in the shared
 // slots (pointer mode) or whose lifespan intersects no published era (era
-// mode). Concurrent reclaimers coalesce twice over: a single publish
-// satisfies every waiter whose snapshot predates it, and a global round
-// counter lets a reclaimer that observes an in-flight ping wave piggyback
-// on that wave's publish storm instead of re-signaling every thread (see
-// ping_all_and_wait).
+// mode). The snapshot, ping and wait are runtime::ping_and_wait
+// (handshake.hpp), shared with NBR and the AsymFence fallback; it also
+// coalesces concurrent reclaimers into one ping wave.
 //
 // Certification. The ping reaches every thread, so a completed handshake
 // publishes everyone's reservations, not only the reclaimer's — it can
@@ -63,13 +61,10 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
 
 #include "obs/obs.hpp"
-#include "runtime/backoff.hpp"
-#include "runtime/env.hpp"
+#include "runtime/handshake.hpp"
 #include "runtime/padded.hpp"
 #include "runtime/signal_bus.hpp"
 #include "runtime/thread_registry.hpp"
@@ -78,17 +73,6 @@
 #include "smr/hp_slots.hpp"
 
 namespace pop::core {
-
-// Outcome of one ping_all_and_wait handshake. `timed_out` means at least
-// one *live* laggard never published before the watchdog deadline — the
-// caller must NOT sweep against the shared table (the laggard's private
-// reservations are invisible); defer and retry on a later pass. Dead
-// laggards are certified and skipped without compromising the wave.
-struct HandshakeResult {
-  int sent = 0;            // signals this caller issued
-  bool timed_out = false;  // a live laggard outlasted the deadline
-  bool complete() const { return !timed_out; }
-};
 
 class PopEngine final : public runtime::SignalClient {
   struct NoHook {  // reclaim's default after_ticket
@@ -190,156 +174,27 @@ class PopEngine final : public runtime::SignalClient {
 
   // ---- reclaimer handshake --------------------------------------------------
 
-  // Executes collect + ping + wait. Returns the handshake outcome (signal
-  // count + watchdog verdict). On a complete() return, every pre-ping
-  // reservation of every attached thread is visible in the shared table.
-  //
-  // Watchdog: the wait carries a terminal deadline (POPSMR_PING_TIMEOUT_MS,
-  // 0 disables) layered over the progressive per-wave patience. On expiry
-  // each laggard is classified: a kernel-dead thread is certified via the
-  // registry (its epoch bump then releases every other wait loop too) and
-  // skipped — its private reservations died with it, and its stale shared
-  // slots keep conservatively protecting whatever they name; a live
-  // unresponsive thread (e.g. one whose pings are being lost) forces
-  // timed_out, because freeing without its publish would be unsafe — the
-  // caller defers the sweep, which degrades memory bounds, never safety.
-  //
-  // Concurrent handshakes coalesce on a global round counter (even = no
-  // ping wave in flight, odd = a wave is open: a leader has broadcast and
-  // is waiting for the publishes to land). Only a leader broadcasts; a
-  // reclaimer that observes an open wave piggybacks on that wave's
-  // publish storm and makes up any gap — a thread whose publish predates
-  // its own counter snapshot, or one the broadcast missed — with targeted
-  // per-thread re-pings after a patience interval. Safety never depends
-  // on the round logic: the counter wait below is the paper's
-  // waitForAllPublished() and is what actually certifies visibility.
-  HandshakeResult ping_all_and_wait(int self_tid) {
-    HandshakeResult result;
+  // Own publish, then runtime::ping_and_wait over the attached threads,
+  // then own publish again. On a complete() return, every pre-ping
+  // reservation of every attached thread is in the shared table.
+  runtime::HandshakeResult ping_all_and_wait(int self_tid) {
     // Wave round-trip timing: one clock read on entry/exit when either
     // observability channel wants it, nothing otherwise.
     const bool obs_timing = obs::latency_on() || obs::trace_on();
     const uint64_t obs_t0 = obs_timing ? obs::now_ns() : 0;
     publish(self_tid);  // own reservations participate in the scan
 
-    // collectPublishedCounters()
-    Waited waited[runtime::kMaxThreads];
-    int nwait = 0;
-    auto& reg = runtime::ThreadRegistry::instance();
-    pt_.for_each([&](int t, const PerThread& pt) {
-      if (t == self_tid || !pt.attached.load(std::memory_order_acquire)) {
-        return;
-      }
-      waited[nwait++] = {t, &pt,
-                         pt.publish_counter.load(std::memory_order_acquire),
-                         pt.registry_epoch.load(std::memory_order_relaxed)};
-    });
-
-    // pingAllToPublish(), coalesced: lead a wave only if none is open.
-    // Every publish a wave triggers lands after its leader's broadcast,
-    // and our snapshot above predates anything we go on to wait for — so
-    // joining an open wave is always safe, merely possibly insufficient
-    // (covered by the escalation below). The round is PROCESS-WIDE, not
-    // per-engine: a ping publishes the reservations of every co-resident
-    // domain on the receiving thread (the SignalBus handler notifies all
-    // clients), so a reclaimer in one shard's domain can ride a wave led
-    // by another's. A joined wave whose leader pinged a different
-    // membership may miss some of our threads — the targeted re-ping
-    // below covers exactly that gap, so cross-domain coalescing trades a
-    // short patience interval for ~Nx fewer signal broadcasts when N
-    // domains reclaim concurrently.
-    auto& round = global_round();
-    bool leading = false;
-    uint64_t r = round.load(std::memory_order_acquire);
-    while ((r & 1) == 0) {
-      if (round.compare_exchange_weak(r, r + 1,
-                                      std::memory_order_acq_rel)) {
-        // We lead: signal exactly the threads attached to this domain —
-        // the set whose publish counters the wait below certifies.
-        result.sent = reg.ping_others(
-            runtime::kPingSignal, [this](int t) { return attached(t); },
-            [](int, uint64_t) {});
-        leading = true;
-        break;
-      }
-    }
-
-    // waitForAllPublished(), round-robin over the remaining threads so
-    // one patience interval covers every laggard at once (a per-thread
-    // serial wait would pay it once per thread a wave missed). The
-    // targeted re-ping is the liveness backstop for threads no broadcast
-    // covered — e.g. a joiner whose snapshot predates some publishes.
-    bool done[runtime::kMaxThreads] = {};
-    int remaining = nwait;
-    runtime::SpinThenYield waiter;
-    uint32_t stalled_sweeps = 0;
-    // Progressive patience: the first re-ping fires fast — a joiner whose
-    // snapshot already contained some of the wave's publishes would
-    // otherwise stall a full long interval on counters that will never
-    // advance again — then backs off exponentially so a genuinely slow
-    // thread is not bombarded. Both the first interval (env-tunable) and
-    // the backoff are per-wave state: progress resets to the fast
-    // interval, and nothing leaks into the next wave. (An earlier version
-    // jumped straight to the long interval on the first escalation and
-    // never restored the short one — a joiner stalling twice in one wave
-    // paid 16x the intended latency.)
-    const uint32_t patience_first = reping_patience_first();
-    uint32_t patience = patience_first;
-    // Watchdog: armed lazily at the first escalation (healthy waves never
-    // touch the clock or the environment), it bounds the total wait.
-    bool deadline_armed = false;
-    uint64_t timeout_ms = 0;
-    std::chrono::steady_clock::time_point armed_at{};
-    while (remaining > 0) {
-      bool progress = false;
-      for (int i = 0; i < nwait; ++i) {
-        if (done[i]) continue;
-        const auto& w = waited[i];
-        if (w.row->publish_counter.load(std::memory_order_acquire) !=
-                w.counter_before ||                       // published
-            !w.row->attached.load(std::memory_order_acquire) ||  // detached
-            reg.slot_epoch(w.tid) != w.registry_epoch) {  // slot recycled
-          done[i] = true;
-          --remaining;
-          progress = true;
-        }
-      }
-      if (remaining == 0) break;
-      if (progress) {
-        stalled_sweeps = 0;
-        patience = patience_first;
-      } else if (++stalled_sweeps > patience) {
-        stalled_sweeps = 0;
-        patience = patience < kRepingPatienceMax / 2 ? patience * 2
-                                                     : kRepingPatienceMax;
-        if (!deadline_armed) {
-          deadline_armed = true;
-          // Read per wave (not a cached static) so tests and benches can
-          // vary the deadline; escalations are rare enough that a getenv
-          // here is noise.
-          timeout_ms =
-              runtime::env_u64("POPSMR_PING_TIMEOUT_MS", kPingTimeoutMsDefault);
-          armed_at = std::chrono::steady_clock::now();
-        } else if (timeout_ms > 0 &&
-                   std::chrono::steady_clock::now() - armed_at >=
-                       std::chrono::milliseconds(timeout_ms)) {
-          classify_laggards(waited, done, nwait, remaining, timeout_ms,
-                            result);
-          continue;  // remaining is now 0
-        }
-        result.sent += reg.ping_others(
-            runtime::kPingSignal,
-            [&](int t) {
-              for (int i = 0; i < nwait; ++i) {
-                if (!done[i] && waited[i].tid == t) return attached(t);
-              }
-              return false;
-            },
-            [](int, uint64_t) {});
-      }
-      waiter.wait();  // yields under oversubscription (§4.1.2)
-    }
-    if (leading) {
-      round.fetch_add(1, std::memory_order_release);  // close the wave
+    const runtime::HandshakeResult result = runtime::ping_and_wait(
+        [&](auto&& take) {
+          pt_.for_each([&](int t, const PerThread& pt) {
+            if (t == self_tid || !pt.attached.load(std::memory_order_acquire)) {
+              return;
+            }
+            take(t, pt.publish_counter, pt.attached, pt.registry_epoch);
+          });
+        },
+        [this](int t) { return attached(t); });
+    if (result.led) {
       waves_led_.fetch_add(1, std::memory_order_relaxed);
     } else {
       waves_joined_.fetch_add(1, std::memory_order_relaxed);
@@ -351,7 +206,7 @@ class PopEngine final : public runtime::SignalClient {
       const uint64_t dt = obs::now_ns() - obs_t0;
       obs::record_latency(obs::LatOp::kPingWave, dt);
       obs::trace_event(result.timed_out ? obs::TraceKind::kPingWaveTimeout
-                       : leading        ? obs::TraceKind::kPingWaveLead
+                       : result.led     ? obs::TraceKind::kPingWaveLead
                                         : obs::TraceKind::kPingWaveJoin,
                        obs_t0, dt, static_cast<uint32_t>(result.sent));
     }
@@ -443,13 +298,6 @@ class PopEngine final : public runtime::SignalClient {
   // Threads this engine has allocated per-thread state for.
   int thread_rows() const { return pt_.count(); }
 
-  // Completed ping waves (the round parity protocol above) — PROCESS-WIDE
-  // across every PopEngine, since the round is shared; exposed for tests
-  // asserting that concurrent reclaimers (same domain or co-resident
-  // domains) share one wave. Compare deltas, not absolutes.
-  static uint64_t handshake_rounds() {
-    return global_round().load(std::memory_order_acquire) / 2;
-  }
 
   // This engine's handshake outcomes: waves it broadcast vs waves it rode
   // (another reclaimer's — possibly another domain's — open wave).
@@ -461,36 +309,7 @@ class PopEngine final : public runtime::SignalClient {
   }
 
  private:
-  // No-progress sweeps before re-pinging the lagging threads directly.
-  // The first interval is short (~128 spins + ~128 yields): it is the
-  // recovery path for a joiner that can make no progress without a ping.
-  // Escalation doubles the interval per re-ping up to the max, so an
-  // open wave's publishes (microseconds, plus scheduling) normally land
-  // before the next re-ping while a genuinely stuck thread is not
-  // signal-bombed.
-  static constexpr uint32_t kRepingPatienceFirst = 1u << 8;
-  static constexpr uint32_t kRepingPatienceMax = 1u << 12;
-  // Watchdog deadline when POPSMR_PING_TIMEOUT_MS is unset. Generous: a
-  // healthy handshake completes in microseconds even under sanitizers, so
-  // a second of silence means lost signals or a corpse — and a spurious
-  // expiry merely defers one sweep (safe by construction).
-  static constexpr uint64_t kPingTimeoutMsDefault = 1000;
-
-  // First-interval patience, env-tunable once per process: the knob exists
-  // for experiments sweeping handshake latency vs signal volume.
-  static uint32_t reping_patience_first() {
-    static const uint32_t v = static_cast<uint32_t>(runtime::env_u64(
-        "POPSMR_PING_PATIENCE", kRepingPatienceFirst));
-    return v == 0 ? 1 : v;
-  }
-
   struct PerThread;
-  struct Waited {
-    int tid;
-    const PerThread* row;  // exists: the snapshot found tid attached
-    uint64_t counter_before;
-    uint64_t registry_epoch;
-  };
 
   // Retires between seals: 1/64 of the handshake tick (8 at the default
   // 512), so a node rarely misses the next handshake for want of a seal
@@ -529,34 +348,6 @@ class PopEngine final : public runtime::SignalClient {
     }
   }
 
-  // Deadline expiry: resolve every remaining laggard one way or the
-  // other so the wave can close. Dead → certify (the registry epoch bump
-  // releases every other waiter on the corpse too) and skip; live →
-  // give up on this wave (timed_out) with a one-line diagnostic naming
-  // the stuck tid.
-  void classify_laggards(const Waited* waited, bool* done, int nwait,
-                         int& remaining, uint64_t timeout_ms,
-                         HandshakeResult& result) {
-    auto& reg = runtime::ThreadRegistry::instance();
-    for (int i = 0; i < nwait; ++i) {
-      if (done[i]) continue;
-      const auto& w = waited[i];
-      done[i] = true;
-      --remaining;
-      if (reg.slot_epoch(w.tid) != w.registry_epoch ||
-          reg.certify_zombie(w.tid, w.registry_epoch)) {
-        continue;
-      }
-      result.timed_out = true;
-      std::fprintf(stderr,
-                   "popsmr: ping wave timed out after %llu ms: tid %d is "
-                   "alive but never published (heartbeat=%llu) — deferring "
-                   "this sweep\n",
-                   static_cast<unsigned long long>(timeout_ms), w.tid,
-                   static_cast<unsigned long long>(reg.heartbeat(w.tid)));
-    }
-  }
-
   // Copies the private slots to the shared ones, then bumps the publish
   // counter; what the handler and the reclaimer's own publish run.
   void publish(PerThread& pt, std::atomic<uintptr_t>* shared) noexcept {
@@ -585,14 +376,6 @@ class PopEngine final : public runtime::SignalClient {
     // on a recycled tid (change-detection only, so relaxed suffices).
     std::atomic<uint64_t> registry_epoch{0};
   };
-
-  // Handshake round, shared by every engine in the process: even = idle,
-  // odd = a leader (in some domain) is delivering pings. One cache line
-  // touched only on the reclaim path, never by readers.
-  static std::atomic<uint64_t>& global_round() {
-    static runtime::Padded<std::atomic<uint64_t>> r;
-    return *r;
-  }
 
   // This engine's handshake tickets: `issued` counts handshakes begun,
   // `certified` is the highest completed one's ticket. Both change once

@@ -6,7 +6,7 @@
 #include <cerrno>
 #include <cstdint>
 
-#include "runtime/backoff.hpp"
+#include "runtime/handshake.hpp"
 #include "runtime/signal_bus.hpp"
 #include "runtime/thread_registry.hpp"
 
@@ -42,66 +42,55 @@ bool probe_membarrier() {
   return true;
 }
 
-// Signal-broadcast fallback: ping every *enrolled* thread; each handler
-// issues a full fence and bumps an ack counter the barrier waits on.
-// Only threads that enrolled (HPAsym attach) can hold the reservations a
-// heavy fence must make visible, so only they are signalled.
+// Signal-broadcast fallback: the counter handshake over the threads whose
+// current registration enrolled (HPAsym attach), the only ones that can
+// hold the reservations a heavy fence must make visible; each handler
+// issues a full fence and bumps an ack counter.
 class BarrierClient final : public SignalClient {
  public:
   void on_ping(int tid) noexcept override {
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    acks_[tid]->fetch_add(1, std::memory_order_release);
-  }
-
-  uint64_t ack(int tid) const {
-    return acks_[tid]->load(std::memory_order_acquire);
+    rows_[tid]->ack.fetch_add(1, std::memory_order_release);
   }
 
   void enroll(int tid) {
-    enrolled_[tid]->store(true, std::memory_order_release);
+    Row& r = *rows_[tid];
+    r.epoch.store(ThreadRegistry::instance().slot_epoch(tid),
+                  std::memory_order_relaxed);
+    r.enrolled.store(true, std::memory_order_release);
   }
-  bool enrolled(int tid) const {
-    return enrolled_[tid]->load(std::memory_order_acquire);
+
+  // True while tid's current owner is enrolled.
+  bool member(int tid) const {
+    const Row& r = *rows_[tid];
+    return r.enrolled.load(std::memory_order_acquire) &&
+           r.epoch.load(std::memory_order_relaxed) ==
+               ThreadRegistry::instance().slot_epoch(tid);
+  }
+
+  // The handshake's snapshot: every member but the caller.
+  template <class Take>
+  void snapshot(int self, Take& take) const {
+    const int hi = ThreadRegistry::instance().max_tid();
+    for (int t = 0; t <= hi; ++t) {
+      if (t == self || !member(t)) continue;
+      const Row& r = *rows_[t];
+      take(t, r.ack, r.enrolled, r.epoch);
+    }
   }
 
  private:
-  Padded<std::atomic<uint64_t>> acks_[kMaxThreads];
-  Padded<std::atomic<bool>> enrolled_[kMaxThreads];
+  struct Row {
+    std::atomic<uint64_t> ack{0};
+    std::atomic<uint64_t> epoch{0};  // registry epoch of the enrollment
+    std::atomic<bool> enrolled{false};
+  };
+  Padded<Row> rows_[kMaxThreads];
 };
 
 BarrierClient& barrier_client() {
   static BarrierClient c;
   return c;
-}
-
-void signal_broadcast_fence() {
-  auto& reg = ThreadRegistry::instance();
-  auto& client = barrier_client();
-  // Every live thread must be attached to the bus for this to reach it;
-  // SMR domains attach threads on their first operation, and the barrier
-  // client is attached alongside (see HpAsymDomain::attach). Threads never
-  // attached cannot hold hazard pointers, so missing them is safe.
-  struct Pending {
-    int tid;
-    uint64_t ack_before;
-    uint64_t epoch;
-  };
-  Pending pending[kMaxThreads];
-  int n = 0;
-  reg.ping_others(
-      kPingSignal, [&](int tid) { return client.enrolled(tid); },
-      [&](int tid, uint64_t epoch) {
-        pending[n++] = {tid, client.ack(tid), epoch};
-      });
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  for (int i = 0; i < n; ++i) {
-    const auto& p = pending[i];
-    SpinThenYield waiter;
-    while (client.ack(p.tid) == p.ack_before && reg.alive(p.tid) &&
-           reg.slot_epoch(p.tid) == p.epoch) {
-      waiter.wait();
-    }
-  }
 }
 
 }  // namespace
@@ -115,25 +104,32 @@ AsymFence::AsymFence()
     : backend_(probe_membarrier() ? AsymBackend::kMembarrier
                                   : AsymBackend::kSignalBroadcast) {}
 
-void AsymFence::heavy_fence() {
+bool AsymFence::heavy_fence() {
   if (backend_ == AsymBackend::kMembarrier) {
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED);
-  } else {
-    SignalBus::instance().attach(&barrier_client());
-    signal_broadcast_fence();
+    return membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED) == 0;
   }
+  return detail::signal_broadcast_fence();
 }
 
-// Exposed so HPAsym can attach worker threads to the fallback barrier
-// client when the membarrier syscall is unavailable.
 namespace detail {
+
 void attach_barrier_client_for_current_thread() {
-  if (AsymFence::instance().backend() == AsymBackend::kSignalBroadcast) {
-    SignalBus::instance().attach(&barrier_client());
-    barrier_client().enroll(ThreadRegistry::instance().my_tid());
-  }
+  SignalBus::instance().attach(&barrier_client());
+  barrier_client().enroll(ThreadRegistry::instance().my_tid());
 }
+
+bool signal_broadcast_fence() {
+  auto& client = barrier_client();
+  const int self = ThreadRegistry::instance().my_tid();
+  // seq_cst fence: the caller's stores (a scan's unlinks) precede the ack
+  // snapshot (handshake.hpp).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  return ping_and_wait([&](auto&& take) { client.snapshot(self, take); },
+                       [&](int t) { return client.member(t); })
+      .complete();
+}
+
 }  // namespace detail
 
 }  // namespace pop::runtime

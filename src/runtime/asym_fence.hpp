@@ -11,8 +11,9 @@
 // Backend selection, probed once at startup:
 //  1. membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)   - Linux >= 4.14
 //  2. signal broadcast via the thread registry        - container fallback
-// The fallback mirrors what liburcu did before sys_membarrier existed (and
-// is itself a miniature publish-on-ping, minus the reservation copy).
+// The fallback mirrors what liburcu did before sys_membarrier existed: it
+// is the publish-on-ping handshake (runtime/handshake.hpp) with a bare
+// fence in place of the reservation copy.
 #pragma once
 
 #include <atomic>
@@ -32,7 +33,8 @@ class AsymFence {
   }
 
   // Reclaimer side: process-wide barrier over all registered threads.
-  void heavy_fence();
+  // False when the fallback's wave timed out: trust no scan after it.
+  [[nodiscard]] bool heavy_fence();
 
   AsymBackend backend() const noexcept { return backend_; }
 
@@ -45,9 +47,12 @@ class AsymFence {
 };
 
 namespace detail {
-// When the signal-broadcast fallback is active, worker threads must be
-// reachable by the barrier's ping; HPAsym calls this at thread attach.
+// Enrolls the calling thread in the signal-broadcast fence, so the
+// fallback's ping reaches it; HPAsym calls this at thread attach.
 void attach_barrier_client_for_current_thread();
+
+// The signal-broadcast fallback, whatever the probed backend (tests).
+[[nodiscard]] bool signal_broadcast_fence();
 }  // namespace detail
 
 }  // namespace pop::runtime

@@ -89,23 +89,21 @@ class ThreadRegistry {
 
   // Force-deregisters a slot whose owner (at `owner_epoch`) is kernel-dead
   // but still registered — its TLS destructor never ran. Bumping the
-  // epoch here is what releases every epoch-staleness wait loop (POP
-  // handshake, NBR ack round) from the corpse. Returns true iff this call
+  // epoch here is what releases every epoch-staleness wait loop (the
+  // counter handshake) from the corpse. Returns true iff this call
   // performed the deregistration.
   bool certify_zombie(int tid, uint64_t owner_epoch);
 
   // Sends `sig` to every live registered thread except the caller for
-  // which filter(tid) is true, invoking fn(tid, epoch) per signalled
-  // thread. Runs under the registry lock: targets cannot deregister (or
-  // exit) mid-kill. Returns #signals sent.
-  //
-  // Callers MUST pass a filter selecting only the threads participating
-  // in their domain: signalling uninvolved threads is not just wasted
-  // work — a reclaim-heavy domain would bombard every thread in the
-  // process with EINTRs (a sleeping thread can be starved out of its
-  // sleep entirely at high ping rates).
-  template <class Filter, class Fn>
-  int ping_others(int sig, Filter&& filter, Fn&& fn) {
+  // which filter(tid) is true. Runs under the registry lock: targets
+  // cannot deregister (or exit) mid-kill. Returns #signals sent. The one
+  // caller is the counter handshake (handshake.hpp), which passes its
+  // wave's membership as the filter: signalling uninvolved threads is not
+  // just wasted work — a reclaim-heavy domain would bombard every thread
+  // in the process with EINTRs (a sleeping thread can be starved out of
+  // its sleep entirely at high ping rates).
+  template <class Filter>
+  int ping_others(int sig, Filter&& filter) {
     const int self = my_tid();  // register before taking the lock
     lock();
     int sent = 0;
@@ -118,15 +116,7 @@ class ThreadRegistry {
       // Injected signal loss: the kill is skipped but the target still
       // counts as signalled — the sender must not be able to tell a
       // dropped signal from a delivered one (that is the fault model).
-      if (faults.should_drop(t)) {
-        fn(t, s.epoch.load(std::memory_order_relaxed));
-        ++sent;
-        continue;
-      }
-      if (pthread_kill(s.handle, sig) == 0) {
-        fn(t, s.epoch.load(std::memory_order_relaxed));
-        ++sent;
-      }
+      if (faults.should_drop(t) || pthread_kill(s.handle, sig) == 0) ++sent;
     }
     unlock();
     return sent;

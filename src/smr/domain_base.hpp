@@ -88,6 +88,11 @@ class DomainCore {
     return pt != nullptr && pt->attached.load(std::memory_order_acquire);
   }
 
+  // The flag attached(tid) read; only for a tid whose row exists.
+  const std::atomic<bool>& attach_flag(int tid) const {
+    return pt_.find(tid)->attached;
+  }
+
   // Registry epoch recorded for the thread that owns `tid`'s state here
   // (0 for a tid that never attached).
   uint64_t owner_epoch(int tid) const {

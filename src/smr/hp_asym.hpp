@@ -63,8 +63,12 @@ class HpAsymDomain : public DomainBase<HpAsymDomain> {
 
   void scan(int tid) {
     reap(tid);
-    // Make every reader's published-but-unfenced reservation visible.
-    runtime::AsymFence::instance().heavy_fence();
+    // Make every reader's published-but-unfenced reservation visible; a
+    // fallback fence that timed out frees nothing.
+    if (!runtime::AsymFence::instance().heavy_fence()) {
+      core_.stats(tid).waves_timed_out += 1;
+      return;
+    }
     const Reservations reserved =
         slots_.collect(config().num_slots, core_.scan_scratch(tid));
     core_.sweep_retired(

@@ -11,8 +11,10 @@
 // reservations protect the nodes it will touch. After all
 // acknowledgements the reclaimer frees everything not reserved.
 //
-// The + refinement is the SWMR acknowledgement counter handshake (same
-// shape as POP's publish counters) which coalesces concurrent reclaimers.
+// The + refinement is the SWMR acknowledgement counter handshake, POP's
+// own (runtime::ping_and_wait): it coalesces concurrent reclaimers into
+// one ping wave, re-pings laggards, and times out on a mute thread, which
+// defers the sweep (`waves_timed_out`) instead of hanging the reclaimer.
 //
 // This is exactly the behaviour Figure 4 punishes: long-running readers
 // are restarted from scratch whenever any reclaimer frees, which POP
@@ -23,7 +25,7 @@
 #include <csetjmp>
 #include <csignal>
 
-#include "runtime/backoff.hpp"
+#include "runtime/handshake.hpp"
 #include "runtime/signal_bus.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/domain_base.hpp"
@@ -178,51 +180,33 @@ class NbrDomain final : public DomainBase<NbrDomain>,
   void on_attach(int /*tid*/) { runtime::SignalBus::instance().attach(this); }
   void on_detach(int /*tid*/) { runtime::SignalBus::instance().detach(this); }
 
+  // Snapshot acks, ping everyone, wait for all to acknowledge (by
+  // restarting out of a read phase or by fencing through the handler). A
+  // tid with no row here holds no pointer yet: its row exists before its
+  // first read phase (tid_rows.hpp). A timed-out wave frees nothing.
   void reclaim(int tid) {
     auto& st = core_.stats(tid);
     reap(tid);
-    // Snapshot acks, ping everyone, wait for all to acknowledge (either by
-    // restarting out of a read phase or by fencing through the handler).
-    // A tid with no row here holds no pointer yet: it attaches before
-    // its first read phase, and its row exists before that (tid_rows.hpp).
-    struct Waited {
-      int tid;
-      const PerThread* row;
-      uint64_t ack_before;
-      uint64_t registry_epoch;
-    };
-    Waited waited[runtime::kMaxThreads];
-    int nwait = 0;
-    auto& reg = runtime::ThreadRegistry::instance();
-    pt_.for_each([&](int t, const PerThread& pt) {
-      if (t == tid || !core_.attached(t)) return;
-      waited[nwait++] = {t, &pt, pt.ack.load(std::memory_order_acquire),
-                         core_.owner_epoch(t)};
-    });
-    st.signals_sent += static_cast<uint64_t>(reg.ping_others(
-        runtime::kPingSignal, [this](int t) { return core_.attached(t); },
-        [](int, uint64_t) {}));
-    for (int i = 0; i < nwait; ++i) {
-      const auto& w = waited[i];
-      runtime::SpinThenYield waiter;
-      uint32_t spins = 0;
-      while (w.row->ack.load(std::memory_order_acquire) == w.ack_before &&
-             core_.attached(w.tid) &&
-             reg.slot_epoch(w.tid) == w.registry_epoch) {
-        // Periodic kernel-liveness probe: a thread that died mid-phase
-        // will never ack, and only this escape (or a later certification)
-        // ends the wait. Cheap relative to the yield-dominated loop.
-        if ((++spins & 1023u) == 0 &&
-            reg.owner_departed(w.tid, w.registry_epoch)) {
-          break;
-        }
-        waiter.wait();
-      }
+    // seq_cst fence: every unlink of a retired node precedes the ack
+    // snapshot (handshake.hpp).
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    const auto hs = runtime::ping_and_wait(
+        [&](auto&& take) {
+          pt_.for_each([&](int t, const PerThread& pt) {
+            if (t == tid || !core_.attached(t)) return;
+            take(t, pt.ack, core_.attach_flag(t), core_.owner_epoch(t));
+          });
+        },
+        [this](int t) { return core_.attached(t); });
+    st.signals_sent += static_cast<uint64_t>(hs.sent);
+    if (hs.complete()) {
+      const Reservations reserved =
+          slots_.collect(config().num_slots, core_.scan_scratch(tid));
+      core_.sweep_retired(
+          tid, [&](Reclaimable* node) { return !reserved.names(node); });
+    } else {
+      st.waves_timed_out += 1;
     }
-    const Reservations reserved =
-        slots_.collect(config().num_slots, core_.scan_scratch(tid));
-    core_.sweep_retired(
-        tid, [&](Reclaimable* node) { return !reserved.names(node); });
     st.pings_received = pt_.get(tid).pings;
   }
 

@@ -282,11 +282,11 @@ std::vector<ScenarioEntry> build_registry() {
   // deadline (POPSMR_PING_TIMEOUT_MS) only when it runs this entry.
   add("signal-loss",
       "stall-recovery with every ping to the parked victim dropped until "
-      "it resumes: the POP watchdog must time the wave out, defer, and "
-      "recover once delivery is restored",
+      "it resumes: every signalling scheme's watchdog must time the wave "
+      "out, defer, and recover once delivery is restored",
       [stall_recovery](ScenarioSpec& s, const ScenarioBuild& b, double sc) {
-        // A POP reclaimer's wave genuinely cannot complete: the watchdog
-        // must expire, classify the victim live-but-mute, and defer;
+        // A POP or NBR reclaimer's wave genuinely cannot complete: the
+        // watchdog must expire, classify the victim live-but-mute, and defer;
         // delivery is restored when the victim resumes so the tail of the
         // run measures recovery.
         stall_recovery(s, b, sc);

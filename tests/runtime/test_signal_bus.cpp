@@ -54,7 +54,7 @@ TEST(SignalBus, PingRunsHandlerOnTargetThread) {
     SignalBus::instance().detach(&c);
   });
   while (worker_tid.load() < 0) std::this_thread::yield();
-  ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; }, [](int, uint64_t) {});
+  ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; });
   // The signal is asynchronous; wait for the handler.
   for (int i = 0; i < 10000 && c.pings.load() == 0; ++i) {
     std::this_thread::yield();
@@ -78,7 +78,7 @@ TEST(SignalBus, MultipleClientsAllNotified) {
     SignalBus::instance().detach(&c2);
   });
   while (!ready.load()) std::this_thread::yield();
-  ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; }, [](int, uint64_t) {});
+  ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; });
   for (int i = 0; i < 10000 && (c1.pings.load() == 0 || c2.pings.load() == 0);
        ++i) {
     std::this_thread::yield();
@@ -100,7 +100,7 @@ TEST(SignalBus, DetachedClientNotNotified) {
     while (hold.load()) std::this_thread::yield();
   });
   while (!ready.load()) std::this_thread::yield();
-  ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; }, [](int, uint64_t) {});
+  ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(c.pings.load(), 0u);
   hold.store(false);
@@ -152,8 +152,8 @@ TEST(SignalBus, DetachClosesInFlightDeliveryWindow) {
   const auto until =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
   while (std::chrono::steady_clock::now() < until) {
-    ThreadRegistry::instance().ping_others(
-        kPingSignal, [](int) { return true; }, [](int, uint64_t) {});
+    ThreadRegistry::instance().ping_others(kPingSignal,
+                                           [](int) { return true; });
   }
   stop.store(true, std::memory_order_release);
   worker.join();
@@ -187,8 +187,8 @@ TEST(SignalBus, DetachedClientCanBeDestroyedImmediately) {
   const auto until =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
   while (std::chrono::steady_clock::now() < until) {
-    ThreadRegistry::instance().ping_others(
-        kPingSignal, [](int) { return true; }, [](int, uint64_t) {});
+    ThreadRegistry::instance().ping_others(kPingSignal,
+                                           [](int) { return true; });
   }
   stop.store(true, std::memory_order_release);
   worker.join();

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/pop_engine.hpp"
+#include "runtime/handshake.hpp"
 #include "runtime/thread_registry.hpp"
 #include "../support/test_util.hpp"
 
@@ -253,7 +254,7 @@ TEST(PopEngine, ConcurrentReclaimersShareOnePingWave) {
     // reclaimer 1 enters while the holder keeps it open. Reclaimer 1 owns
     // the last sequential turn, so its snapshot of the wave count is taken
     // at quiescence.
-    if (w == 1) waves_before_concurrent.store(e.handshake_rounds());
+    if (w == 1) waves_before_concurrent.store(runtime::handshake_rounds());
     for (int r = 0; r < kRounds; ++r) {
       wait_for(rounds_done, r);
       if (w == 0) {
@@ -283,7 +284,7 @@ TEST(PopEngine, ConcurrentReclaimersShareOnePingWave) {
   EXPECT_LT(concurrent_signals.load(), sequential_signals.load());
   // The mechanism: in at least one concurrent round the second reclaimer
   // joined the first's open wave instead of broadcasting its own.
-  EXPECT_LT(e.handshake_rounds() - waves_before_concurrent.load(),
+  EXPECT_LT(runtime::handshake_rounds() - waves_before_concurrent.load(),
             static_cast<uint64_t>(2 * kRounds));
 
   release.store(true);

@@ -164,6 +164,72 @@ TEST(Robustness, EpochPopDegradesGracefullyUnderSignalLoss) {
   unsetenv("POPSMR_PING_TIMEOUT_MS");
 }
 
+TEST(Robustness, NbrDegradesGracefullyUnderSignalLoss) {
+  // NBR's ack round under the same fault: a parked victim that never
+  // acknowledges must time the wave out (and defer its sweep), not hang
+  // every reclaimer until the victim departs.
+  setenv("POPSMR_PING_TIMEOUT_MS", "20", /*overwrite=*/1);
+  auto& faults = runtime::FaultInjection::instance();
+  const uint64_t dropped_before = faults.dropped();
+  {
+    smr::NbrDomain d(cfg());
+    std::atomic<bool> stalled{false}, release{false};
+    std::atomic<int> victim_tid{-1};
+    std::thread sleeper([&] {
+      d.begin_op();
+      victim_tid.store(runtime::my_tid());
+      stalled.store(true);
+      while (!release.load()) std::this_thread::yield();
+      d.end_op();
+      d.detach();
+    });
+    while (!stalled.load()) std::this_thread::yield();
+    faults.arm_signal_loss(100, victim_tid.load());
+
+    // A reclaimer with no watchdog waits on the mute victim until it
+    // detaches: release it at a deadline, so such a hang fails this test
+    // instead of running into the suite's timeout.
+    std::atomic<bool> churned{false}, deadline_hit{false};
+    std::thread deadline([&] {
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!churned.load() && std::chrono::steady_clock::now() < until) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      if (!churned.load()) {
+        deadline_hit.store(true);
+        release.store(true);
+      }
+    });
+    for (int i = 0; i < kChurn; ++i) {
+      smr::NbrDomain::Guard g(d);
+      d.retire(d.create<TNode>(i));
+    }
+    churned.store(true);
+    deadline.join();
+    EXPECT_FALSE(deadline_hit.load())
+        << "the churn hung on the mute victim until it was released";
+    EXPECT_GT(d.stats().waves_timed_out, 0u)
+        << "no wave ever hit the watchdog; the fault was not exercised";
+    EXPECT_GT(faults.dropped(), dropped_before);
+
+    faults.disarm();
+    release.store(true);
+    sleeper.join();
+    for (int i = 0; i < kChurn; ++i) {
+      smr::NbrDomain::Guard g(d);
+      d.retire(d.create<TNode>(1000 + i));
+    }
+    const auto c = cfg();
+    EXPECT_LE(d.stats().unreclaimed(),
+              c.retire_threshold + 2 * static_cast<uint64_t>(c.num_slots))
+        << "unreclaimed never recovered after the loss window closed";
+    d.detach();
+  }
+  faults.disarm();
+  unsetenv("POPSMR_PING_TIMEOUT_MS");
+}
+
 TEST(Robustness, StalledThreadDoesNotBlockPopForever) {
   // Liveness: a reclaim pass with a stalled (but signal-responsive)
   // thread completes — Assumption 1 in practice.
