@@ -42,6 +42,7 @@
 #include <cstdint>
 
 #include "core/pop_engine.hpp"
+#include "runtime/tid_rows.hpp"
 #include "smr/domain_base.hpp"
 #include "smr/epoch.hpp"
 #include "smr/tagged.hpp"
@@ -92,14 +93,19 @@ class EpochPopDomain : public smr::DomainBase<EpochPopDomain> {
 
   // Algorithm 3 retire(): the POP pass once the list outgrows
   // C * retire_threshold although begin_op's epoch sweeps ran (a delayed
-  // thread is suspected), or under memory pressure.
+  // thread is suspected), or under memory pressure. A timed-out pass
+  // frees nothing and leaves the list as long as it was, so the next
+  // escalation waits retire_threshold retires: a mute live thread costs
+  // one handshake deadline per retire_threshold retires, the cadence of
+  // the other signalling schemes' shared tick, not one per retire.
   void retire(smr::Reclaimable* n) {
     const int tid = runtime::my_tid();
     const auto& cfg = config();
     core_.retire(
         tid, n, epochs_.now(),
         [&](uint64_t len) {
-          return len >= cfg.pop_multiplier * cfg.retire_threshold;
+          return len >= cfg.pop_multiplier * cfg.retire_threshold &&
+                 core_.stats(tid).retired >= pop_resume_.get(tid);
         },
         [&](bool) { reclaim_pop(tid); });
     core_.stats(tid).pop_frees += engine_.on_retired(core_, tid, freeable);
@@ -148,12 +154,20 @@ class EpochPopDomain : public smr::DomainBase<EpochPopDomain> {
   }
 
   void reclaim_pop(int tid) {
-    core_.stats(tid).pop_frees += engine_.reclaim(
+    smr::ThreadStats& st = core_.stats(tid);
+    const uint64_t timed_out = st.waves_timed_out;
+    st.pop_frees += engine_.reclaim(
         core_, tid, [this](int t) { neutralize(t); }, freeable);
+    if (st.waves_timed_out != timed_out) {
+      pop_resume_.get(tid) = st.retired + config().retire_threshold;
+    }
   }
 
   smr::EpochAnnouncements epochs_;
   PopEngine engine_{config().num_slots};
+  // Per thread: the retired count below which the list-length escalation
+  // holds off, set by a timed-out POP pass (owner-thread only).
+  runtime::TidRows<uint64_t> pop_resume_;
 };
 
 }  // namespace pop::core

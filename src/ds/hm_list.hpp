@@ -24,12 +24,24 @@
 // degrades to a fresh insert (the replace then linearizes as a deletion
 // immediately followed by an insertion).
 //
-// HmOps exposes the algorithm over an external head so the hash table can
-// reuse it bucket-wise with a single shared reclamation domain.
+// HmOps is the one Harris-Michael list of the library. It runs over an
+// external head and is templated on its ordering key, so three structures
+// share it with a single reclamation domain each:
+//  * HML and HMHT order by the 64-bit key itself (one list; one list per
+//    bucket sentinel);
+//  * RHHT orders its single split-ordered list by a (so, key) pair —
+//    any totally ordered key type with == works.
+// Each op takes its head either as a sentinel pointer (HML, HMHT) or as
+// a callable, run after every checkpoint, that returns the node to
+// search from (RHHT's protects its table descriptor and routes to the
+// bucket's dummy). Update ops take an optional hook that receives a
+// successful update's size delta while its write phase is still open
+// (RHHT's keeps its size stripes and resize policy).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 #include "ds/kv.hpp"
 #include "runtime/pool_alloc.hpp"
@@ -40,21 +52,22 @@
 
 namespace pop::ds {
 
-template <class Smr>
+template <class Smr, class Key = uint64_t>
 struct HmOps {
   struct Node : Smr::NodeHeader {
-    explicit Node(uint64_t k, uint64_t v = 0) : key(k), val(v) {}
-    uint64_t key;
+    explicit Node(Key k, uint64_t v = 0) : key(k), val(v) {}
+    Key key;
     uint64_t val;  // immutable after publication (replace swaps nodes)
     std::atomic<Node*> next{nullptr};
   };
   // The pool's size classes are fitted to the node: it wastes under 16 B.
   // The size pin makes a field that crosses a size class fail here. The
-  // block is 32 B under the 8-B node header, 48 B under an era scheme's
-  // 24-B one.
+  // 64-bit-key block is 32 B under the 8-B node header, 48 B under an era
+  // scheme's 24-B one (RHHT pins its pair-key node itself).
   static_assert(runtime::detail::pool_class_slack(sizeof(Node)) < 16);
-  static_assert(runtime::detail::pool_block_bytes(sizeof(Node)) ==
-                (smr::kEraHeader<Smr> ? 48 : 32));
+  static_assert(!std::is_same_v<Key, uint64_t> ||
+                runtime::detail::pool_block_bytes(sizeof(Node)) ==
+                    (smr::kEraHeader<Smr> ? 48 : 32));
 
   static constexpr int kSlotPrev = 0;
   static constexpr int kSlotCurr = 1;
@@ -66,20 +79,34 @@ struct HmOps {
     Node* next;  // curr->next (unmarked) when curr != nullptr
   };
 
+  // An op's `head` is the node its searches start from: a sentinel that
+  // never moves (HML, HMHT's buckets) or a callable that returns one,
+  // run after every checkpoint (RHHT's routes through its descriptor).
+  template <class Head>
+  static Node* head_of(Head& head) {
+    if constexpr (std::is_same_v<Head, Node*>) {
+      return head;
+    } else {
+      return head();
+    }
+  }
+
   // Locates the window for `key`, helping to unlink marked nodes along the
   // way. Postconditions: prev/curr/next reserved (in rotating slots), the
   // prev->curr edge was observed unmarked, curr (if any) was observed
-  // logically present. Returns true iff curr holds `key`.
+  // logically present. Returns true iff curr holds `key`. `head` is never
+  // marked and never retired (a sentinel or a split-order dummy), so the
+  // retry label re-enters it without a fresh protect.
   //
   // Slot roles *rotate* on advance instead of copying reservations: the
   // node entering the prev role already owns a reservation from when it
   // was curr, so an advance costs zero extra slot stores — keeping the
   // hot loop at exactly one protect() per hop, which is what the paper's
   // per-read-fence comparison isolates.
-  static bool find(Smr& smr, Node* head, uint64_t key, Window& w) {
+  static bool find(Smr& smr, Node* head, Key key, Window& w) {
   retry:
     int sp = kSlotPrev, sc = kSlotCurr, sn = kSlotNext;
-    Node* prev = head;  // sentinel: never marked, never retired
+    Node* prev = head;
     Node* curr = smr.protect(sc, head->next);
     for (;;) {
       if (curr == nullptr) {
@@ -121,23 +148,25 @@ struct HmOps {
 
   // get: the node's value is immutable after publication, so once find()
   // validated curr's reservation the plain read is safe and untorn.
-  static bool get(Smr& smr, Node* head, uint64_t key, uint64_t* val_out) {
+  template <class Head>
+  static bool get(Smr& smr, Head head, Key key, uint64_t* val_out) {
     typename Smr::Guard g(smr);
     POPSMR_CHECKPOINT(smr);  // a neutralization longjmp re-runs find
     Window w;
-    if (!find(smr, head, key, w)) return false;
+    if (!find(smr, head_of(head), key, w)) return false;
     if (val_out != nullptr) *val_out = w.curr->val;
     return true;
   }
 
-  static bool contains(Smr& smr, Node* head, uint64_t key) {
+  template <class Head>
+  static bool contains(Smr& smr, Head head, Key key) {
     return get(smr, head, key, nullptr);
   }
 
   // Links a fresh (key, val) node into window `w` (which observed the key
   // absent). True on success, leaving the write phase open for the
   // Guard's end_op; false (phase exited, node destroyed) to re-find.
-  static bool try_link(Smr& smr, Window& w, uint64_t key, uint64_t val) {
+  static bool try_link(Smr& smr, Window& w, Key key, uint64_t val) {
     smr.enter_write_phase({w.prev, w.curr});
     Node* n = smr.template create<Node>(key, val);
     n->next.store(w.curr, std::memory_order_relaxed);
@@ -152,13 +181,20 @@ struct HmOps {
     return false;
   }
 
-  static bool insert(Smr& smr, Node* head, uint64_t key, uint64_t val) {
+  // The update ops take at most one `on_update` hook (RHHT's). It is a
+  // parameter pack so that HML and HMHT, which pass none, get no extra
+  // parameter: even an empty one changes how the compiler clones and
+  // inlines their ops.
+  template <class Head, class... OnUpdate>
+  static bool insert(Smr& smr, Head head, Key key, uint64_t val,
+                     OnUpdate... on_update) {
     typename Smr::Guard g(smr);
   retry:
     POPSMR_CHECKPOINT(smr);
     Window w;
-    if (find(smr, head, key, w)) return false;
+    if (find(smr, head_of(head), key, w)) return false;
     if (!try_link(smr, w, key, val)) goto retry;
+    (on_update(+1), ...);
     return true;
   }
 
@@ -169,14 +205,22 @@ struct HmOps {
   // swapper is the unique retirer of the displaced node. If a helping
   // traversal unlinks (and retires) the marked node first, the swap CAS
   // fails and the put falls back to a fresh insert on retry.
-  static PutResult put(Smr& smr, Node* head, uint64_t key, uint64_t val) {
+  //
+  // The size delta it reports is conservation-exact: every successful
+  // mark is one logical deletion (-1) and the one publication is +1, so
+  // the rare mark/swap-fail/re-mark path nets -1, not 0.
+  template <class Head, class... OnUpdate>
+  static PutResult put(Smr& smr, Head head, Key key, uint64_t val,
+                       OnUpdate... on_update) {
     typename Smr::Guard g(smr);
     bool displaced = false;  // a previous iteration marked out the old value
+    int64_t marks = 0;       // successful marks, for the size delta
   retry:
     POPSMR_CHECKPOINT(smr);
     Window w;
-    if (!find(smr, head, key, w)) {
+    if (!find(smr, head_of(head), key, w)) {
       if (!try_link(smr, w, key, val)) goto retry;
+      (on_update(1 - marks), ...);
       return displaced ? PutResult::kReplaced : PutResult::kInserted;
     }
     smr.enter_write_phase({w.prev, w.curr, w.next});
@@ -191,6 +235,7 @@ struct HmOps {
       goto retry;
     }
     displaced = true;
+    ++marks;
     Node* n = smr.template create<Node>(key, val);
     n->next.store(w.next, std::memory_order_relaxed);
     Node* expc = w.curr;
@@ -198,6 +243,7 @@ struct HmOps {
                                              std::memory_order_acq_rel,
                                              std::memory_order_relaxed)) {
       smr.retire(w.curr);  // unique retirer: the successful swapper
+      (on_update(1 - marks), ...);
       return PutResult::kReplaced;
     }
     // A helper unlinked (and retired) the marked node under us; the key
@@ -207,12 +253,13 @@ struct HmOps {
     goto retry;
   }
 
-  static bool erase(Smr& smr, Node* head, uint64_t key) {
+  template <class Head, class... OnUpdate>
+  static bool erase(Smr& smr, Head head, Key key, OnUpdate... on_update) {
     typename Smr::Guard g(smr);
   retry:
     POPSMR_CHECKPOINT(smr);
     Window w;
-    if (!find(smr, head, key, w)) return false;
+    if (!find(smr, head_of(head), key, w)) return false;
     smr.enter_write_phase({w.prev, w.curr, w.next});
     // Logical deletion: mark curr->next.
     Node* expected = w.next;
@@ -231,6 +278,7 @@ struct HmOps {
                                              std::memory_order_relaxed)) {
       smr.retire(w.curr);
     }
+    (on_update(-1), ...);
     return true;
   }
 
@@ -246,7 +294,7 @@ struct HmOps {
   }
 
   static bool sorted_unique_slow(Node* head) {
-    uint64_t last = 0;
+    Key last{};
     bool first = true;
     for (Node* c = smr::strip_mark(head->next.load(std::memory_order_acquire));
          c != nullptr;

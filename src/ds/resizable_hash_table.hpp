@@ -1,7 +1,9 @@
 // RHHT — dynamically resizable lock-free hash table under SMR, built as a
 // split-ordered list (Shalev & Shavit, "Split-Ordered Lists: Lock-Free
-// Extensible Hash Tables", JACM'06) over the same reservation discipline
-// as HmOps.
+// Extensible Hash Tables", JACM'06). The list is HmOps itself, keyed by
+// the pair (so, key): every find, link, mark and helping unlink is the
+// Harris-Michael code HML and HMHT run. What this file adds is the
+// ordering key, the dummy nodes, the shortcut index and its resizes.
 //
 // Why split order instead of migrating items between bucket arrays: a
 // copy-based migration has to re-insert items into the new table, and a
@@ -31,13 +33,13 @@
 // the trailing bytes of the descriptor's own pool block, so a retired
 // table is exactly one block to the batched sweep, the poisoned/UAF
 // suites and the leak-balance accounting.
-// Readers protect the descriptor with a validated protect() in a slot of
-// its own (kSlotTable = 3; the list traversal rotates 0..2 exactly like
-// HmOps), so a descriptor is never freed under a traversal that still
-// routes through it. Dummies are reachable from every table generation
-// and are never retired; after a shrink the orphaned high-bucket dummies
-// stay in the list (harmless: they are just extra even so-keys) and are
-// re-adopted if the table grows again.
+// Each op's head callable protects the descriptor with a validated
+// protect() in a slot of its own (kSlotTable = 3; HmOps's traversal
+// rotates 0..2), so a descriptor is never freed under a traversal that
+// still routes through it. Dummies are reachable from every table
+// generation and are never retired; after a shrink the orphaned
+// high-bucket dummies stay in the list (harmless: they are just extra
+// even so-keys) and are re-adopted if the table grows again.
 //
 // Cooperative incremental migration: there is no migration *thread* —
 // an operation that routes to an uninitialized cell initializes it
@@ -50,18 +52,22 @@
 // kShrinkStreak consecutive checks below a quarter of that watermark
 // (hysteresis so a mixed workload near the boundary does not oscillate).
 // The losing racer of a descriptor CAS destroys its unpublished Table.
+// The policy runs in HmOps's update hook, inside the successful update's
+// still-open write phase, so a neutralization restart cannot tear the
+// stripe bump or the resize off the update.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <compare>
 #include <cstdint>
 
+#include "ds/hm_list.hpp"
 #include "ds/kv.hpp"
 #include "obs/obs.hpp"
 #include "runtime/pool_alloc.hpp"
 #include "runtime/thread_registry.hpp"
 #include "runtime/tid_rows.hpp"
-#include "smr/checkpoint.hpp"
 #include "smr/domain_base.hpp"
 #include "smr/smr_config.hpp"
 #include "smr/tagged.hpp"
@@ -79,7 +85,7 @@ inline uint64_t reverse64(uint64_t x) {
 
 // Fibonacci multiplicative mix (odd multiplier: a bijection, so two keys
 // collide in so-space only in the dropped-bit sense handled by the
-// (so, key) lexicographic order below).
+// (so, key) lexicographic order of ResizableHashTable::Key).
 inline uint64_t mix(uint64_t k) { return k * 0x9e3779b97f4a7c15ull; }
 
 // reverse64(mix)|1 drops mix's bit 63, so two distinct keys CAN share a
@@ -103,18 +109,17 @@ inline uint64_t pow2_at_least(uint64_t v) {
 template <class Smr>
 class ResizableHashTable {
  public:
-  struct Node : Smr::NodeHeader {
-    Node(uint64_t so_, uint64_t k, uint64_t v) : so(so_), key(k), val(v) {}
+  // The list orders by (so, key), lexicographically: a key k and
+  // k + 2^63 share a so-key (so_regular drops mix's bit 63).
+  struct Key {
     uint64_t so;   // split-order key; even = dummy (key holds the bucket)
     uint64_t key;
-    uint64_t val;  // immutable after publication (replace swaps nodes)
-    std::atomic<Node*> next{nullptr};
+    auto operator<=>(const Key&) const = default;
   };
-  // The pool's size classes are fitted to the node: it wastes under 16 B.
-  // The size pin makes a field that crosses a size class fail here. The
-  // block is 48 B under the 8-B node header, 64 B under an era scheme's
-  // 24-B one.
-  static_assert(runtime::detail::pool_class_slack(sizeof(Node)) < 16);
+  using Ops = HmOps<Smr, Key>;
+  using Node = typename Ops::Node;
+  // The pair-key node takes a 48-B block under the 8-B node header, 64 B
+  // under an era scheme's 24-B one.
   static_assert(runtime::detail::pool_block_bytes(sizeof(Node)) ==
                 (smr::kEraHeader<Smr> ? 64 : 48));
 
@@ -134,10 +139,10 @@ class ResizableHashTable {
     const uint64_t nbuckets;  // always a power of two
   };
 
-  // The list traversal rotates slots 0..2 (HmOps discipline); the table
-  // descriptor lives in a slot of its own so it stays protected across
-  // the whole operation. Bundled structures use at most 4 of the
-  // kMaxSlots = 8 slots, so slot 3 is free by library convention.
+  // HmOps's traversal rotates slots 0..2; the table descriptor lives in
+  // a slot of its own so it stays protected across the whole operation.
+  // Bundled structures use at most 4 of the kMaxSlots = 8 slots, so slot
+  // 3 is free by library convention.
   static constexpr int kSlotTable = 3;
   static constexpr uint64_t kMinBuckets = 2;
   static constexpr uint64_t kMaxBuckets = 1ull << 26;
@@ -156,7 +161,7 @@ class ResizableHashTable {
         (static_cast<double>(capacity) + load_factor_ - 1) / load_factor_);
     const uint64_t n = std::clamp<uint64_t>(detail_rhht::pow2_at_least(want),
                                             kMinBuckets, kMaxBuckets);
-    head_ = smr_.template create<Node>(detail_rhht::so_dummy(0), 0, 0);
+    head_ = smr_.template create<Node>(Key{detail_rhht::so_dummy(0), 0});
     Table* t = smr_.template create<Table>(
         smr::TailBytes{n * sizeof(std::atomic<Node*>)}, n);
     t->cells()[0].store(head_, std::memory_order_relaxed);
@@ -174,111 +179,27 @@ class ResizableHashTable {
   }
 
   bool get(uint64_t k, uint64_t* val_out) {
-    typename Smr::Guard g(smr_);
-    POPSMR_CHECKPOINT(smr_);  // a neutralization longjmp re-runs from here
-    Table* t = smr_.protect(kSlotTable, table_);
-    Window w;
-    if (!find(bucket_head(t, bucket_of(t, k)), detail_rhht::so_regular(k), k,
-              w)) {
-      return false;
-    }
-    if (val_out != nullptr) *val_out = w.curr->val;
-    return true;
+    Table* t = nullptr;
+    return Ops::get(smr_, head(k, t), key_of(k), val_out);
   }
 
   bool contains(uint64_t k) { return get(k, nullptr); }
 
   bool insert(uint64_t k, uint64_t v) {
-    typename Smr::Guard g(smr_);
-  retry:
-    POPSMR_CHECKPOINT(smr_);
-    Table* t = smr_.protect(kSlotTable, table_);
-    const uint64_t so = detail_rhht::so_regular(k);
-    Window w;
-    if (find(bucket_head(t, bucket_of(t, k)), so, k, w)) return false;
-    if (!try_link(w, so, k, v)) goto retry;
-    // The successful link leaves the write phase open (Guard's end_op
-    // closes it), so the size bump and any resize it triggers cannot be
-    // torn off by a neutralization restart.
-    after_update(t, +1);
-    return true;
+    Table* t = nullptr;
+    return Ops::insert(smr_, head(k, t), key_of(k), v, on_update(t));
   }
 
   bool insert(uint64_t k) { return insert(k, k); }
 
-  // Insert-or-replace, HmOps put semantics: mark the displaced node like
-  // an erase, then swing prev->next to the fresh node in one CAS; the
-  // successful swapper is the unique retirer. Falls back to a fresh
-  // insert when a helping traversal steals the unlink in between.
   PutResult put(uint64_t k, uint64_t v) {
-    typename Smr::Guard g(smr_);
-    // Size accounting is conservation-exact: every successful mark CAS is
-    // one logical deletion (-1), the one successful publication is +1 —
-    // the rare mark/swap-fail/re-mark path nets -1, not 0, and a drifting
-    // stripe sum would slowly inflate the resize policy's size estimate.
-    int64_t marks = 0;
-  retry:
-    POPSMR_CHECKPOINT(smr_);
-    Table* t = smr_.protect(kSlotTable, table_);
-    const uint64_t so = detail_rhht::so_regular(k);
-    Window w;
-    if (!find(bucket_head(t, bucket_of(t, k)), so, k, w)) {
-      if (!try_link(w, so, k, v)) goto retry;
-      after_update(t, 1 - marks);
-      return marks > 0 ? PutResult::kReplaced : PutResult::kInserted;
-    }
-    smr_.enter_write_phase({w.prev, w.curr, w.next});
-    Node* expected = w.next;
-    if (!w.curr->next.compare_exchange_strong(expected,
-                                              smr::with_mark(w.next),
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_relaxed)) {
-      smr_.exit_write_phase();
-      goto retry;
-    }
-    ++marks;
-    Node* n = smr_.template create<Node>(so, k, v);
-    n->next.store(w.next, std::memory_order_relaxed);
-    Node* expc = w.curr;
-    if (w.prev->next.compare_exchange_strong(expc, n,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed)) {
-      smr_.retire(w.curr);
-      after_update(t, 1 - marks);
-      return PutResult::kReplaced;
-    }
-    smr::destroy_unpublished(n);
-    smr_.exit_write_phase();
-    goto retry;
+    Table* t = nullptr;
+    return Ops::put(smr_, head(k, t), key_of(k), v, on_update(t));
   }
 
   bool erase(uint64_t k) {
-    typename Smr::Guard g(smr_);
-  retry:
-    POPSMR_CHECKPOINT(smr_);
-    Table* t = smr_.protect(kSlotTable, table_);
-    Window w;
-    if (!find(bucket_head(t, bucket_of(t, k)), detail_rhht::so_regular(k), k,
-              w)) {
-      return false;
-    }
-    smr_.enter_write_phase({w.prev, w.curr, w.next});
-    Node* expected = w.next;
-    if (!w.curr->next.compare_exchange_strong(expected,
-                                              smr::with_mark(w.next),
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_relaxed)) {
-      smr_.exit_write_phase();
-      goto retry;
-    }
-    Node* expc = w.curr;
-    if (w.prev->next.compare_exchange_strong(expc, w.next,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed)) {
-      smr_.retire(w.curr);
-    }
-    after_update(t, -1);
-    return true;
+    Table* t = nullptr;
+    return Ops::erase(smr_, head(k, t), key_of(k), on_update(t));
   }
 
   // Quiescent-only helpers.
@@ -287,7 +208,7 @@ class ResizableHashTable {
     for (Node* c = smr::strip_mark(head_->next.load(std::memory_order_acquire));
          c != nullptr;
          c = smr::strip_mark(c->next.load(std::memory_order_acquire))) {
-      if ((c->so & 1) != 0 &&
+      if ((c->key.so & 1) != 0 &&
           !smr::is_marked(c->next.load(std::memory_order_acquire))) {
         ++n;
       }
@@ -318,12 +239,6 @@ class ResizableHashTable {
   ResizableHashTable& operator=(const ResizableHashTable&) = delete;
 
  private:
-  struct Window {
-    Node* prev;
-    Node* curr;  // first node with (so, key) >= target, or nullptr
-    Node* next;
-  };
-
   struct Stripe {
     std::atomic<int64_t> size{0};  // SWMR: written only by the owning tid
     uint64_t tick = 0;
@@ -331,6 +246,25 @@ class ResizableHashTable {
 
   static uint64_t bucket_of(const Table* t, uint64_t k) {
     return detail_rhht::mix(k) & (t->nbuckets - 1);
+  }
+
+  static Key key_of(uint64_t k) { return {detail_rhht::so_regular(k), k}; }
+
+  // An op's head: protect the current descriptor (in a slot of its own,
+  // so it stays reserved across the whole attempt), route to k's bucket
+  // dummy, and leave the descriptor in `t` for the update hook. Run
+  // after every checkpoint, so a restarted attempt re-reads the table.
+  auto head(uint64_t k, Table*& t) {
+    return [this, k, &t] {
+      t = smr_.protect(kSlotTable, table_);
+      return bucket_head(t, bucket_of(t, k));
+    };
+  }
+
+  // A successful update's hook: bump the stripe and maybe resize `t`,
+  // the descriptor that update routed through.
+  auto on_update(Table*& t) {
+    return [this, &t](int64_t delta) { after_update(t, delta); };
   }
 
   // The bucket's shortcut dummy, initializing the cell on first touch —
@@ -346,96 +280,21 @@ class ResizableHashTable {
     Node* d = t->cells()[b].load(std::memory_order_acquire);
     if (d != nullptr) return d;
     Node* p = bucket_head(t, detail_rhht::parent_bucket(b));
-    const uint64_t so = detail_rhht::so_dummy(b);
-    for (;;) {
-      Window w;
-      if (find(p, so, b, w)) {
-        d = w.curr;
-        break;
-      }
-      smr_.enter_write_phase({w.prev, w.curr});
-      Node* n = smr_.template create<Node>(so, b, 0);
-      n->next.store(w.curr, std::memory_order_relaxed);
-      Node* expected = w.curr;
-      if (w.prev->next.compare_exchange_strong(expected, n,
-                                               std::memory_order_release,
-                                               std::memory_order_relaxed)) {
-        // Unlike a data link, a dummy link happens mid-operation: close
-        // the write phase (re-arming the read phase) — a neutralization
-        // restart re-finds this dummy, so the link is idempotent.
-        smr_.exit_write_phase();
-        d = n;
-        break;
-      }
-      smr::destroy_unpublished(n);
-      smr_.exit_write_phase();
+    const Key dk{detail_rhht::so_dummy(b), b};
+    typename Ops::Window w;
+    while (!Ops::find(smr_, p, dk, w)) {
+      // Unlike a data link, a dummy link happens mid-operation: close the
+      // write phase (re-arming the read phase) — a neutralization restart
+      // re-finds this dummy, so the link is idempotent. The next find
+      // returns the dummy, whoever linked it.
+      if (Ops::try_link(smr_, w, dk, 0)) smr_.exit_write_phase();
     }
+    d = w.curr;
     Node* expected = nullptr;
     t->cells()[b].compare_exchange_strong(expected, d,
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire);
     return t->cells()[b].load(std::memory_order_acquire);
-  }
-
-  // HmOps::find with (so, key) lexicographic comparisons. `head` is a
-  // dummy node: never marked, never retired, so the retry label is safe
-  // to re-enter without a fresh protect.
-  bool find(Node* head, uint64_t so, uint64_t key, Window& w) {
-  retry:
-    int sp = 0, sc = 1, sn = 2;
-    Node* prev = head;
-    Node* curr = smr_.protect(sc, head->next);
-    for (;;) {
-      if (curr == nullptr) {
-        w = {prev, nullptr, nullptr};
-        return false;
-      }
-      Node* next_raw = smr_.protect(sn, curr->next);
-      if (smr::is_marked(next_raw)) {
-        Node* next = smr::strip_mark(next_raw);
-        smr_.enter_write_phase({prev, curr, next});
-        Node* expected = curr;
-        if (prev->next.compare_exchange_strong(expected, next,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-          smr_.retire(curr);  // unique retirer: the successful unlinker
-          smr_.exit_write_phase();
-        } else {
-          smr_.exit_write_phase();
-          goto retry;
-        }
-        curr = smr_.protect(sc, prev->next);
-        if (smr::is_marked(curr)) goto retry;
-        continue;
-      }
-      if (curr->so > so || (curr->so == so && curr->key >= key)) {
-        w = {prev, curr, next_raw};
-        return curr->so == so && curr->key == key;
-      }
-      prev = curr;
-      curr = next_raw;
-      const int t = sp;
-      sp = sc;
-      sc = sn;
-      sn = t;
-    }
-  }
-
-  // Links a fresh regular node into window `w`. On success the write
-  // phase stays open for the Guard's end_op (HmOps contract).
-  bool try_link(Window& w, uint64_t so, uint64_t key, uint64_t val) {
-    smr_.enter_write_phase({w.prev, w.curr});
-    Node* n = smr_.template create<Node>(so, key, val);
-    n->next.store(w.curr, std::memory_order_relaxed);
-    Node* expected = w.curr;
-    if (w.prev->next.compare_exchange_strong(expected, n,
-                                             std::memory_order_release,
-                                             std::memory_order_relaxed)) {
-      return true;
-    }
-    smr::destroy_unpublished(n);
-    smr_.exit_write_phase();
-    return false;
   }
 
   int64_t approx_size() const {

@@ -173,17 +173,14 @@ void trace_event_slow(TraceKind k, uint64_t t_ns, uint64_t dur_ns,
 }  // namespace detail
 
 void set_latency(bool on) {
-  if constexpr (!kEnabled) return;
   detail::g_latency_state.store(on ? 2 : 1, std::memory_order_relaxed);
 }
 
 void set_hw(bool on) {
-  if constexpr (!kEnabled) return;
   detail::g_hw_state.store(on ? 2 : 1, std::memory_order_relaxed);
 }
 
 void init_from_env() {
-  if constexpr (!kEnabled) return;
   (void)latency_on();
   (void)hw_on();
   (void)trace_on();
@@ -191,7 +188,6 @@ void init_from_env() {
 
 HistoSnapshot latency_snapshot(LatOp op) {
   HistoSnapshot s;
-  if constexpr (!kEnabled) return s;
   auto& table = detail::histo_table();
   for (int t = 0; t < runtime::kMaxThreads; ++t) {
     auto* h = table.slots[t].load(std::memory_order_acquire);
@@ -201,7 +197,6 @@ HistoSnapshot latency_snapshot(LatOp op) {
 }
 
 void latency_reset() {
-  if constexpr (!kEnabled) return;
   auto& table = detail::histo_table();
   for (int t = 0; t < runtime::kMaxThreads; ++t) {
     auto* h = table.slots[t].load(std::memory_order_acquire);
@@ -211,7 +206,6 @@ void latency_reset() {
 }
 
 void arm_trace(const std::string& path, uint32_t ring_capacity) {
-  if constexpr (!kEnabled) return;
   auto& reg = detail::trace_registry();
   {
     std::lock_guard<std::mutex> lk(reg.mu);
@@ -223,7 +217,6 @@ void arm_trace(const std::string& path, uint32_t ring_capacity) {
 }
 
 void disarm_trace() {
-  if constexpr (!kEnabled) return;
   detail::g_trace_state.store(1, std::memory_order_relaxed);
   // Forget the armed path too: a later dump_trace() with nothing armed
   // must fail rather than overwrite the previous run's file.
@@ -234,7 +227,6 @@ void disarm_trace() {
 
 std::vector<TraceEvent> trace_collect() {
   std::vector<TraceEvent> out;
-  if constexpr (!kEnabled) return out;
   auto& reg = detail::trace_registry();
   for (int t = 0; t < runtime::kMaxThreads; ++t) {
     auto* r = reg.rings[t].load(std::memory_order_acquire);
@@ -249,7 +241,6 @@ std::vector<TraceEvent> trace_collect() {
 
 uint64_t trace_dropped() {
   uint64_t d = 0;
-  if constexpr (!kEnabled) return d;
   auto& reg = detail::trace_registry();
   for (int t = 0; t < runtime::kMaxThreads; ++t) {
     auto* r = reg.rings[t].load(std::memory_order_acquire);
@@ -259,7 +250,6 @@ uint64_t trace_dropped() {
 }
 
 bool dump_trace_to(const std::string& path) {
-  if constexpr (!kEnabled) return false;
   if (path.empty()) return false;
   uint64_t epoch;
   {
@@ -310,7 +300,6 @@ bool dump_trace_to(const std::string& path) {
 }
 
 bool dump_trace() {
-  if constexpr (!kEnabled) return false;
   std::string path;
   {
     auto& reg = detail::trace_registry();

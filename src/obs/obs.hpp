@@ -4,8 +4,7 @@
 // Design rule: the disabled path compiles to (almost) nothing. Every hook
 // below reduces to one relaxed atomic load plus a predictable branch when
 // the corresponding channel is off; tests/obs/test_obs_overhead.cpp pins
-// that cost under 2% of a ~100 ns op. Compiling with -DPOPSMR_OBS_DISABLE
-// turns kEnabled into a constexpr false and the hooks into true no-ops.
+// that cost under 2% of a ~100 ns op.
 //
 // Channels and their knobs (CLI flags in bench/cli.hpp seed the env vars
 // without overriding, so CI env wins, same as every other bench knob):
@@ -25,12 +24,6 @@
 #include "obs/trace_ring.hpp"
 
 namespace pop::obs {
-
-#ifdef POPSMR_OBS_DISABLE
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 // Everything the engine/driver times, point ops and reclamation side.
 enum class LatOp : int {
@@ -94,27 +87,24 @@ uint64_t wall_ts_ms();
 // ---- channel toggles -------------------------------------------------------
 
 inline bool latency_on() {
-  if constexpr (!kEnabled) return false;
   int s = detail::g_latency_state.load(std::memory_order_relaxed);
   if (s == 0) s = detail::latency_init_slow();
   return s == 2;
 }
 
 inline bool hw_on() {
-  if constexpr (!kEnabled) return false;
   int s = detail::g_hw_state.load(std::memory_order_relaxed);
   if (s == 0) s = detail::hw_init_slow();
   return s == 2;
 }
 
 inline bool trace_on() {
-  if constexpr (!kEnabled) return false;
   int s = detail::g_trace_state.load(std::memory_order_relaxed);
   if (s == 0) s = detail::trace_init_slow();
   return s == 2;
 }
 
-// Programmatic overrides (ScenarioSpec.obs, tests). No-ops when compiled out.
+// Programmatic overrides (ScenarioSpec.obs, tests).
 void set_latency(bool on);
 void set_hw(bool on);
 
@@ -126,7 +116,6 @@ void init_from_env();
 
 // Record one duration into the calling thread's histogram for `op`.
 inline void record_latency(LatOp op, uint64_t ns) {
-  if constexpr (!kEnabled) return;
   if (!latency_on()) return;
   detail::record_latency_slow(op, ns);
 }
@@ -144,7 +133,6 @@ void latency_reset();
 // armed. `t_ns` is the event start (now_ns clock); `dur_ns` 0 for instants.
 inline void trace_event(TraceKind k, uint64_t t_ns, uint64_t dur_ns,
                         uint32_t arg = 0) {
-  if constexpr (!kEnabled) return;
   if (!trace_on()) return;
   detail::trace_event_slow(k, t_ns, dur_ns, arg);
 }

@@ -75,7 +75,6 @@ const char* violation_name(Violation v) {
 }
 
 void set_enabled(bool enabled) {
-  if constexpr (!kCompiled) return;
   detail::g_state.store(enabled ? 2 : 1, std::memory_order_relaxed);
 }
 
@@ -109,7 +108,6 @@ void reset() {
 }
 
 void check_detach(const char* scheme, int tid) {
-  if constexpr (!kCompiled) return;
   if (!on()) return;
   if (detail::tl_bracket_depth != 0) {
     detail::report(Violation::kUnbalancedBracket, scheme, tid, nullptr);

@@ -35,8 +35,6 @@
 // (POPSMR_AUDIT_MODE=abort, the default — tests want a corpse, not a
 // corrupted run) or counts and warns once per kind
 // (POPSMR_AUDIT_MODE=warn — benches want the row, not the corpse).
-// Compiling with -DPOPSMR_AUDIT_DISABLE turns every hook into a true
-// no-op.
 #pragma once
 
 #include <atomic>
@@ -45,12 +43,6 @@
 #include <unordered_set>
 
 namespace pop::smr::audit {
-
-#ifdef POPSMR_AUDIT_DISABLE
-inline constexpr bool kCompiled = false;
-#else
-inline constexpr bool kCompiled = true;
-#endif
 
 enum class Violation : int {
   kDoubleRetire = 0,
@@ -76,7 +68,6 @@ void report(Violation v, const char* scheme, int tid, const void* ptr);
 // One relaxed load + branch once initialized — the only cost every
 // retire/sweep/detach pays when auditing is off.
 inline bool on() {
-  if constexpr (!kCompiled) return false;
   int s = detail::g_state.load(std::memory_order_relaxed);
   if (s == 0) s = detail::init_slow();
   return s == 2;
@@ -96,19 +87,16 @@ void reset();  // quiescent-only (tests)
 // ---- bracket tracking ------------------------------------------------------
 
 inline void bracket_enter() {
-  if constexpr (!kCompiled) return;
   if (on()) ++detail::tl_bracket_depth;
 }
 
 inline void bracket_exit() {
-  if constexpr (!kCompiled) return;
   // The depth guard makes a mid-bracket enable (enter unseen, exit seen)
   // degrade to a missed check instead of an underflowed counter.
   if (on() && detail::tl_bracket_depth > 0) --detail::tl_bracket_depth;
 }
 
 inline uint32_t bracket_depth() {
-  if constexpr (!kCompiled) return 0;
   return detail::tl_bracket_depth;
 }
 

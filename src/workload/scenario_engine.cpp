@@ -187,9 +187,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec_in) {
   // reclamation-side hooks in DomainCore/PopEngine see the same switch
   // the worker loop branches on.
   const bool lat_prev = obs::latency_on();
-  const bool lat_on = obs::kEnabled && (spec.obs.latency || lat_prev);
+  const bool lat_on = spec.obs.latency || lat_prev;
   if (lat_on && !lat_prev) obs::set_latency(true);
-  const bool hw_en = obs::kEnabled && (spec.obs.hw || obs::hw_on());
+  const bool hw_en = spec.obs.hw || obs::hw_on();
   // Per-(slot, phase) hardware-counter cells: perf_event_open binds to
   // the calling thread, so each worker opens its own counters and flushes
   // a delta into its cell at every phase transition and on every exit

@@ -12,12 +12,15 @@
 #include <string>
 #include <thread>
 
+#include "core/hazard_ptr_pop.hpp"
 #include "ds/iset.hpp"
 #include "ds/resizable_hash_table.hpp"
 #include "runtime/pool_alloc.hpp"
 #include "runtime/rng.hpp"
 #include "service/sharded_map.hpp"
+#include "smr/ebr.hpp"
 #include "smr/hp.hpp"
+#include "smr/nbr.hpp"
 #include "../support/test_util.hpp"
 
 namespace pop::ds {
@@ -224,6 +227,105 @@ TEST(ResizableHashTable, GrowAllocatesAndFreesOneTableBlock) {
   EXPECT_EQ(s2.allocated_blocks - s1.allocated_blocks, 1u);
   EXPECT_EQ(s2.freed_blocks - s1.freed_blocks, 1u);
   m.domain().detach();
+}
+
+// A key k and k + 2^63 share their split-order key (so_regular's |1
+// overwrites mix's bit 63) and, at every table size, their bucket: the
+// list can tell them apart only by the second half of its (so, key)
+// order. Each of the two keys is inserted, replaced, read and erased on
+// its own while the table grows and then shrinks under them.
+TEST(ResizableHashTable, SoKeyCollidingPairsStayDistinctAcrossGrowAndShrink) {
+  constexpr uint64_t kHigh = 1ull << 63;
+  constexpr uint64_t kPairs = 512;
+  for (uint64_t k = 0; k < kPairs; ++k) {
+    ASSERT_EQ(detail_rhht::so_regular(k), detail_rhht::so_regular(k + kHigh));
+  }
+  smr::SmrConfig cfg;
+  cfg.retire_threshold = 8;
+  ResizableHashTable<smr::EbrDomain> m(/*capacity=*/4, /*load_factor=*/2.0,
+                                       cfg);
+  const auto value = [&m](uint64_t k) {
+    uint64_t v = 0;
+    return m.get(k, &v) ? v : ~0ull;
+  };
+  for (uint64_t k = 0; k < kPairs; ++k) {
+    ASSERT_TRUE(m.insert(k, k));
+    ASSERT_FALSE(m.get(k + kHigh, nullptr)) << "pair " << k;
+    ASSERT_TRUE(m.insert(k + kHigh, k + kHigh));
+    ASSERT_FALSE(m.insert(k, 0));
+  }
+  EXPECT_GT(m.resize_stats().grows, 0u);
+  EXPECT_EQ(m.size_slow(), 2 * kPairs);
+  for (uint64_t k = 0; k < kPairs; ++k) {
+    ASSERT_EQ(m.put(k, k + 1), PutResult::kReplaced);
+    EXPECT_EQ(value(k + kHigh), k + kHigh) << "pair " << k;
+    ASSERT_EQ(m.put(k + kHigh, k + 2), PutResult::kReplaced);
+    EXPECT_EQ(value(k), k + 1) << "pair " << k;
+  }
+  for (uint64_t k = 0; k < kPairs; ++k) {
+    ASSERT_TRUE(m.erase(k));
+    EXPECT_FALSE(m.get(k, nullptr));
+    EXPECT_EQ(value(k + kHigh), k + 2) << "pair " << k;
+  }
+  EXPECT_EQ(m.size_slow(), kPairs);
+  for (uint64_t k = 0; k < kPairs; ++k) {
+    ASSERT_TRUE(m.erase(k + kHigh));
+    ASSERT_FALSE(m.erase(k + kHigh));
+  }
+  EXPECT_GT(m.resize_stats().shrinks, 0u);
+  EXPECT_EQ(m.size_slow(), 0u);
+  // High key first this time, through put.
+  for (uint64_t k = 0; k < kPairs; ++k) {
+    ASSERT_EQ(m.put(k + kHigh, 7), PutResult::kInserted);
+    ASSERT_EQ(m.put(k, 8), PutResult::kInserted);
+    EXPECT_EQ(value(k + kHigh), 7u);
+    EXPECT_EQ(value(k), 8u);
+  }
+  EXPECT_EQ(m.size_slow(), 2 * kPairs);
+  m.domain().detach();
+}
+
+// The resize policy's striped size estimate counts +1 per link and -1
+// per successful mark, including put's rare mark / swap-fail / re-mark
+// path. After a concurrent put/insert/erase storm over a shared key range
+// it must equal the true population. Under NBR, neutralization restarts
+// land in the middle of these updates.
+template <class D>
+smr::StatsSnapshot size_estimate_storm() {
+  smr::SmrConfig cfg;
+  cfg.retire_threshold = 8;
+  ResizableHashTable<D> m(/*capacity=*/4, /*load_factor=*/2.0, cfg);
+  test::run_threads(4, [&](int w) {
+    runtime::Xoshiro256 rng(77 + static_cast<uint64_t>(w));
+    for (int i = 0; i < 20000; ++i) {
+      const uint64_t k = rng.next_below(256);
+      const uint64_t dice = rng.next_below(3);
+      if (dice == 0) {
+        m.put(k, rng.next());
+      } else if (dice == 1) {
+        m.insert(k, k);
+      } else {
+        m.erase(k);
+      }
+    }
+    m.domain().detach();
+  });
+  EXPECT_EQ(m.size_estimate(), static_cast<int64_t>(m.size_slow()));
+  EXPECT_GT(m.resize_stats().grows, 0u);
+  return m.domain().stats();
+}
+
+TEST(ResizableHashTable, SizeEstimateMatchesPopulationAfterStormEbr) {
+  size_estimate_storm<smr::EbrDomain>();
+}
+
+TEST(ResizableHashTable, SizeEstimateMatchesPopulationAfterStormHazardPtrPop) {
+  size_estimate_storm<core::HazardPtrPopDomain>();
+}
+
+TEST(ResizableHashTable, SizeEstimateMatchesPopulationAfterStormNbr) {
+  EXPECT_GT(size_estimate_storm<smr::NbrDomain>().neutralized, 0u)
+      << "no neutralization restart landed: NBR's path was not exercised";
 }
 
 }  // namespace

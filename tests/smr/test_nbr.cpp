@@ -170,7 +170,6 @@ TEST(Nbr, AckHandshakeCountsSignals) {
 // here pings the looping reader; a body entered at bracket depth 0 is one
 // the neutralization re-ran after the bracket had closed.
 TEST(Nbr, GuardExitNeverRerunsBodyOutsideAuditBracket) {
-  if (!audit::kCompiled) GTEST_SKIP() << "audit compiled out";
   const bool audit_was_on = audit::on();
   audit::set_enabled(true);
   SmrConfig cfg;

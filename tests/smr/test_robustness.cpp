@@ -142,6 +142,11 @@ TEST(Robustness, EpochPopDegradesGracefullyUnderSignalLoss) {
         std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(), 60);
     EXPECT_GT(d.stats().waves_timed_out, 0u)
         << "no wave ever hit the watchdog; the fault was not exercised";
+    // A timed-out wave frees nothing, so the list stays past the trigger;
+    // the next escalation must still wait retire_threshold retires, not
+    // fire again on every retire (one deadline each).
+    EXPECT_LE(d.stats().waves_timed_out,
+              static_cast<uint64_t>(kChurn) / cfg().retire_threshold + 1);
     EXPECT_GT(faults.dropped(), dropped_before);
 
     faults.disarm();
@@ -211,6 +216,11 @@ TEST(Robustness, NbrDegradesGracefullyUnderSignalLoss) {
         << "the churn hung on the mute victim until it was released";
     EXPECT_GT(d.stats().waves_timed_out, 0u)
         << "no wave ever hit the watchdog; the fault was not exercised";
+    // A timed-out wave frees nothing, so the list stays past the trigger;
+    // the next escalation must still wait retire_threshold retires, not
+    // fire again on every retire (one deadline each).
+    EXPECT_LE(d.stats().waves_timed_out,
+              static_cast<uint64_t>(kChurn) / cfg().retire_threshold + 1);
     EXPECT_GT(faults.dropped(), dropped_before);
 
     faults.disarm();
